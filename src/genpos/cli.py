@@ -54,9 +54,13 @@ def _load_json(path: str, what: str):
             text = handle.read()
     except OSError as exc:
         raise InputError(f"{what}: cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what}: {path} is not UTF-8: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise InputError(f"{what}: {path} nests JSON too deeply") from None
+    except ValueError as exc:  # malformed JSON, or an integer over the digit limit
         raise InputError(f"{what}: {path} is not valid JSON: {exc}") from None
 
 

@@ -27,8 +27,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, OracleGuardError
-from .geometry import Configuration, Subspace, subspace_to_json
-from .linalg import IncrementalSpan, Vector, distance_sq, rank, vector_sub
+from .geometry import Configuration, Subspace, difference_rank, subspace_to_json
+from .linalg import (
+    IncrementalSpan,
+    Vector,
+    distance_sq,
+    primitive_row,
+    rank,
+    vector_sub,
+)
 
 ORACLE_DEFAULT_MAX_POINTS = 12
 
@@ -205,8 +212,34 @@ def _build_certificate(
     return Certificate(pattern, groups, witness)
 
 
+class _DifferenceRows:
+    """Primitive integer rows of p_m - p_b on the configuration's lattice.
+
+    The rows for a base point b are built together on first use and then
+    shared by every pattern and every visit of the search; a base the search
+    never reaches costs nothing. Concurrent builds of one base produce equal
+    rows, so threads may share a table without a lock.
+    """
+
+    __slots__ = ("_points", "_rows")
+
+    def __init__(self, config: Configuration):
+        self._points = config.integer_points
+        self._rows: list[list[list[int]] | None] = [None] * len(self._points)
+
+    def __getitem__(self, b: int) -> list[list[int]]:
+        rows = self._rows[b]
+        if rows is None:
+            base = self._points[b]
+            rows = [
+                primitive_row([x - y for x, y in zip(p, base)]) for p in self._points
+            ]
+            self._rows[b] = rows
+        return rows
+
+
 def _first_violation(
-    config: Configuration, pattern: DegeneracyPattern
+    config: Configuration, pattern: DegeneracyPattern, table: _DifferenceRows
 ) -> tuple[tuple[int, ...], ...] | None:
     """Lexicographically first family matching the pattern whose vectors span
     at most k dimensions, or None.
@@ -216,8 +249,7 @@ def _first_violation(
     assignments whose vectors already span more than k dimensions are pruned;
     rank is monotone in the vector set, so nothing is lost.
     """
-    points = config.points
-    n = len(points)
+    n = len(config.points)
     k = pattern.k
     sizes = pattern.sizes
     if sum(sizes) > n:
@@ -245,12 +277,12 @@ def _first_violation(
                 return True
             min_first = group[0] + 1 if sizes[j + 1] == sizes[j] else 0
             return place_group(j + 1, min_first)
-        base = points[group[0]]
+        rows = table[group[0]]
         for m in range(start, n):
             if used[m]:
                 continue
             mark = span.mark()
-            span.add(vector_sub(points[m], base))
+            span.add_row(rows[m])
             if span.rank > k:
                 span.rollback(mark)
                 continue
@@ -273,21 +305,24 @@ def decide_all_projections(config: Configuration, threads: int = 1) -> Verdict:
 
     Generic iff no family of disjoint groups has a deficient difference-vector
     span. One-point configurations and dimension 1 are generic by vacuity
-    (no proper non-zero kernel or no admissible pattern exists).
+    (no proper non-zero kernel or no admissible pattern exists). The search
+    runs on the configuration's integer lattice; the certificate is built
+    from the rational points.
     """
     if not isinstance(threads, int) or threads < 1:
         raise InputError("threads: must be an integer >= 1")
     if config.dimension == 1 or len(config.points) == 1:
         return Verdict(True)
     patterns = _engine_patterns(config)
+    table = _DifferenceRows(config)
     if threads == 1 or len(patterns) <= 1:
         for pattern in patterns:
-            groups = _first_violation(config, pattern)
+            groups = _first_violation(config, pattern, table)
             if groups is not None:
                 return Verdict(False, _build_certificate(config, groups))
         return Verdict(True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for groups in pool.map(lambda p: _first_violation(config, p), patterns):
+        for groups in pool.map(lambda p: _first_violation(config, p, table), patterns):
             if groups is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
                 return Verdict(False, _build_certificate(config, groups))
@@ -358,14 +393,12 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     On failure the witness is a smallest affinely dependent subset, earliest
     in lexicographic order.
     """
-    points = config.points
+    points = config.integer_points
     n = len(points)
     top = min(n, config.dimension + 1)
     for size in range(3, top + 1):
         for subset in combinations(range(n), size):
-            base = points[subset[0]]
-            diffs = [vector_sub(points[i], base) for i in subset[1:]]
-            if rank(diffs) < size - 1:
+            if difference_rank(points, subset) < size - 1:
                 return ClassicalReport(False, subset)
     return ClassicalReport(True)
 

@@ -9,8 +9,10 @@ that the fiber sizes do not overshoot k in total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 from .linalg import (
@@ -66,6 +68,24 @@ class Configuration:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def integer_points(self) -> tuple[tuple[int, ...], ...]:
+        """The points scaled by the lcm of all coordinate denominators.
+
+        A common positive scale changes no rank and no span membership of
+        point differences, so every rank question about the points is
+        answered exactly on this integer lattice. The primitive row of a
+        scaled difference is the one the rational difference clears to.
+        """
+        den = 1
+        for p in self.points:
+            for c in p:
+                den = math.lcm(den, c.denominator)
+        return tuple(
+            tuple(c.numerator * (den // c.denominator) for c in p)
+            for p in self.points
+        )
 
 
 @dataclass(frozen=True)
@@ -155,6 +175,18 @@ def _kernel_span(kernel: Subspace) -> IncrementalSpan:
     return span
 
 
+def difference_rank(points, indices) -> int:
+    """Rank of the differences from the first indexed point to the others.
+
+    The points are integer rows, such as Configuration.integer_points.
+    """
+    base = points[indices[0]]
+    span = IncrementalSpan(len(base))
+    for i in indices[1:]:
+        span.add_row([a - b for a, b in zip(points[i], base)])
+    return span.rank
+
+
 def fibers(config: Configuration, kernel: Subspace) -> FiberPartition:
     """Partition point indices into projection fibers.
 
@@ -199,9 +231,7 @@ def check_general_position(config: Configuration, kernel: Subspace) -> SubspaceC
             continue
         excess += size - 1
         size_ok = size <= k + 1
-        base = config.points[cls[0]]
-        diffs = [vector_sub(config.points[i], base) for i in cls[1:]]
-        r = rank(diffs)
+        r = difference_rank(config.integer_points, cls)
         independent = r == size - 1
         reports.append(FiberReport(tuple(cls), size_ok, independent))
         if not size_ok:

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Every scalar is a fractions.Fraction and nothing is ever rounded. Rank and
-span membership are computed by fraction-free integer elimination on
-denominator-cleared rows; determinants use the Bareiss pivoting scheme; Gram
-matrices give an independent route to linear independence, kept separate so
-the two can cross-check each other.
+Vectors are tuples of fractions.Fraction and nothing is ever rounded. Rank
+and span membership are computed by fraction-free integer elimination on
+denominator-cleared rows, which IncrementalSpan also accepts directly;
+determinants use the Bareiss pivoting scheme; Gram matrices give an
+independent route to linear independence, kept separate so the two can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ Matrix = tuple[Vector, ...]
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
+def _excerpt(text: str, limit: int = 40) -> str:
+    """repr of a string, shortened so diagnostics stay one readable line."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):
@@ -32,8 +40,13 @@ def as_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value.strip()):
-            raise InputError(f'not a rational: {value!r} (expected "p/q" or "p")')
-        return Fraction(value)
+            raise InputError(
+                f'not a rational: {_excerpt(value)} (expected "p/q" or "p")'
+            )
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # Python's limit on int-string digits
+            raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
     if isinstance(value, float):
         raise InputError(
             f'floating point value {value!r} is not exact; pass "p/q" strings'
@@ -114,16 +127,20 @@ def _bareiss_determinant(matrix: Matrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], den**n)
 
 
+def primitive_row(row: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries; the span is unchanged."""
+    g = math.gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
 def _integer_row(vector: Vector) -> list[int]:
     """Clear denominators and divide by the gcd; spans are unchanged."""
     den = 1
     for c in vector:
         den = math.lcm(den, c.denominator)
-    row = [int(c * den) for c in vector]
-    g = math.gcd(*row)
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+    return primitive_row([c.numerator * (den // c.denominator) for c in vector])
 
 
 class IncrementalSpan:
@@ -133,6 +150,11 @@ class IncrementalSpan:
     stored in pivot order. Existing rows are never modified when a vector is
     added, so a backtracking search can snapshot with mark() and restore with
     rollback(); both are O(rows).
+
+    add_row takes an integer row of the span's dimension directly and never
+    mutates it, so callers may share cached rows; primitive rows keep the
+    elimination's entries smallest. add and includes take rational vectors
+    and clear their denominators first.
     """
 
     __slots__ = ("dimension", "_rows", "_inserts")
@@ -148,35 +170,45 @@ class IncrementalSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vector: Vector) -> list[int]:
+    def _residual(self, row: list[int]) -> list[int]:
+        for p, base in self._rows:
+            if row[p]:
+                f_base, f_row = base[p], row[p]
+                row = primitive_row(
+                    [f_base * a - f_row * b for a, b in zip(row, base)]
+                )
+        return row
+
+    def add_row(self, row: list[int]) -> bool:
+        """Add an integer row; returns True iff the rank grew."""
+        row = self._residual(row)
+        for pivot, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        rows = self._rows
+        pos = len(rows)
+        while pos and rows[pos - 1][0] > pivot:
+            pos -= 1
+        rows.insert(pos, (pivot, row))
+        self._inserts.append(pos)
+        return True
+
+    def _checked_row(self, vector: Vector) -> list[int]:
         if len(vector) != self.dimension:
             raise InputError(
                 f"vector has dimension {len(vector)}, span expects {self.dimension}"
             )
-        row = _integer_row(vector)
-        for p, base in self._rows:
-            if row[p]:
-                f_base, f_row = base[p], row[p]
-                row = [f_base * a - f_row * b for a, b in zip(row, base)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-        return row
+        return _integer_row(vector)
 
     def includes(self, vector: Vector) -> bool:
-        """True iff the vector lies in the current span."""
-        return not any(self._residual(vector))
+        """True iff the rational vector lies in the current span."""
+        return not any(self._residual(self._checked_row(vector)))
 
     def add(self, vector: Vector) -> bool:
-        """Add a vector; returns True iff the rank grew."""
-        row = self._residual(vector)
-        pivot = next((i for i, x in enumerate(row) if x), None)
-        if pivot is None:
-            return False
-        pos = sum(1 for p, _ in self._rows if p < pivot)
-        self._rows.insert(pos, (pivot, row))
-        self._inserts.append(pos)
-        return True
+        """Add a rational vector; returns True iff the rank grew."""
+        return self.add_row(self._checked_row(vector))
 
     def mark(self) -> int:
         return len(self._inserts)

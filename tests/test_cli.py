@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from genpos import configuration_from_json
 from genpos.cli import run
@@ -236,6 +238,51 @@ class TestErrors:
         result = run(["--help"])
         assert result.exit_code == 0
         assert "decide" in result.payload
+
+
+HOSTILE = {
+    "5000-digit rational string": json.dumps(
+        {"dimension": 2, "points": [["1" * 5000, "0"], ["0", "1"]]}
+    ).encode(),
+    "5000-digit JSON integer": b'{"dimension": 2, "points": [[%s, 0], [0, 1]]}'
+    % (b"1" * 5000),
+    "100k-deep nesting": b"[" * 100_000 + b"]" * 100_000,
+    "not UTF-8": b"\xff\xfe{",
+}
+
+
+class TestHostileInput:
+    """Exit 0, 1 or 2 for every input file, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_named_inputs_are_input_errors(self, tmp_path, name):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(HOSTILE[name])
+        result = run(["decide", "-c", str(path)])
+        assert result.exit_code == 2
+        assert result.diagnostics.startswith("error: ")
+        assert len(result.diagnostics) < 400
+
+    # The fixture files are only read, so examples may share them.
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.one_of(
+            st.binary(max_size=200), st.text(max_size=200).map(str.encode)
+        )
+    )
+    def test_arbitrary_bytes_and_text(self, tmp_path, fixture_files, data):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        for argv in (
+            ["decide", "-c", str(path)],
+            ["check", "-c", str(path), "-s", fixture_files["xaxis"]],
+            ["check", "-c", fixture_files["square"], "-s", str(path)],
+        ):
+            assert run(argv).exit_code in (0, 1, 2)
 
 
 class TestSelftest:

@@ -192,6 +192,11 @@ class TestCheckGeneralPosition:
         assert seen > 0
 
 
+def test_integer_points_share_one_scale():
+    config = Configuration(2, ((F(1, 2), F(-1, 3)), (0, 1), (F(5, 4), 2)))
+    assert config.integer_points == ((6, -4), (0, 12), (15, 24))
+
+
 class TestJson:
     def test_configuration_round_trip(self):
         config = Configuration(

@@ -169,6 +169,18 @@ def test_incremental_span_rollback_restores_rank():
     assert not span.includes((F(0), F(1), F(0)))
 
 
+def test_incremental_span_integer_rows_match_rational_vectors():
+    span = IncrementalSpan(3)
+    assert span.add_row([2, 4, 0])
+    assert not span.add((F(1, 3), F(2, 3), F(0)))
+    assert span.includes((F(-5), F(-10), F(0)))
+    assert not span.add_row([-5, -10, 0])
+    row = [0, 3, 6]
+    assert span.add_row(row)
+    assert row == [0, 3, 6]
+    assert span.rank == 2
+
+
 def test_solve_linear_system_unique():
     solution = solve_linear_system([(2, 0), (0, 4)], [6, 2])
     assert solution == [F(3), F(1, 2)]
