@@ -28,7 +28,6 @@ from .genericity import (
     decide_all_projections_oracle,
     difference_system,
     is_degenerate_tuple,
-    min_separation_sq,
     minimal_patterns,
     verdict_to_json,
 )
@@ -55,7 +54,6 @@ from .linalg import (
     dot,
     gram_determinant,
     gram_matrix,
-    in_span,
     rank,
     solve_linear_system,
     vector_sub,
@@ -99,10 +97,8 @@ __all__ = [
     "gram_determinant",
     "gram_matrix",
     "hausdorff_sq",
-    "in_span",
     "is_degenerate_tuple",
     "iterate_system",
-    "min_separation_sq",
     "minimal_patterns",
     "perturb_to_generic",
     "product_cantor_system",

@@ -74,7 +74,7 @@ def _dumps(obj) -> str:
 
 def _cmd_decide(args) -> tuple[int, str, str]:
     config = _load_config(args.config)
-    verdict = decide_all_projections(config, threads=args.threads)
+    verdict = decide_all_projections(config)
     payload = _dumps(verdict_to_json(verdict))
     if verdict.generic:
         return 0, payload, ""
@@ -192,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     decide = sub.add_parser("decide", help="verdict over all projection kernels")
     decide.add_argument("-c", "--config", required=True, help="configuration JSON file")
-    decide.add_argument("--threads", type=_positive_int, default=1)
     decide.set_defaults(handler=_cmd_decide)
 
     oracle = sub.add_parser("decide-oracle", help="brute-force cross-check verdict")
@@ -255,6 +254,14 @@ def run(argv) -> CommandResult:
         code, payload, diagnostics = args.handler(args)
     except InputError as exc:
         return CommandResult(2, "", f"error: {exc}")
+    except ValueError as exc:  # str() of a result rational over the digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        return CommandResult(
+            2, "", f"error: a rational in the result exceeds the {limit}-digit "
+            "limit for integer string conversion"
+        )
     return CommandResult(code, payload, diagnostics)
 
 

@@ -21,9 +21,7 @@ in canonical order is returned as a reproducible certificate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, OracleGuardError
@@ -31,7 +29,6 @@ from .geometry import Configuration, Subspace, difference_rank, subspace_to_json
 from .linalg import (
     IncrementalSpan,
     Vector,
-    distance_sq,
     primitive_row,
     rank,
     vector_sub,
@@ -186,10 +183,15 @@ def _all_patterns(dimension: int, max_vectors: int) -> list[DegeneracyPattern]:
 
 
 def _engine_patterns(config: Configuration) -> list[DegeneracyPattern]:
+    """Minimal patterns that fit the point count, for k <= min(N - 1, n - 2).
+
+    A pattern for k has sizes summing to at least k + 2, so none fits once
+    k > n - 2.
+    """
     n = len(config.points)
     return [
         pattern
-        for k in range(1, config.dimension)
+        for k in range(1, min(config.dimension, n - 1))
         for pattern in minimal_patterns(k, config.dimension)
         if sum(pattern.sizes) <= n
     ]
@@ -217,8 +219,7 @@ class _DifferenceRows:
 
     The rows for a base point b are built together on first use and then
     shared by every pattern and every visit of the search; a base the search
-    never reaches costs nothing. Concurrent builds of one base produce equal
-    rows, so threads may share a table without a lock.
+    never reaches costs nothing.
     """
 
     __slots__ = ("_points", "_rows")
@@ -300,7 +301,7 @@ def _first_violation(
     return None
 
 
-def decide_all_projections(config: Configuration, threads: int = 1) -> Verdict:
+def decide_all_projections(config: Configuration) -> Verdict:
     """Verdict over every projection kernel at once.
 
     Generic iff no family of disjoint groups has a deficient difference-vector
@@ -309,23 +310,13 @@ def decide_all_projections(config: Configuration, threads: int = 1) -> Verdict:
     runs on the configuration's integer lattice; the certificate is built
     from the rational points.
     """
-    if not isinstance(threads, int) or threads < 1:
-        raise InputError("threads: must be an integer >= 1")
     if config.dimension == 1 or len(config.points) == 1:
         return Verdict(True)
-    patterns = _engine_patterns(config)
     table = _DifferenceRows(config)
-    if threads == 1 or len(patterns) <= 1:
-        for pattern in patterns:
-            groups = _first_violation(config, pattern, table)
-            if groups is not None:
-                return Verdict(False, _build_certificate(config, groups))
-        return Verdict(True)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for groups in pool.map(lambda p: _first_violation(config, p, table), patterns):
-            if groups is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-                return Verdict(False, _build_certificate(config, groups))
+    for pattern in _engine_patterns(config):
+        groups = _first_violation(config, pattern, table)
+        if groups is not None:
+            return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
 
 
@@ -401,15 +392,6 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
             if difference_rank(points, subset) < size - 1:
                 return ClassicalReport(False, subset)
     return ClassicalReport(True)
-
-
-def min_separation_sq(config: Configuration) -> Fraction:
-    """Smallest squared pairwise distance, exact."""
-    if len(config.points) < 2:
-        raise InputError("at least two points are required")
-    return min(
-        distance_sq(a, b) for a, b in combinations(config.points, 2)
-    )
 
 
 def certificate_to_json(certificate: Certificate) -> dict:

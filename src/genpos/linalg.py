@@ -230,21 +230,6 @@ def rank(vectors) -> int:
     return span.rank
 
 
-def in_span(vector, basis) -> bool:
-    """True iff appending the vector to the basis does not raise the rank."""
-    v = make_vector(vector)
-    vecs = [make_vector(b) for b in basis]
-    for i, b in enumerate(vecs):
-        if len(b) != len(v):
-            raise InputError(
-                f"basis[{i}]: expected dimension {len(v)}, got {len(b)}"
-            )
-    span = IncrementalSpan(len(v))
-    for b in vecs:
-        span.add(b)
-    return span.includes(v)
-
-
 def solve_linear_system(rows, rhs) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if the system is inconsistent.
 

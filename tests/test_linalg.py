@@ -10,7 +10,6 @@ from genpos import (
     as_rational,
     gram_determinant,
     gram_matrix,
-    in_span,
     rank,
     solve_linear_system,
 )
@@ -74,18 +73,6 @@ def test_rank_dimension_mismatch():
         rank([(1, 0), (1, 0, 0)])
 
 
-def test_in_span_examples():
-    assert in_span((2, 2), [(1, 1)])
-    assert not in_span((1, 0), [(0, 1)])
-    assert not in_span((1, 2, 3), [(1, 0, 0), (0, 1, 0)])
-    assert in_span((0, 0), [])
-
-
-def test_in_span_dimension_mismatch():
-    with pytest.raises(InputError):
-        in_span((1, 0), [(1, 0, 0)])
-
-
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -146,14 +133,18 @@ def test_rank_bounded_by_count_and_dimension(vectors):
 
 @settings(max_examples=60, deadline=None)
 @given(vector_lists(max_dim=4, max_count=4).filter(bool), st.tuples(*[rationals] * 4))
-def test_in_span_stable_under_basis_rewrite(vectors, extra):
+def test_span_includes_stable_under_basis_rewrite(vectors, extra):
     # appending sums of existing vectors never changes the span
     dim = len(vectors[0])
     probe = tuple(extra[:dim])
     doubled = list(vectors) + [
         tuple(a + b for a, b in zip(vectors[0], vectors[-1]))
     ]
-    assert in_span(probe, vectors) == in_span(probe, doubled)
+    spans = [IncrementalSpan(dim), IncrementalSpan(dim)]
+    for span, basis in zip(spans, (vectors, doubled)):
+        for v in basis:
+            span.add(v)
+    assert spans[0].includes(probe) == spans[1].includes(probe)
 
 
 def test_incremental_span_rollback_restores_rank():
