@@ -12,11 +12,19 @@ span bound: from any violating family one can drop dependent difference
 vectors until m = rank + 1 while the span keeps its dimension. The engine
 therefore enumerates, for each k from 1 to N-1, the group-size patterns with
 sum(size - 1) = k + 1 in a fixed canonical order (sizes as descending
-partitions, largest first), and for each pattern searches point assignments
-depth-first in lexicographic order. Because rank only grows as vectors are
-added, a branch is abandoned as soon as the accumulated vectors span more
-than k dimensions; no violating assignment is ever skipped, and the first hit
-in canonical order is returned as a reproducible certificate.
+partitions, largest first), and returns the lexicographically first violating
+point assignment of the first pattern that has one, as a reproducible
+certificate.
+
+For k = 1 the two patterns are a collinear triple (3,) and two disjoint
+parallel chords (2, 2); both are collisions among sign-normalised primitive
+difference directions, so they are decided by hashing directions into
+buckets in O(n^2) expected time (the classical degeneracy-testing view of
+Gajentaan and Overmars). For k >= 2 each pattern's point assignments are
+searched depth-first in lexicographic order. Because rank only grows as
+vectors are added, a branch is abandoned as soon as the accumulated vectors
+span more than k dimensions, so no violating assignment is ever skipped. Both
+paths return the same first family in the same canonical order.
 """
 
 from __future__ import annotations
@@ -146,18 +154,24 @@ def is_degenerate_tuple(config: Configuration, groups: PointGroups, k: int) -> b
     return rank(difference_system(config, groups)) <= k
 
 
-def _partitions_desc(total: int):
-    """Partitions of `total` into parts >= 1, descending, largest-first order."""
+def _partitions_desc(total: int, max_parts: int | None = None):
+    """Partitions of `total` into parts >= 1, descending, largest-first order.
 
-    def rec(remaining: int, max_part: int):
+    With max_parts, only partitions of at most that many parts are built: a
+    first part below remaining / parts_left could not be completed, so it is
+    never tried.
+    """
+
+    def rec(remaining: int, max_part: int, parts_left: int):
         if remaining == 0:
             yield ()
             return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - first, first):
+        smallest = -(-remaining // parts_left)
+        for first in range(min(remaining, max_part), smallest - 1, -1):
+            for rest in rec(remaining - first, first, parts_left - 1):
                 yield (first,) + rest
 
-    yield from rec(total, total)
+    yield from rec(total, total, total if max_parts is None else max_parts)
 
 
 def minimal_patterns(k: int, dimension: int) -> list[DegeneracyPattern]:
@@ -185,15 +199,15 @@ def _all_patterns(dimension: int, max_vectors: int) -> list[DegeneracyPattern]:
 def _engine_patterns(config: Configuration) -> list[DegeneracyPattern]:
     """Minimal patterns that fit the point count, for k <= min(N - 1, n - 2).
 
-    A pattern for k has sizes summing to at least k + 2, so none fits once
-    k > n - 2.
+    The sizes of a pattern for k sum to k + 1 plus its number of groups, so
+    it fits n points iff it has at most n - k - 1 groups; none fits once
+    k > n - 2. Only fitting partitions are built.
     """
     n = len(config.points)
     return [
-        pattern
+        DegeneracyPattern(k, tuple(part + 1 for part in partition))
         for k in range(1, min(config.dimension, n - 1))
-        for pattern in minimal_patterns(k, config.dimension)
-        if sum(pattern.sizes) <= n
+        for partition in _partitions_desc(k + 1, n - k - 1)
     ]
 
 
@@ -215,28 +229,98 @@ def _build_certificate(
 
 
 class _DifferenceRows:
-    """Primitive integer rows of p_m - p_b on the configuration's lattice.
+    """Primitive integer rows of p_m - p_b for m > b, on the integer lattice.
 
-    The rows for a base point b are built together on first use and then
-    shared by every pattern and every visit of the search; a base the search
-    never reaches costs nothing.
+    Both searches read it: the depth-first search for k >= 2 takes a group's
+    rows from its base point, and the k = 1 direction buckets take their keys
+    from it. Each only ever pairs a base with later points, so table[b][m] is
+    defined for m > b (entries up to b are None). The rows for a base are
+    built together on first use and then shared by every pattern and every
+    visit; a base no search reaches costs nothing.
     """
 
     __slots__ = ("_points", "_rows")
 
     def __init__(self, config: Configuration):
         self._points = config.integer_points
-        self._rows: list[list[list[int]] | None] = [None] * len(self._points)
+        self._rows: list[list[list[int] | None] | None] = [None] * len(self._points)
 
-    def __getitem__(self, b: int) -> list[list[int]]:
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, b: int) -> list[list[int] | None]:
         rows = self._rows[b]
         if rows is None:
             base = self._points[b]
-            rows = [
-                primitive_row([x - y for x, y in zip(p, base)]) for p in self._points
+            rows = [None] * (b + 1)
+            rows += [
+                primitive_row([x - y for x, y in zip(p, base)])
+                for p in self._points[b + 1:]
             ]
             self._rows[b] = rows
         return rows
+
+
+def _direction(row: list[int]) -> tuple[int, ...]:
+    """The primitive row signed so that its first non-zero entry is positive.
+
+    Points are distinct, so a difference row is never zero.
+    """
+    for x in row:
+        if x:
+            return tuple(row) if x > 0 else tuple(-y for y in row)
+
+
+def _first_collision(keyed):
+    """(earliest, next) for the bucket whose smallest item is smallest.
+
+    `keyed` yields (key, item) with items increasing; a bucket is the items
+    sharing a key, and only buckets of two or more items count. The answer is
+    the smallest bucket minimum paired with the second item of its bucket,
+    or None when no key repeats. The scan runs to the end, since a bucket
+    with a smaller minimum may collide after another bucket has.
+    """
+    first: dict = {}
+    best = None
+    for key, item in keyed:
+        earlier = first.setdefault(key, item)
+        if earlier != item and (best is None or earlier < best[0]):
+            best = (earlier, item)
+    return best
+
+
+def _first_collinear_triple(table: _DifferenceRows) -> tuple[int, int, int] | None:
+    """Lexicographically first (a, b, c) with a < b < c and the three points
+    collinear, or None.
+
+    From each base a in increasing order the later points are bucketed by the
+    direction of p_m - p_a; (b, c) are the two smallest members of the bucket
+    with the smallest minimum. Expected O(n^2) time.
+    """
+    n = len(table)
+    for a in range(n - 2):
+        rows = table[a]
+        hit = _first_collision((_direction(rows[m]), m) for m in range(a + 1, n))
+        if hit is not None:
+            return (a,) + hit
+    return None
+
+
+def _first_parallel_chords(
+    table: _DifferenceRows,
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Lexicographically first two disjoint parallel chords, or None.
+
+    Call only when no three points are collinear: then chords sharing a
+    direction share no point, so any two pairs in a bucket form a family,
+    and the lexicographically first is the bucket's two smallest pairs.
+    Pairs (i, j), i < j, are bucketed by direction in lexicographic order.
+    Expected O(n^2) time.
+    """
+    n = len(table)
+    return _first_collision(
+        (_direction(table[i][j]), (i, j)) for i in range(n - 1) for j in range(i + 1, n)
+    )
 
 
 def _first_violation(
@@ -301,6 +385,23 @@ def _first_violation(
     return None
 
 
+def _first_family(
+    config: Configuration, pattern: DegeneracyPattern, table: _DifferenceRows
+) -> tuple[tuple[int, ...], ...] | None:
+    """Lexicographically first violating family of the pattern, or None.
+
+    k = 1 goes to the direction buckets, every other k to the depth-first
+    search. The (2, 2) buckets assume no collinear triple, which holds
+    because the (3,) pattern comes first in canonical order.
+    """
+    if pattern.k > 1:
+        return _first_violation(config, pattern, table)
+    if pattern.sizes == (3,):
+        triple = _first_collinear_triple(table)
+        return None if triple is None else (triple,)
+    return _first_parallel_chords(table)
+
+
 def decide_all_projections(config: Configuration) -> Verdict:
     """Verdict over every projection kernel at once.
 
@@ -314,7 +415,7 @@ def decide_all_projections(config: Configuration) -> Verdict:
         return Verdict(True)
     table = _DifferenceRows(config)
     for pattern in _engine_patterns(config):
-        groups = _first_violation(config, pattern, table)
+        groups = _first_family(config, pattern, table)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
@@ -382,12 +483,17 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     """Every d+1 points with d <= N must be affinely independent.
 
     On failure the witness is a smallest affinely dependent subset, earliest
-    in lexicographic order.
+    in lexicographic order. Three points are dependent iff collinear, so size
+    3 is the direction-bucket search; larger sizes test every subset.
     """
     points = config.integer_points
     n = len(points)
     top = min(n, config.dimension + 1)
-    for size in range(3, top + 1):
+    if top >= 3:
+        triple = _first_collinear_triple(_DifferenceRows(config))
+        if triple is not None:
+            return ClassicalReport(False, triple)
+    for size in range(4, top + 1):
         for subset in combinations(range(n), size):
             if difference_rank(points, subset) < size - 1:
                 return ClassicalReport(False, subset)
