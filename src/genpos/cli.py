@@ -7,6 +7,7 @@ check or verdict is a result, not an error), 2 = input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -180,7 +181,10 @@ def _seed_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later run:
+    building it costs about as much as deciding a small planar set."""
     parser = argparse.ArgumentParser(
         prog="genpos",
         description=(

@@ -16,24 +16,25 @@ partitions, largest first), and returns the lexicographically first violating
 point assignment of the first pattern that has one, as a reproducible
 certificate.
 
-For k = 1 the two patterns are a collinear triple (3,) and two disjoint
-parallel chords (2, 2); both are collisions among sign-normalised primitive
-difference directions, so they are decided by hashing directions into
-buckets in O(n^2) expected time (the classical degeneracy-testing view of
-Gajentaan and Overmars). For k >= 2 each pattern's point assignments are
-searched depth-first in lexicographic order. Because rank only grows as
-vectors are added, a branch is abandoned as soon as the accumulated vectors
-span more than k dimensions, so no violating assignment is ever skipped. Both
-paths return the same first family in the same canonical order.
+Pattern k is searched only after every smaller k came back empty, so any k
+vectors of a family are independent, and a family violates iff its last two
+vectors are parallel modulo the span of the other k - 1. The search places
+those k - 1 vectors (the prefix) in lexicographic order and decides the last
+two by hashing their sign-normalised primitive directions modulo the prefix
+span into buckets, the degeneracy-testing view of Gajentaan and Overmars. For
+k = 1 the prefix is empty: a collinear triple (3,) or two disjoint parallel
+chords (2, 2), in O(n^2) expected time. The same search, one path for every
+k, returns the lexicographically first family that a depth-first search
+over all k + 1 vectors would find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputError, OracleGuardError
-from .geometry import Configuration, Subspace, difference_rank, subspace_to_json
+from .geometry import Configuration, Subspace, subspace_to_json
 from .linalg import (
     IncrementalSpan,
     Vector,
@@ -196,19 +197,18 @@ def _all_patterns(dimension: int, max_vectors: int) -> list[DegeneracyPattern]:
     return out
 
 
-def _engine_patterns(config: Configuration) -> list[DegeneracyPattern]:
-    """Minimal patterns that fit the point count, for k <= min(N - 1, n - 2).
+def _engine_patterns(config: Configuration):
+    """Minimal patterns that fit the point count, for k <= min(N - 1, n - 2),
+    yielded in canonical order so a search that stops builds no more.
 
     The sizes of a pattern for k sum to k + 1 plus its number of groups, so
     it fits n points iff it has at most n - k - 1 groups; none fits once
     k > n - 2. Only fitting partitions are built.
     """
     n = len(config.points)
-    return [
-        DegeneracyPattern(k, tuple(part + 1 for part in partition))
-        for k in range(1, min(config.dimension, n - 1))
-        for partition in _partitions_desc(k + 1, n - k - 1)
-    ]
+    for k in range(1, min(config.dimension, n - 1)):
+        for partition in _partitions_desc(k + 1, n - k - 1):
+            yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
 
 
 def _build_certificate(
@@ -229,21 +229,31 @@ def _build_certificate(
 
 
 class _DifferenceRows:
-    """Primitive integer rows of p_m - p_b for m > b, on the integer lattice.
+    """Primitive integer rows of p_m - p_b for m > b, on the integer lattice,
+    and their directions modulo the span of a prefix family.
 
-    Both searches read it: the depth-first search for k >= 2 takes a group's
-    rows from its base point, and the k = 1 direction buckets take their keys
-    from it. Each only ever pairs a base with later points, so table[b][m] is
-    defined for m > b (entries up to b are None). The rows for a base are
+    Every difference vector pairs a base with a later point, so table[b][m]
+    is defined for m > b (entries up to b are None). The rows for a base are
     built together on first use and then shared by every pattern and every
     visit; a base no search reaches costs nothing.
+
+    keys(prefix) gives the search's bucket keys. They are memoised per
+    prefix, so the patterns of one k that share a prefix compute each key
+    once. The memo holds at most MAX_KEYS keys (a few MB); past that, keys
+    are computed without being stored, so memory stays bounded on inputs
+    whose search is long.
     """
 
-    __slots__ = ("_points", "_rows")
+    MAX_KEYS = 1 << 15
+
+    __slots__ = ("dimension", "_points", "_rows", "_memo", "_stored")
 
     def __init__(self, config: Configuration):
+        self.dimension = config.dimension
         self._points = config.integer_points
         self._rows: list[list[list[int] | None] | None] = [None] * len(self._points)
+        self._memo: dict = {}
+        self._stored = 0
 
     def __len__(self) -> int:
         return len(self._points)
@@ -260,146 +270,145 @@ class _DifferenceRows:
             self._rows[b] = rows
         return rows
 
+    def keys(self, prefix: tuple[tuple[int, ...], ...]):
+        """key(b, m), b < m: the direction of p_m - p_b modulo the span of
+        the prefix's vectors.
+
+        Two vectors independent of the span are parallel modulo it iff their
+        keys are equal. The prefix's span is built only when a key is missing.
+        """
+        n = len(self)
+        keys = self._memo.setdefault(prefix, {})
+        span = None
+
+        def key(b: int, m: int) -> tuple[int, ...]:
+            nonlocal span
+            slot = b * n + m
+            direction = keys.get(slot)
+            if direction is None:
+                if span is None:
+                    span = IncrementalSpan(self.dimension)
+                    for group in prefix:
+                        rows = self[group[0]]
+                        for member in group[1:]:
+                            span.add_row(rows[member])
+                direction = _direction(span.residual(self[b][m]))
+                if self._stored < self.MAX_KEYS:
+                    keys[slot] = direction
+                    self._stored += 1
+            return direction
+
+        return key
+
 
 def _direction(row: list[int]) -> tuple[int, ...]:
     """The primitive row signed so that its first non-zero entry is positive.
 
-    Points are distinct, so a difference row is never zero.
+    The search keys only rows that are independent of the prefix span, so
+    the row is never zero.
     """
     for x in row:
         if x:
             return tuple(row) if x > 0 else tuple(-y for y in row)
 
 
-def _first_collision(keyed):
-    """(earliest, next) for the bucket whose smallest item is smallest.
+def _first_collision(keyed, width: int):
+    """Lexicographically first pair (x, y), x < y, of items sharing a key
+    and holding `width` point indices together, or None.
 
-    `keyed` yields (key, item) with items increasing; a bucket is the items
-    sharing a key, and only buckets of two or more items count. The answer is
-    the smallest bucket minimum paired with the second item of its bucket,
-    or None when no key repeats. The scan runs to the end, since a bucket
-    with a smaller minimum may collide after another bucket has.
+    `keyed` yields (key, item) with items, tuples of point indices, in
+    increasing order. The answer has the smallest x, then the smallest y.
+    A pair of another width is no family of the pattern and is skipped: in
+    the member-and-chord shape, two members or two chords. Colliding items
+    never share a point, since that would complete a family of a pattern
+    that comes earlier in canonical order and had none. The scan runs to
+    the end, since a pair with a smaller x may collide after another has.
     """
     first: dict = {}
+    buckets: dict = {}
     best = None
     for key, item in keyed:
         earlier = first.setdefault(key, item)
-        if earlier != item and (best is None or earlier < best[0]):
-            best = (earlier, item)
+        if earlier is item:  # a new key
+            continue
+        bucket = buckets.setdefault(key, [earlier])
+        for x in bucket:
+            if best is not None and x >= best[0]:
+                break
+            if len(x) + len(item) == width:
+                best = (x, item)
+                break
+        bucket.append(item)
     return best
 
 
-def _first_collinear_triple(table: _DifferenceRows) -> tuple[int, int, int] | None:
-    """Lexicographically first (a, b, c) with a < b < c and the three points
-    collinear, or None.
-
-    From each base a in increasing order the later points are bucketed by the
-    direction of p_m - p_a; (b, c) are the two smallest members of the bucket
-    with the smallest minimum. Expected O(n^2) time.
-    """
-    n = len(table)
-    for a in range(n - 2):
-        rows = table[a]
-        hit = _first_collision((_direction(rows[m]), m) for m in range(a + 1, n))
-        if hit is not None:
-            return (a,) + hit
-    return None
-
-
-def _first_parallel_chords(
-    table: _DifferenceRows,
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Lexicographically first two disjoint parallel chords, or None.
-
-    Call only when no three points are collinear: then chords sharing a
-    direction share no point, so any two pairs in a bucket form a family,
-    and the lexicographically first is the bucket's two smallest pairs.
-    Pairs (i, j), i < j, are bucketed by direction in lexicographic order.
-    Expected O(n^2) time.
-    """
-    n = len(table)
-    return _first_collision(
-        (_direction(table[i][j]), (i, j)) for i in range(n - 1) for j in range(i + 1, n)
-    )
+def _two_members(group: tuple[int, ...], free: list[int], key):
+    """The group extended by its first two later members whose vectors are
+    parallel modulo the span, or None."""
+    base, after = group[0], group[-1]
+    hit = _first_collision(((key(base, m), (m,)) for m in free if m > after), 2)
+    return None if hit is None else group + hit[0] + hit[1]
 
 
 def _first_violation(
-    config: Configuration, pattern: DegeneracyPattern, table: _DifferenceRows
+    pattern: DegeneracyPattern, table: _DifferenceRows
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Lexicographically first family matching the pattern whose vectors span
+    """Lexicographically first family of the pattern whose k + 1 vectors span
     at most k dimensions, or None.
 
-    Groups are filled in size order; groups of equal size are forced to have
-    increasing first elements, which removes permutation duplicates. Partial
-    assignments whose vectors already span more than k dimensions are pruned;
-    rank is monotone in the vector set, so nothing is lost.
+    Call only once every smaller k has no violation: then any k vectors of a
+    family are independent, so a family violates iff its last two vectors
+    are parallel modulo the span of the others. The first k - 1 vectors (the
+    prefix) are placed in canonical order, and the last two are found by
+    bucketing directions modulo the prefix span. By the last group sizes the
+    tail is one of four shapes:
+
+    - a last group of 4 or more: two more members of it;
+    - a last group of 3: a new group of three;
+    - sizes (s >= 3, 2): the last member of the s-group, then a new chord;
+    - sizes (2, 2): two new chords.
+
+    A family is its prefix followed by its tail, so the first prefix that has
+    a tail, with its first tail, is the first family. k = 1 is the empty
+    prefix: a collinear triple (3,) or two parallel chords (2, 2).
     """
-    n = len(config.points)
-    k = pattern.k
+    n = len(table)
     sizes = pattern.sizes
     if sum(sizes) > n:
         return None
-    span = IncrementalSpan(config.dimension)
-    used = [False] * n
-    groups: list[list[int]] = []
-
-    def place_group(j: int, min_first: int) -> bool:
-        for first in range(min_first, n):
-            if used[first]:
-                continue
-            used[first] = True
-            groups.append([first])
-            if extend(j, first + 1):
-                return True
-            groups.pop()
-            used[first] = False
-        return False
-
-    def extend(j: int, start: int) -> bool:
-        group = groups[-1]
-        if len(group) == sizes[j]:
-            if j + 1 == len(sizes):
-                return True
-            min_first = group[0] + 1 if sizes[j + 1] == sizes[j] else 0
-            return place_group(j + 1, min_first)
-        rows = table[group[0]]
-        for m in range(start, n):
-            if used[m]:
-                continue
-            mark = span.mark()
-            span.add_row(rows[m])
-            if span.rank > k:
-                span.rollback(mark)
-                continue
-            used[m] = True
-            group.append(m)
-            if extend(j, m + 1):
-                return True
-            group.pop()
-            used[m] = False
-            span.rollback(mark)
-        return False
-
-    if place_group(0, 0):
-        return tuple(tuple(g) for g in groups)
+    *head, last = sizes
+    if last > 3:
+        counts = head + [last - 2]
+    elif last == 3:
+        counts = head
+    elif head[-1] == 2:
+        counts = head[:-1]
+    else:
+        counts = head[:-1] + [head[-1] - 1]
+    for prefix, free in _canonical_families(n, sizes, counts):
+        key = table.keys(prefix)
+        if last > 3:
+            group = _two_members(prefix[-1], free, key)
+            if group is not None:
+                return prefix[:-1] + (group,)
+        elif last == 3:
+            for base in free:
+                group = _two_members((base,), free, key)
+                if group is not None:
+                    return prefix + (group,)
+        else:
+            chords = ((key(i, j), (i, j)) for i, j in combinations(free, 2))
+            if head[-1] == 2:
+                hit = _first_collision(chords, 4)
+                if hit is not None:
+                    return prefix + hit
+            else:
+                group = prefix[-1]
+                members = ((key(group[0], m), (m,)) for m in free if m > group[-1])
+                hit = _first_collision(chain(members, chords), 3)
+                if hit is not None:
+                    return prefix[:-1] + (group + hit[0], hit[1])
     return None
-
-
-def _first_family(
-    config: Configuration, pattern: DegeneracyPattern, table: _DifferenceRows
-) -> tuple[tuple[int, ...], ...] | None:
-    """Lexicographically first violating family of the pattern, or None.
-
-    k = 1 goes to the direction buckets, every other k to the depth-first
-    search. The (2, 2) buckets assume no collinear triple, which holds
-    because the (3,) pattern comes first in canonical order.
-    """
-    if pattern.k > 1:
-        return _first_violation(config, pattern, table)
-    if pattern.sizes == (3,):
-        triple = _first_collinear_triple(table)
-        return None if triple is None else (triple,)
-    return _first_parallel_chords(table)
 
 
 def decide_all_projections(config: Configuration) -> Verdict:
@@ -415,28 +424,35 @@ def decide_all_projections(config: Configuration) -> Verdict:
         return Verdict(True)
     table = _DifferenceRows(config)
     for pattern in _engine_patterns(config):
-        groups = _first_family(config, pattern, table)
+        groups = _first_violation(pattern, table)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
 
 
-def _canonical_families(n: int, sizes: tuple[int, ...]):
-    """All disjoint index families with the given sizes, canonical order."""
+def _canonical_families(
+    n: int, sizes: tuple[int, ...], counts: list[int] | tuple[int, ...] | None = None
+):
+    """Disjoint index families with the given group sizes, in canonical order.
+
+    Groups are increasing and groups of equal size have increasing first
+    elements. With `counts`, only the first counts[j] points of group j are
+    placed, a prefix of the family. Each family comes with the sorted
+    indices that the next group may still use: those unused and, when that
+    group's size equals the last one's, above the last group's first.
+    """
+    counts = sizes if counts is None else counts
 
     def rec(j: int, available: list[int], min_first: int):
-        if j == len(sizes):
-            yield ()
+        free = [i for i in available if i >= min_first]
+        if j == len(counts):
+            yield (), free
             return
-        size = sizes[j]
-        for comb in combinations(available, size):
-            if comb[0] < min_first:
-                continue
-            chosen = set(comb)
-            rest = [i for i in available if i not in chosen]
-            nxt = comb[0] + 1 if j + 1 < len(sizes) and sizes[j + 1] == size else 0
-            for tail in rec(j + 1, rest, nxt):
-                yield (comb,) + tail
+        for comb in combinations(free, counts[j]):
+            rest = [i for i in available if i not in comb]
+            nxt = comb[0] + 1 if j + 1 < len(sizes) and sizes[j + 1] == sizes[j] else 0
+            for tail, left in rec(j + 1, rest, nxt):
+                yield (comb,) + tail, left
 
     yield from rec(0, list(range(n)), 0)
 
@@ -465,7 +481,7 @@ def decide_all_projections_oracle(
     else:
         patterns = [p for p in _all_patterns(config.dimension, n) if sum(p.sizes) <= n]
     for pattern in patterns:
-        for groups in _canonical_families(n, pattern.sizes):
+        for groups, _ in _canonical_families(n, pattern.sizes):
             if is_degenerate_tuple(config, PointGroups(groups), pattern.k):
                 return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
@@ -483,20 +499,17 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     """Every d+1 points with d <= N must be affinely independent.
 
     On failure the witness is a smallest affinely dependent subset, earliest
-    in lexicographic order. Three points are dependent iff collinear, so size
-    3 is the direction-bucket search; larger sizes test every subset.
+    in lexicographic order. Sizes s are tried in increasing order, so when s
+    is tried every smaller subset is independent: a dependent s-subset is a
+    violating family of the single-group pattern (s,) with k = s - 2, and
+    the decide search finds the first one.
     """
-    points = config.integer_points
-    n = len(points)
-    top = min(n, config.dimension + 1)
-    if top >= 3:
-        triple = _first_collinear_triple(_DifferenceRows(config))
-        if triple is not None:
-            return ClassicalReport(False, triple)
-    for size in range(4, top + 1):
-        for subset in combinations(range(n), size):
-            if difference_rank(points, subset) < size - 1:
-                return ClassicalReport(False, subset)
+    n = len(config.points)
+    table = _DifferenceRows(config)
+    for size in range(3, min(n, config.dimension + 1) + 1):
+        family = _first_violation(DegeneracyPattern(size - 2, (size,)), table)
+        if family is not None:
+            return ClassicalReport(False, family[0])
     return ClassicalReport(True)
 
 

@@ -170,7 +170,14 @@ class IncrementalSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _residual(self, row: list[int]) -> list[int]:
+    def residual(self, row: list[int]) -> list[int]:
+        """The integer row reduced modulo the span, zero in every pivot column.
+
+        Each step scales by a non-zero integer and divides by a gcd, so the
+        result is a non-zero multiple of the unique vector of row + span that
+        vanishes in the pivot columns: two rows are parallel modulo the span
+        iff their residuals are parallel. Zero iff the row lies in the span.
+        """
         for p, base in self._rows:
             if row[p]:
                 f_base, f_row = base[p], row[p]
@@ -181,7 +188,7 @@ class IncrementalSpan:
 
     def add_row(self, row: list[int]) -> bool:
         """Add an integer row; returns True iff the rank grew."""
-        row = self._residual(row)
+        row = self.residual(row)
         for pivot, x in enumerate(row):
             if x:
                 break
@@ -204,7 +211,7 @@ class IncrementalSpan:
 
     def includes(self, vector: Vector) -> bool:
         """True iff the rational vector lies in the current span."""
-        return not any(self._residual(self._checked_row(vector)))
+        return not any(self.residual(self._checked_row(vector)))
 
     def add(self, vector: Vector) -> bool:
         """Add a rational vector; returns True iff the rank grew."""

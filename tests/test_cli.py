@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from genpos import configuration_from_json
+from genpos import cli
 from genpos.cli import run
 
 
@@ -231,6 +232,15 @@ class TestErrors:
         result = run(["decide", "-c", fixture_files["square"], "--threads", "4"])
         assert result.exit_code == 2
         assert "--threads" in result.diagnostics
+
+    def test_usage_error_then_valid_call(self, fixture_files):
+        # One parser serves every call in the process; a usage error must
+        # leave nothing behind for the next call.
+        assert cli._build_parser() is cli._build_parser()
+        assert run(["decide", "--config"]).exit_code == 2
+        result = run(["decide", "-c", fixture_files["square"]])
+        assert result.exit_code == 1
+        assert payload_json(result)["certificate"]["groups"] == [[0, 1], [2, 3]]
 
     def test_help_exits_zero(self):
         result = run(["--help"])

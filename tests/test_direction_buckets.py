@@ -1,14 +1,16 @@
-"""The k = 1 direction buckets against the depth-first search.
+"""The direction-bucket search against the full-depth search.
 
-decide_all_projections answers the two k = 1 patterns, a collinear triple
-(3,) and two disjoint parallel chords (2, 2), by bucketing sign-normalised
-primitive difference directions. The depth-first search `_first_violation`
-stays the reference: on every corpus below, the verdict and certificate JSON
-must equal, byte for byte, those of the engine run with the search on every
-pattern. The corpora reach n = 128 in the plane, where the reference search
-is slow only on generic inputs, so those are few and small. classical_general_position
-takes its collinear triples from the same buckets and is compared with a
-brute-force subset scan.
+decide_all_projections places the first k - 1 difference vectors of a
+family and finds the last two by bucketing their directions modulo the span
+of the others, for every k; k = 1 is the empty prefix, a collinear triple
+(3,) or two disjoint parallel chords (2, 2). The reference below is the
+plain depth-first search over every vector, pruned only when the span grows
+past k. On every corpus the verdict and certificate JSON of the engine must
+equal, byte for byte, those of the reference run on every pattern. The
+planar corpora reach n = 128, where the reference search is slow only on
+generic inputs, so those are few and small. classical_general_position
+takes its witnesses from the same search and is compared with a brute-force
+subset scan.
 """
 
 import json
@@ -19,11 +21,13 @@ import pytest
 
 from genpos import (
     Configuration,
+    DegeneracyPattern,
     SplitMix64,
     cantor_graph_stage,
     classical_general_position,
     decide_all_projections,
     iterate_system,
+    minimal_patterns,
     perturb_to_generic,
     product_cantor_system,
     random_configuration,
@@ -36,8 +40,8 @@ from genpos.genericity import (
     _build_certificate,
     _DifferenceRows,
     _engine_patterns,
-    _first_violation,
 )
+from genpos.linalg import IncrementalSpan, primitive_row
 from genpos.selftest import grid_configuration
 from test_acceptance import _equivalence_corpus, _minimality_corpus
 from test_integer_core import CORPUS as INTEGER_CORE_CORPUS
@@ -45,13 +49,75 @@ from test_integer_core import CORPUS as INTEGER_CORE_CORPUS
 F = Fraction
 
 
+def _reference_family(config, pattern):
+    """Lexicographically first family of the pattern whose vectors span at
+    most k dimensions, or None, by depth-first search over every vector.
+
+    Groups are filled in size order; groups of equal size have increasing
+    first elements. A branch is abandoned once its vectors span more than k
+    dimensions, which loses nothing because rank only grows.
+    """
+    points = config.integer_points
+    n = len(points)
+    k, sizes = pattern.k, pattern.sizes
+    if sum(sizes) > n:
+        return None
+    rows = [
+        [None] * (b + 1)
+        + [primitive_row([x - y for x, y in zip(p, base)]) for p in points[b + 1:]]
+        for b, base in enumerate(points)
+    ]
+    span = IncrementalSpan(config.dimension)
+    used = [False] * n
+    groups = []
+
+    def place_group(j, min_first):
+        for first in range(min_first, n):
+            if used[first]:
+                continue
+            used[first] = True
+            groups.append([first])
+            if extend(j, first + 1):
+                return True
+            groups.pop()
+            used[first] = False
+        return False
+
+    def extend(j, start):
+        group = groups[-1]
+        if len(group) == sizes[j]:
+            if j + 1 == len(sizes):
+                return True
+            min_first = group[0] + 1 if sizes[j + 1] == sizes[j] else 0
+            return place_group(j + 1, min_first)
+        for m in range(start, n):
+            if used[m]:
+                continue
+            mark = span.mark()
+            span.add_row(rows[group[0]][m])
+            if span.rank > k:
+                span.rollback(mark)
+                continue
+            used[m] = True
+            group.append(m)
+            if extend(j, m + 1):
+                return True
+            group.pop()
+            used[m] = False
+            span.rollback(mark)
+        return False
+
+    if place_group(0, 0):
+        return tuple(tuple(g) for g in groups)
+    return None
+
+
 def _reference_verdict(config):
     """decide_all_projections with the depth-first search on every pattern."""
     if config.dimension == 1 or len(config.points) == 1:
         return Verdict(True)
-    table = _DifferenceRows(config)
     for pattern in _engine_patterns(config):
-        groups = _first_violation(config, pattern, table)
+        groups = _reference_family(config, pattern)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
@@ -160,6 +226,63 @@ def _spatial_planted_corpus():
     return out
 
 
+def _small_denominator_spatial(dim):
+    """random_configuration sets for n = 6..9, 150 seeds each, with the
+    denominator running through 2..13; they hit every k = 1 and k = 2
+    pattern, and in dimension 4 every k = 3 pattern."""
+    return [
+        random_configuration(n, dim, 2 + seed % 12, seed)
+        for n in range(6, 10)
+        for seed in range(150)
+    ]
+
+
+def _plant(rng, config, pattern):
+    """Replace points at random indices by a family of the pattern whose
+    vectors lie in a random k-dimensional subspace; the other points stay.
+    None when two points coincide."""
+    dim, k = config.dimension, pattern.k
+    while True:
+        basis = [[F(rng.below(19) - 9) for _ in range(dim)] for _ in range(k)]
+        if rank(basis) == k:
+            break
+    points = list(config.points)
+    slots = []
+    while len(slots) < sum(pattern.sizes):
+        i = rng.below(len(points))
+        if i not in slots:
+            slots.append(i)
+    slots = iter(slots)
+    for size in pattern.sizes:
+        base = points[next(slots)]
+        for _ in range(size - 1):
+            coeffs = [F(rng.below(13) - 6, 1 + rng.below(5)) for _ in range(k)]
+            step = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(dim)]
+            points[next(slots)] = tuple(b + d for b, d in zip(base, step))
+    if len(set(points)) < len(points):
+        return None
+    return Configuration(dim, tuple(points))
+
+
+def _planted_patterns_corpus():
+    """Each k >= 2 pattern in dimensions 3, 4 and 5 planted into a generic
+    set with one spare point, under a seeded affine map."""
+    rng = SplitMix64(2024)
+    out = []
+    for dim in (3, 4, 5):
+        for k in range(2, dim):
+            for pattern in minimal_patterns(k, dim):
+                while True:
+                    generic = random_configuration(
+                        sum(pattern.sizes) + 1, dim, 10**6, 300 + len(out)
+                    )
+                    planted = _plant(rng, generic, pattern)
+                    if planted is not None:
+                        break
+                out.append(_affine_image(rng, planted))
+    return out
+
+
 CORPORA = {
     "acceptance-equivalence": _equivalence_corpus,
     "acceptance-minimality": _minimality_corpus,
@@ -167,6 +290,9 @@ CORPORA = {
     "large-planar": _large_planar_corpus,
     "perturbed": _perturbed_corpus,
     "spatial-planted": _spatial_planted_corpus,
+    "small-denominator-3d": lambda: _small_denominator_spatial(3),
+    "small-denominator-4d": lambda: _small_denominator_spatial(4),
+    "planted-patterns": _planted_patterns_corpus,
 }
 
 
@@ -207,6 +333,88 @@ def test_chords_are_smallest_bucket_minimum_not_first_collision():
     assert _verdict_json(verdict) == _verdict_json(_reference_verdict(config))
 
 
+# One configuration per k >= 2 tail shape where the first collision the
+# bucket scan meets is not the lexicographically first family: the pattern,
+# the points, the first family and the family of the first collision.
+TAIL_TRAPS = {
+    # Prefix (0, 1); modulo its span the later members fall in buckets
+    # {3, 6} and {2, 7}; 6 collides before 7.
+    "two-members": (
+        (2, (4,)),
+        ((6, 2, 3), (5, 3, 4), (2, 6, 4), (2, 5, 5), (2, 0, 2), (6, 3, 4),
+         (4, 2, 1), (3, 5, 2), (3, 1, 2)),
+        ((0, 1, 2, 7),),
+        ((0, 1, 3, 6),),
+    ),
+    # Prefix triangle (0, 6, 7); from base 1 the buckets are {3, 4} and
+    # {2, 5}; 4 collides before 5.
+    "new-triple": (
+        (3, (3, 3)),
+        ((5, 2, 5, 4), (5, 4, 1, 1), (0, 1, 3, 0), (4, 4, 1, 3), (0, 1, 1, 3),
+         (1, 2, 0, 5), (5, 3, 5, 3), (2, 4, 5, 2)),
+        ((0, 6, 7), (1, 2, 5)),
+        ((0, 6, 7), (1, 3, 4)),
+    ),
+    # Prefix (0, 2); member 6 meets chord (1, 3) before member 3 meets chord
+    # (1, 6). Chords that collide with each other are no family here.
+    "member-and-chord": (
+        (2, (3, 2)),
+        ((6, 6, 3), (0, 3, 5), (3, 0, 6), (3, 6, 5), (3, 4, 0), (1, 6, 1),
+         (4, 5, 2)),
+        ((0, 2, 3), (1, 6)),
+        ((0, 2, 6), (1, 3)),
+    ),
+    # Prefix chord (1, 2); chord (3, 5) meets (4, 6) before (3, 4) meets
+    # (5, 6).
+    "two-chords": (
+        (2, (2, 2, 2)),
+        ((2, 3, 0), (7, 0, 5), (0, 8, 5), (1, 1, 2), (2, 5, 3), (0, 7, 6),
+         (8, 3, 7)),
+        ((1, 2), (3, 4), (5, 6)),
+        ((1, 2), (3, 5), (4, 6)),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(TAIL_TRAPS))
+def test_tail_is_lex_first_not_first_collision(shape):
+    (k, sizes), points, first, collision = TAIL_TRAPS[shape]
+    config = Configuration(len(points[0]), points)
+    verdict = decide_all_projections(config)
+    assert verdict.certificate.pattern == DegeneracyPattern(k, sizes)
+    assert verdict.certificate.groups == first
+    assert _verdict_json(verdict) == _verdict_json(_reference_verdict(config))
+    # The first collision is a violating family too, just not the first.
+    vectors = [
+        vector_sub(points[i], points[g[0]]) for g in collision for i in g[1:]
+    ]
+    assert rank(vectors) <= k
+    assert collision > first
+
+
+def test_keys_past_the_memo_limit_change_nothing(monkeypatch):
+    """Keys computed but not stored once the memo is full give the same
+    verdicts and certificates."""
+    monkeypatch.setattr(_DifferenceRows, "MAX_KEYS", 40)
+    corpus = _small_denominator_spatial(4)[::10] + _planted_patterns_corpus()[:8]
+    assert _mismatches(corpus) == []
+
+
+def test_planted_patterns_are_found():
+    """Each planted configuration is certified by the pattern planted in it."""
+    planted = [
+        (k, pattern.sizes)
+        for dim in (3, 4, 5)
+        for k in range(2, dim)
+        for pattern in minimal_patterns(k, dim)
+    ]
+    found = []
+    for config in _planted_patterns_corpus():
+        pattern = decide_all_projections(config).certificate.pattern
+        found.append((pattern.k, pattern.sizes))
+    assert found == planted
+
+
 def test_sixty_four_random_points_generic():
     assert decide_all_projections(random_configuration(64, 2, 10**6, 1)).generic
 
@@ -238,7 +446,29 @@ def _classical_corpus():
             points.add(tuple(F(rng.below(13) - 6, 3 + rng.below(4)) for _ in range(dim)))
         out.append(Configuration(dim, tuple(sorted(points))))
     out += [random_configuration(7, 3, 10**6, seed) for seed in (1, 2)]
+    for i in range(24):
+        generic = random_configuration(6 + rng.below(4), 4, 10**6, 400 + i)
+        out.append(_affine_image(rng, _planted_flat(rng, generic, 3 + i % 2)))
     return out
+
+
+def _planted_flat(rng, config, spanning):
+    """Insert a point in the affine hull of `spanning` random points at a
+    random position: with 3 points a coplanar 4-subset, with 4 a 5-subset
+    in a hyperplane."""
+    points = list(config.points)
+    chosen = []
+    while len(chosen) < spanning:
+        i = rng.below(len(points))
+        if i not in chosen:
+            chosen.append(i)
+    base = points[chosen[0]]
+    new = list(base)
+    for i in chosen[1:]:
+        t = F(rng.below(11) - 5, 1 + rng.below(4)) or F(1, 2)
+        new = [x + t * d for x, d in zip(new, vector_sub(points[i], base))]
+    points.insert(rng.below(len(points) + 1), tuple(new))
+    return Configuration(config.dimension, tuple(points))
 
 
 def test_classical_witness_matches_brute_force():
@@ -250,4 +480,4 @@ def test_classical_witness_matches_brute_force():
         assert report.witness == expected
         assert report.in_general_position == (expected is None)
         found.add(None if expected is None else len(expected))
-    assert {None, 3, 4} <= found
+    assert {None, 3, 4, 5} <= found

@@ -161,9 +161,19 @@ class TestDecide:
 
     def test_two_points_in_dimension_sixty_generic(self):
         config = Configuration(60, (tuple(range(60)), tuple(range(1, 61))))
-        assert _engine_patterns(config) == []
+        assert list(_engine_patterns(config)) == []
         assert decide_all_projections(config).generic
         assert decide_all_projections_oracle(config).generic
+
+    def test_first_hit_stops_pattern_building(self):
+        # 50 unit vectors in dimension 50 with a collinear triple at 0-2: the
+        # first pattern hits, and none of the 204,224 after it is built.
+        points = [tuple(int(i == j) for j in range(50)) for i in range(50)]
+        points[2] = tuple(2 * a - b for a, b in zip(points[1], points[0]))
+        config = Configuration(50, tuple(points))
+        patterns = _engine_patterns(config)
+        assert next(patterns) == DegeneracyPattern(1, (3,))
+        assert decide_all_projections(config).certificate.groups == ((0, 1, 2),)
 
     def test_engine_patterns_stop_at_n_minus_two(self):
         # Only partitions that fit are built; the list must equal the old
@@ -177,7 +187,7 @@ class TestDecide:
                     for p in minimal_patterns(k, dim)
                     if sum(p.sizes) <= n
                 ]
-                assert _engine_patterns(Configuration(dim, points)) == unbounded
+                assert list(_engine_patterns(Configuration(dim, points))) == unbounded
 
     def test_matches_oracle_on_random_configurations(self):
         corpus = grid_corpus(9001, 80, range(4, 7), ((2, 3), (3, 3)))
