@@ -31,7 +31,7 @@ over all k + 1 vectors would find.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, subspace_to_json
@@ -229,31 +229,20 @@ def _build_certificate(
 
 
 class _DifferenceRows:
-    """Primitive integer rows of p_m - p_b for m > b, on the integer lattice,
-    and their directions modulo the span of a prefix family.
+    """Primitive integer rows of p_m - p_b for m > b, on the integer lattice.
 
     Every difference vector pairs a base with a later point, so table[b][m]
     is defined for m > b (entries up to b are None). The rows for a base are
     built together on first use and then shared by every pattern and every
     visit; a base no search reaches costs nothing.
-
-    keys(prefix) gives the search's bucket keys. They are memoised per
-    prefix, so the patterns of one k that share a prefix compute each key
-    once. The memo holds at most MAX_KEYS keys (a few MB); past that, keys
-    are computed without being stored, so memory stays bounded on inputs
-    whose search is long.
     """
 
-    MAX_KEYS = 1 << 15
-
-    __slots__ = ("dimension", "_points", "_rows", "_memo", "_stored")
+    __slots__ = ("dimension", "_points", "_rows")
 
     def __init__(self, config: Configuration):
         self.dimension = config.dimension
         self._points = config.integer_points
         self._rows: list[list[list[int] | None] | None] = [None] * len(self._points)
-        self._memo: dict = {}
-        self._stored = 0
 
     def __len__(self) -> int:
         return len(self._points)
@@ -270,35 +259,37 @@ class _DifferenceRows:
             self._rows[b] = rows
         return rows
 
-    def keys(self, prefix: tuple[tuple[int, ...], ...]):
-        """key(b, m), b < m: the direction of p_m - p_b modulo the span of
-        the prefix's vectors.
 
-        Two vectors independent of the span are parallel modulo it iff their
-        keys are equal. The prefix's span is built only when a key is missing.
-        """
-        n = len(self)
-        keys = self._memo.setdefault(prefix, {})
-        span = None
+class _PrefixKeys:
+    """Bucket keys of prefixes, kept for the later patterns of the same k.
 
-        def key(b: int, m: int) -> tuple[int, ...]:
-            nonlocal span
-            slot = b * n + m
-            direction = keys.get(slot)
-            if direction is None:
-                if span is None:
-                    span = IncrementalSpan(self.dimension)
-                    for group in prefix:
-                        rows = self[group[0]]
-                        for member in group[1:]:
-                            span.add_row(rows[member])
-                direction = _direction(span.residual(self[b][m]))
-                if self._stored < self.MAX_KEYS:
-                    keys[slot] = direction
-                    self._stored += 1
-            return direction
+    The patterns of one k place mostly the same prefixes: every k = 2
+    prefix is one chord, and every k = 3 prefix a triangle or two chords.
+    The keys a prefix's tail computes are kept under the prefix for the
+    later patterns of its k and dropped when k changes. At most MAX_KEYS entries
+    (prefixes and keys) are kept; past that, keys are computed without
+    being kept, so memory stays bounded however long the search.
+    """
 
-        return key
+    MAX_KEYS = 1 << 15
+
+    __slots__ = ("k", "stored", "_memo")
+
+    def __init__(self):
+        self.k = 0
+        self.stored = 0
+        self._memo: dict = {}
+
+    def get(self, k: int, prefix: tuple[tuple[int, ...], ...]) -> dict | None:
+        """The kept keys of the prefix, by slot b * n + m, to read and add
+        to; None once the memo is full and the prefix has no entry."""
+        if k != self.k:
+            self.k, self.stored, self._memo = k, 0, {}
+        keys = self._memo.get(prefix)
+        if keys is None and self.stored < self.MAX_KEYS:
+            keys = self._memo[prefix] = {}
+            self.stored += 1
+        return keys
 
 
 def _direction(row: list[int]) -> tuple[int, ...]:
@@ -312,33 +303,75 @@ def _direction(row: list[int]) -> tuple[int, ...]:
             return tuple(row) if x > 0 else tuple(-y for y in row)
 
 
-def _first_collision(keyed, width: int):
-    """Lexicographically first pair (x, y), x < y, of items sharing a key
-    and holding `width` point indices together, or None.
+def _prefixes(
+    table: _DifferenceRows,
+    sizes: tuple[int, ...],
+    counts: list[int],
+    span: IncrementalSpan,
+):
+    """The first counts[j] points of every group j of the families with the
+    given sizes, in canonical order, each with the sorted indices the next
+    group may use.
 
-    `keyed` yields (key, item) with items, tuples of point indices, in
-    increasing order. The answer has the smallest x, then the smallest y.
-    A pair of another width is no family of the pattern and is skipped: in
-    the member-and-chord shape, two members or two chords. Colliding items
-    never share a point, since that would complete a family of a pattern
-    that comes earlier in canonical order and had none. The scan runs to
-    the end, since a pair with a smaller x may collide after another has.
+    Groups are increasing and groups of equal size have increasing first
+    elements, so the next group may use the unused indices, above the last
+    group's first when the two have equal sizes. `span`, empty on entry,
+    holds the vectors of the prefix drawn last: rows are added and rolled
+    back along the placement.
+    """
+    n = len(table)
+    used = [False] * n
+    groups: list[list[int]] = []
+
+    def place(j: int, min_first: int):
+        if j == len(counts):
+            free = [i for i in range(min_first, n) if not used[i]]
+            yield tuple(tuple(g) for g in groups), free
+            return
+        for first in range(min_first, n):
+            if not used[first]:
+                used[first] = True
+                groups.append([first])
+                yield from extend(j, first + 1)
+                groups.pop()
+                used[first] = False
+
+    def extend(j: int, start: int):
+        group = groups[-1]
+        if len(group) == counts[j]:
+            equal = j + 1 < len(sizes) and sizes[j + 1] == sizes[j]
+            yield from place(j + 1, group[0] + 1 if equal else 0)
+            return
+        rows = table[group[0]]
+        for m in range(start, n):
+            if not used[m]:
+                mark = span.mark()
+                span.add_row(rows[m])
+                used[m] = True
+                group.append(m)
+                yield from extend(j, m + 1)
+                group.pop()
+                used[m] = False
+                span.rollback(mark)
+
+    yield from place(0, 0)
+
+
+def _first_collision(keyed):
+    """(earliest, next) for the bucket whose smallest item is smallest.
+
+    `keyed` yields (key, item) with items increasing; a bucket is the items
+    sharing a key, and only buckets of two or more items count. The answer is
+    the smallest bucket minimum paired with the second item of its bucket,
+    or None when no key repeats. The scan runs to the end, since a bucket
+    with a smaller minimum may collide after another bucket has.
     """
     first: dict = {}
-    buckets: dict = {}
     best = None
     for key, item in keyed:
         earlier = first.setdefault(key, item)
-        if earlier is item:  # a new key
-            continue
-        bucket = buckets.setdefault(key, [earlier])
-        for x in bucket:
-            if best is not None and x >= best[0]:
-                break
-            if len(x) + len(item) == width:
-                best = (x, item)
-                break
-        bucket.append(item)
+        if earlier != item and (best is None or earlier < best[0]):
+            best = (earlier, item)
     return best
 
 
@@ -346,12 +379,32 @@ def _two_members(group: tuple[int, ...], free: list[int], key):
     """The group extended by its first two later members whose vectors are
     parallel modulo the span, or None."""
     base, after = group[0], group[-1]
-    hit = _first_collision(((key(base, m), (m,)) for m in free if m > after), 2)
-    return None if hit is None else group + hit[0] + hit[1]
+    hit = _first_collision((key(base, m), m) for m in free if m > after)
+    return None if hit is None else group + hit
+
+
+def _first_member_and_chord(members, chords):
+    """(member, chord) with the smallest member sharing a key with a chord,
+    and the first such chord, or None.
+
+    Both iterables yield (key, item) with items increasing. Two members or
+    two chords sharing a key form no family of the shape and are ignored.
+    """
+    first_member: dict = {}
+    for key, member in members:
+        first_member.setdefault(key, member)
+    best = None
+    for key, chord in chords:
+        member = first_member.get(key)
+        if member is not None and (best is None or member < best[0]):
+            best = (member, chord)
+    return best
 
 
 def _first_violation(
-    pattern: DegeneracyPattern, table: _DifferenceRows
+    pattern: DegeneracyPattern,
+    table: _DifferenceRows,
+    memo: _PrefixKeys | None = None,
 ) -> tuple[tuple[int, ...], ...] | None:
     """Lexicographically first family of the pattern whose k + 1 vectors span
     at most k dimensions, or None.
@@ -370,7 +423,12 @@ def _first_violation(
 
     A family is its prefix followed by its tail, so the first prefix that has
     a tail, with its first tail, is the first family. k = 1 is the empty
-    prefix: a collinear triple (3,) or two parallel chords (2, 2).
+    prefix: a collinear triple (3,) or two parallel chords (2, 2). Colliding
+    items never share a point, since that would complete a family of a
+    pattern that comes earlier in canonical order and had none.
+
+    With a memo, keys are read from and added to it; pass one only where
+    later patterns of the same k revisit the prefixes.
     """
     n = len(table)
     sizes = pattern.sizes
@@ -385,8 +443,24 @@ def _first_violation(
         counts = head[:-1]
     else:
         counts = head[:-1] + [head[-1] - 1]
-    for prefix, free in _canonical_families(n, sizes, counts):
-        key = table.keys(prefix)
+    span = IncrementalSpan(table.dimension)
+    keys = None
+
+    def key(b: int, m: int) -> tuple[int, ...]:
+        if keys is None:
+            return _direction(span.residual(table[b][m]))
+        slot = b * n + m
+        direction = keys.get(slot)
+        if direction is None:
+            direction = _direction(span.residual(table[b][m]))
+            if memo.stored < memo.MAX_KEYS:
+                keys[slot] = direction
+                memo.stored += 1
+        return direction
+
+    for prefix, free in _prefixes(table, sizes, counts, span):
+        if memo is not None:
+            keys = memo.get(pattern.k, prefix)
         if last > 3:
             group = _two_members(prefix[-1], free, key)
             if group is not None:
@@ -399,15 +473,15 @@ def _first_violation(
         else:
             chords = ((key(i, j), (i, j)) for i, j in combinations(free, 2))
             if head[-1] == 2:
-                hit = _first_collision(chords, 4)
+                hit = _first_collision(chords)
                 if hit is not None:
                     return prefix + hit
             else:
-                group = prefix[-1]
-                members = ((key(group[0], m), (m,)) for m in free if m > group[-1])
-                hit = _first_collision(chain(members, chords), 3)
+                *groups, group = prefix
+                members = ((key(group[0], m), m) for m in free if m > group[-1])
+                hit = _first_member_and_chord(members, chords)
                 if hit is not None:
-                    return prefix[:-1] + (group + hit[0], hit[1])
+                    return (*groups, group + (hit[0],), hit[1])
     return None
 
 
@@ -423,36 +497,30 @@ def decide_all_projections(config: Configuration) -> Verdict:
     if config.dimension == 1 or len(config.points) == 1:
         return Verdict(True)
     table = _DifferenceRows(config)
+    memo = _PrefixKeys()
     for pattern in _engine_patterns(config):
-        groups = _first_violation(pattern, table)
+        groups = _first_violation(pattern, table, memo if pattern.k > 1 else None)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
 
 
-def _canonical_families(
-    n: int, sizes: tuple[int, ...], counts: list[int] | tuple[int, ...] | None = None
-):
-    """Disjoint index families with the given group sizes, in canonical order.
-
-    Groups are increasing and groups of equal size have increasing first
-    elements. With `counts`, only the first counts[j] points of group j are
-    placed, a prefix of the family. Each family comes with the sorted
-    indices that the next group may still use: those unused and, when that
-    group's size equals the last one's, above the last group's first.
-    """
-    counts = sizes if counts is None else counts
+def _canonical_families(n: int, sizes: tuple[int, ...]):
+    """All disjoint index families with the given sizes, canonical order."""
 
     def rec(j: int, available: list[int], min_first: int):
-        free = [i for i in available if i >= min_first]
-        if j == len(counts):
-            yield (), free
+        if j == len(sizes):
+            yield ()
             return
-        for comb in combinations(free, counts[j]):
-            rest = [i for i in available if i not in comb]
-            nxt = comb[0] + 1 if j + 1 < len(sizes) and sizes[j + 1] == sizes[j] else 0
-            for tail, left in rec(j + 1, rest, nxt):
-                yield (comb,) + tail, left
+        size = sizes[j]
+        for comb in combinations(available, size):
+            if comb[0] < min_first:
+                continue
+            chosen = set(comb)
+            rest = [i for i in available if i not in chosen]
+            nxt = comb[0] + 1 if j + 1 < len(sizes) and sizes[j + 1] == size else 0
+            for tail in rec(j + 1, rest, nxt):
+                yield (comb,) + tail
 
     yield from rec(0, list(range(n)), 0)
 
@@ -481,7 +549,7 @@ def decide_all_projections_oracle(
     else:
         patterns = [p for p in _all_patterns(config.dimension, n) if sum(p.sizes) <= n]
     for pattern in patterns:
-        for groups, _ in _canonical_families(n, pattern.sizes):
+        for groups in _canonical_families(n, pattern.sizes):
             if is_degenerate_tuple(config, PointGroups(groups), pattern.k):
                 return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)

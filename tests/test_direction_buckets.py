@@ -40,6 +40,8 @@ from genpos.genericity import (
     _build_certificate,
     _DifferenceRows,
     _engine_patterns,
+    _first_violation,
+    _PrefixKeys,
 )
 from genpos.linalg import IncrementalSpan, primitive_row
 from genpos.selftest import grid_configuration
@@ -392,10 +394,20 @@ def test_tail_is_lex_first_not_first_collision(shape):
     assert collision > first
 
 
-def test_keys_past_the_memo_limit_change_nothing(monkeypatch):
-    """Keys computed but not stored once the memo is full give the same
-    verdicts and certificates."""
-    monkeypatch.setattr(_DifferenceRows, "MAX_KEYS", 40)
+def test_key_memo_stays_bounded_and_changes_nothing(monkeypatch):
+    """With room for 40 entries, the memo of an N = 4 generic set keeps at
+    most 40 prefixes and keys, all of the current k, and a memo that fills
+    up changes no verdict or certificate."""
+    monkeypatch.setattr(_PrefixKeys, "MAX_KEYS", 40)
+    config = random_configuration(9, 4, 10**6, 1)
+    table = _DifferenceRows(config)
+    memo = _PrefixKeys()
+    for pattern in _engine_patterns(config):
+        assert _first_violation(pattern, table, memo if pattern.k > 1 else None) is None
+        kept = memo._memo
+        assert len(kept) + sum(len(keys) for keys in kept.values()) <= 40
+        assert all(sum(len(g) - 1 for g in p) == memo.k - 1 for p in kept)
+    assert memo.k == 3 and memo.stored == 40
     corpus = _small_denominator_spatial(4)[::10] + _planted_patterns_corpus()[:8]
     assert _mismatches(corpus) == []
 
