@@ -23,6 +23,7 @@ from .generators import (
     random_configuration,
 )
 from .genericity import (
+    ORACLE_DEFAULT_MAX_POINTS,
     certificate_to_json,
     classical_general_position,
     decide_all_projections,
@@ -200,7 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("decide-oracle", help="brute-force cross-check verdict")
     oracle.add_argument("-c", "--config", required=True)
-    oracle.add_argument("--max-points", type=_positive_int, default=12)
+    oracle.add_argument(
+        "--max-points", type=_positive_int, default=ORACLE_DEFAULT_MAX_POINTS
+    )
     oracle.set_defaults(handler=_cmd_decide_oracle)
 
     check = sub.add_parser("check", help="general position against one kernel")

@@ -23,15 +23,18 @@ those k - 1 vectors (the prefix) in lexicographic order and decides the last
 two by hashing their sign-normalised primitive directions modulo the prefix
 span into buckets, the degeneracy-testing view of Gajentaan and Overmars. For
 k = 1 the prefix is empty: a collinear triple (3,) or two disjoint parallel
-chords (2, 2), in O(n^2) expected time. The same search, one path for every
-k, returns the lexicographically first family that a depth-first search
-over all k + 1 vectors would find.
+chords (2, 2), in O(n^2) expected time. The patterns of one k are searched
+together: those that place the same prefixes share one walk over them, and
+each prefix's keys are computed once for all of them and dropped with the
+prefix. The same search, one path for every k, returns the
+lexicographically first family that a depth-first search over all k + 1
+vectors would find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, subspace_to_json
@@ -260,38 +263,6 @@ class _DifferenceRows:
         return rows
 
 
-class _PrefixKeys:
-    """Bucket keys of prefixes, kept for the later patterns of the same k.
-
-    The patterns of one k place mostly the same prefixes: every k = 2
-    prefix is one chord, and every k = 3 prefix a triangle or two chords.
-    The keys a prefix's tail computes are kept under the prefix for the
-    later patterns of its k and dropped when k changes. At most MAX_KEYS entries
-    (prefixes and keys) are kept; past that, keys are computed without
-    being kept, so memory stays bounded however long the search.
-    """
-
-    MAX_KEYS = 1 << 15
-
-    __slots__ = ("k", "stored", "_memo")
-
-    def __init__(self):
-        self.k = 0
-        self.stored = 0
-        self._memo: dict = {}
-
-    def get(self, k: int, prefix: tuple[tuple[int, ...], ...]) -> dict | None:
-        """The kept keys of the prefix, by slot b * n + m, to read and add
-        to; None once the memo is full and the prefix has no entry."""
-        if k != self.k:
-            self.k, self.stored, self._memo = k, 0, {}
-        keys = self._memo.get(prefix)
-        if keys is None and self.stored < self.MAX_KEYS:
-            keys = self._memo[prefix] = {}
-            self.stored += 1
-        return keys
-
-
 def _direction(row: list[int]) -> tuple[int, ...]:
     """The primitive row signed so that its first non-zero entry is positive.
 
@@ -305,19 +276,17 @@ def _direction(row: list[int]) -> tuple[int, ...]:
 
 def _prefixes(
     table: _DifferenceRows,
-    sizes: tuple[int, ...],
-    counts: list[int],
+    counts: tuple[int, ...],
+    equal: tuple[bool, ...],
     span: IncrementalSpan,
 ):
-    """The first counts[j] points of every group j of the families with the
-    given sizes, in canonical order, each with the sorted indices the next
-    group may use.
+    """The first counts[j] points of every group j, in canonical order, each
+    prefix with the flags of the indices it uses.
 
-    Groups are increasing and groups of equal size have increasing first
-    elements, so the next group may use the unused indices, above the last
-    group's first when the two have equal sizes. `span`, empty on entry,
-    holds the vectors of the prefix drawn last: rows are added and rolled
-    back along the placement.
+    Groups are increasing, and where equal[j] (groups j and j + 1 have equal
+    sizes) group j + 1 starts above the first element of group j. `span`,
+    empty on entry, holds the vectors of the prefix drawn last: rows are
+    added and rolled back along the placement.
     """
     n = len(table)
     used = [False] * n
@@ -325,8 +294,7 @@ def _prefixes(
 
     def place(j: int, min_first: int):
         if j == len(counts):
-            free = [i for i in range(min_first, n) if not used[i]]
-            yield tuple(tuple(g) for g in groups), free
+            yield tuple(tuple(g) for g in groups), used
             return
         for first in range(min_first, n):
             if not used[first]:
@@ -339,8 +307,8 @@ def _prefixes(
     def extend(j: int, start: int):
         group = groups[-1]
         if len(group) == counts[j]:
-            equal = j + 1 < len(sizes) and sizes[j + 1] == sizes[j]
-            yield from place(j + 1, group[0] + 1 if equal else 0)
+            above = j + 1 < len(counts) and equal[j]
+            yield from place(j + 1, group[0] + 1 if above else 0)
             return
         rows = table[group[0]]
         for m in range(start, n):
@@ -401,13 +369,54 @@ def _first_member_and_chord(members, chords):
     return best
 
 
+def _plan(sizes: tuple[int, ...]):
+    """The prefix of the pattern's families: the points it places in each
+    group, whether each prefix group has the size of the next one (which
+    then starts above its first point), and whether the tail's new group
+    starts above the first point of the prefix's last group for that
+    reason."""
+    *head, last = sizes
+    if last > 3:
+        counts, above = head + [last - 2], False
+    elif last == 3:
+        counts, above = head, head[-1:] == [3]
+    elif head[-1] == 2:
+        counts, above = head[:-1], head[-2:-1] == [2]
+    else:
+        counts, above = head[:-1] + [head[-1] - 1], False
+    equal = tuple(sizes[j] == sizes[j + 1] for j in range(len(counts) - 1))
+    return tuple(counts), equal, above
+
+
+def _tail(sizes: tuple[int, ...], prefix, free: list[int], key):
+    """The first family of the pattern that extends the prefix with two
+    vectors parallel modulo its span, drawing new points from `free`, or
+    None."""
+    *head, last = sizes
+    if last > 3:
+        group = _two_members(prefix[-1], free, key)
+        return None if group is None else prefix[:-1] + (group,)
+    if last == 3:
+        for base in free:
+            group = _two_members((base,), free, key)
+            if group is not None:
+                return prefix + (group,)
+        return None
+    chords = ((key(i, j), (i, j)) for i, j in combinations(free, 2))
+    if head[-1] == 2:
+        hit = _first_collision(chords)
+        return None if hit is None else prefix + hit
+    *groups, group = prefix
+    members = ((key(group[0], m), m) for m in free if m > group[-1])
+    hit = _first_member_and_chord(members, chords)
+    return None if hit is None else (*groups, group + (hit[0],), hit[1])
+
+
 def _first_violation(
-    pattern: DegeneracyPattern,
-    table: _DifferenceRows,
-    memo: _PrefixKeys | None = None,
+    patterns: list[DegeneracyPattern], table: _DifferenceRows
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Lexicographically first family of the pattern whose k + 1 vectors span
-    at most k dimensions, or None.
+    """Lexicographically first family of the first of the patterns, all of
+    one k, that has k + 1 vectors spanning at most k dimensions, or None.
 
     Call only once every smaller k has no violation: then any k vectors of a
     family are independent, so a family violates iff its last two vectors
@@ -423,66 +432,56 @@ def _first_violation(
 
     A family is its prefix followed by its tail, so the first prefix that has
     a tail, with its first tail, is the first family. k = 1 is the empty
-    prefix: a collinear triple (3,) or two parallel chords (2, 2). Colliding
-    items never share a point, since that would complete a family of a
-    pattern that comes earlier in canonical order and had none.
+    prefix: a collinear triple (3,) or two parallel chords (2, 2).
 
-    With a memo, keys are read from and added to it; pass one only where
-    later patterns of the same k revisit the prefixes.
+    Patterns whose prefixes place the same number of points in each group
+    place the same prefixes, apart from the order of groups of equal size,
+    so they share one walk. It orders only the groups that every one of
+    them orders, and a pattern skips the prefixes out of its own order. Each
+    prefix computes its keys once, into a dict dropped with the prefix, and
+    runs the tail of every live pattern in canonical order, each on its own
+    free indices. A pattern that hits is dropped with every later one, while
+    earlier ones walk on, so the earliest pattern with a violation wins with
+    its first family. Walks run in the order of their first patterns, so
+    once a walk has no live pattern, no later one has. Before the winner
+    hits, a later pattern may hit on items that share a point: that
+    completes a family of an earlier pattern, which therefore hits too.
     """
     n = len(table)
-    sizes = pattern.sizes
-    if sum(sizes) > n:
-        return None
-    *head, last = sizes
-    if last > 3:
-        counts = head + [last - 2]
-    elif last == 3:
-        counts = head
-    elif head[-1] == 2:
-        counts = head[:-1]
-    else:
-        counts = head[:-1] + [head[-1] - 1]
+    walks: dict = {}
+    for index, pattern in enumerate(patterns):
+        counts, equal, above = _plan(pattern.sizes)
+        walks.setdefault(counts, []).append((index, pattern.sizes, equal, above))
+    best, family = len(patterns), None
     span = IncrementalSpan(table.dimension)
-    keys = None
+    keys: dict = {}
 
     def key(b: int, m: int) -> tuple[int, ...]:
-        if keys is None:
-            return _direction(span.residual(table[b][m]))
         slot = b * n + m
         direction = keys.get(slot)
         if direction is None:
-            direction = _direction(span.residual(table[b][m]))
-            if memo.stored < memo.MAX_KEYS:
-                keys[slot] = direction
-                memo.stored += 1
+            direction = keys[slot] = _direction(span.residual(table[b][m]))
         return direction
 
-    for prefix, free in _prefixes(table, sizes, counts, span):
-        if memo is not None:
-            keys = memo.get(pattern.k, prefix)
-        if last > 3:
-            group = _two_members(prefix[-1], free, key)
-            if group is not None:
-                return prefix[:-1] + (group,)
-        elif last == 3:
-            for base in free:
-                group = _two_members((base,), free, key)
-                if group is not None:
-                    return prefix + (group,)
-        else:
-            chords = ((key(i, j), (i, j)) for i, j in combinations(free, 2))
-            if head[-1] == 2:
-                hit = _first_collision(chords)
+    for counts, members in walks.items():
+        order = tuple(map(all, zip(*(member[2] for member in members))))
+        for prefix, used in _prefixes(table, counts, order, span):
+            if members[0][0] >= best:
+                return family
+            keys = {}
+            for index, sizes, equal, above in members:
+                if index >= best:
+                    break
+                if equal != order and any(
+                    e and prefix[j][0] > prefix[j + 1][0] for j, e in enumerate(equal)
+                ):
+                    continue
+                start = prefix[-1][0] + 1 if above else 0
+                free = [i for i in range(start, n) if not used[i]]
+                hit = _tail(sizes, prefix, free, key)
                 if hit is not None:
-                    return prefix + hit
-            else:
-                *groups, group = prefix
-                members = ((key(group[0], m), m) for m in free if m > group[-1])
-                hit = _first_member_and_chord(members, chords)
-                if hit is not None:
-                    return (*groups, group + (hit[0],), hit[1])
-    return None
+                    best, family = index, hit
+    return family
 
 
 def decide_all_projections(config: Configuration) -> Verdict:
@@ -497,9 +496,8 @@ def decide_all_projections(config: Configuration) -> Verdict:
     if config.dimension == 1 or len(config.points) == 1:
         return Verdict(True)
     table = _DifferenceRows(config)
-    memo = _PrefixKeys()
-    for pattern in _engine_patterns(config):
-        groups = _first_violation(pattern, table, memo if pattern.k > 1 else None)
+    for _, patterns in groupby(_engine_patterns(config), lambda p: p.k):
+        groups = _first_violation(list(patterns), table)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
@@ -575,7 +573,7 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     n = len(config.points)
     table = _DifferenceRows(config)
     for size in range(3, min(n, config.dimension + 1) + 1):
-        family = _first_violation(DegeneracyPattern(size - 2, (size,)), table)
+        family = _first_violation([DegeneracyPattern(size - 2, (size,))], table)
         if family is not None:
             return ClassicalReport(False, family[0])
     return ClassicalReport(True)

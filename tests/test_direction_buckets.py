@@ -14,6 +14,7 @@ subset scan.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,18 +36,11 @@ from genpos import (
     vector_sub,
     verdict_to_json,
 )
-from genpos.genericity import (
-    Verdict,
-    _build_certificate,
-    _DifferenceRows,
-    _engine_patterns,
-    _first_violation,
-    _PrefixKeys,
-)
+from genpos.genericity import Verdict, _build_certificate, _engine_patterns
 from genpos.linalg import IncrementalSpan, primitive_row
 from genpos.selftest import grid_configuration
 from test_acceptance import _equivalence_corpus, _minimality_corpus
-from test_integer_core import CORPUS as INTEGER_CORE_CORPUS
+from test_integer_core import corpus as integer_core_corpus
 
 F = Fraction
 
@@ -288,7 +282,7 @@ def _planted_patterns_corpus():
 CORPORA = {
     "acceptance-equivalence": _equivalence_corpus,
     "acceptance-minimality": _minimality_corpus,
-    "integer-core": lambda: INTEGER_CORE_CORPUS,
+    "integer-core": integer_core_corpus,
     "large-planar": _large_planar_corpus,
     "perturbed": _perturbed_corpus,
     "spatial-planted": _spatial_planted_corpus,
@@ -394,22 +388,18 @@ def test_tail_is_lex_first_not_first_collision(shape):
     assert collision > first
 
 
-def test_key_memo_stays_bounded_and_changes_nothing(monkeypatch):
-    """With room for 40 entries, the memo of an N = 4 generic set keeps at
-    most 40 prefixes and keys, all of the current k, and a memo that fills
-    up changes no verdict or certificate."""
-    monkeypatch.setattr(_PrefixKeys, "MAX_KEYS", 40)
-    config = random_configuration(9, 4, 10**6, 1)
-    table = _DifferenceRows(config)
-    memo = _PrefixKeys()
-    for pattern in _engine_patterns(config):
-        assert _first_violation(pattern, table, memo if pattern.k > 1 else None) is None
-        kept = memo._memo
-        assert len(kept) + sum(len(keys) for keys in kept.values()) <= 40
-        assert all(sum(len(g) - 1 for g in p) == memo.k - 1 for p in kept)
-    assert memo.k == 3 and memo.stored == 40
-    corpus = _small_denominator_spatial(4)[::10] + _planted_patterns_corpus()[:8]
-    assert _mismatches(corpus) == []
+def test_exhaustive_search_keeps_only_one_prefix_of_keys():
+    """A generic N = 3 set is searched through every k = 2 pattern; the keys
+    of a prefix are dropped with it, so memory stays far below the ~2 MB
+    that keeping every prefix's keys for the later patterns takes."""
+    config = random_configuration(16, 3, 10**6, 1)
+    tracemalloc.start()
+    try:
+        assert decide_all_projections(config).generic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_planted_patterns_are_found():
@@ -425,6 +415,25 @@ def test_planted_patterns_are_found():
         pattern = decide_all_projections(config).certificate.pattern
         found.append((pattern.k, pattern.sizes))
     assert found == planted
+
+
+def test_shared_walk_keeps_each_patterns_group_order():
+    """(3, 3, 2) and (3, 2, 2, 2) share one walk of (triangle, chord)
+    prefixes that leaves the two groups unordered; (3, 3, 2) must still take
+    its groups of three in order of their first points."""
+    rng = SplitMix64(5555)
+    pattern = DegeneracyPattern(4, (3, 3, 2))
+    corpus = []
+    while len(corpus) < 3:
+        generic = random_configuration(9, 5, 10**6, 500 + len(corpus))
+        planted = _plant(rng, generic, pattern)
+        if planted is not None:
+            corpus.append(_affine_image(rng, planted))
+    for config in corpus:
+        certificate = decide_all_projections(config).certificate
+        assert certificate.pattern == pattern
+        assert certificate.groups[0][0] < certificate.groups[1][0]
+    assert _mismatches(corpus) == []
 
 
 def test_sixty_four_random_points_generic():
