@@ -74,22 +74,22 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _cmd_decide(args) -> tuple[int, str, str]:
-    config = _load_config(args.config)
-    verdict = decide_all_projections(config)
+def _verdict_result(verdict) -> tuple[int, str, str]:
     payload = _dumps(verdict_to_json(verdict))
     if verdict.generic:
         return 0, payload, ""
     return 1, payload, "violation found"
+
+
+def _cmd_decide(args) -> tuple[int, str, str]:
+    return _verdict_result(decide_all_projections(_load_config(args.config)))
 
 
 def _cmd_decide_oracle(args) -> tuple[int, str, str]:
     config = _load_config(args.config)
-    verdict = decide_all_projections_oracle(config, max_points=args.max_points)
-    payload = _dumps(verdict_to_json(verdict))
-    if verdict.generic:
-        return 0, payload, ""
-    return 1, payload, "violation found"
+    return _verdict_result(
+        decide_all_projections_oracle(config, max_points=args.max_points)
+    )
 
 
 def _cmd_check(args) -> tuple[int, str, str]:
@@ -145,9 +145,7 @@ def _cmd_perturb(args) -> tuple[int, str, str]:
 
 
 def _cmd_hausdorff(args) -> tuple[int, str, str]:
-    a = configuration_from_json(_load_json(args.a, "configuration"))
-    b = configuration_from_json(_load_json(args.b, "configuration"))
-    value = hausdorff_sq(a, b)
+    value = hausdorff_sq(_load_config(args.a), _load_config(args.b))
     return 0, _dumps({"hausdorff_squared": str(value)}), ""
 
 

@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError, PerturbationError
 from .genericity import decide_all_projections
 from .geometry import Configuration, Point
-from .linalg import Vector, as_rational, make_vector
+from .linalg import Vector, as_rational, rational_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,10 +82,10 @@ class AffineMap:
     translation: Vector
 
     def __post_init__(self):
-        rows = tuple(make_vector(r) for r in self.matrix)
-        t = make_vector(self.translation)
+        (t,) = rational_rows((self.translation,), "translation")
         n = len(t)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        rows = rational_rows(self.matrix, "matrix", n)
+        if len(rows) != n:
             raise InputError(f"matrix: expected {n}x{n} to match the translation")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "translation", t)

@@ -76,10 +76,6 @@ class DegeneracyPattern:
             )
         object.__setattr__(self, "sizes", sizes)
 
-    @property
-    def vector_count(self) -> int:
-        return sum(s - 1 for s in self.sizes)
-
     def validate_for(self, dimension: int) -> None:
         if self.k >= dimension:
             raise InputError(

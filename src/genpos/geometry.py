@@ -9,7 +9,6 @@ that the fiber sizes do not overshoot k in total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -18,11 +17,11 @@ from .errors import InputError
 from .linalg import (
     IncrementalSpan,
     Vector,
-    as_rational,
     dot,
     gram_matrix,
-    make_vector,
+    lattice,
     rank,
+    rational_rows,
     solve_linear_system,
     vector_sub,
 )
@@ -42,14 +41,9 @@ class Configuration:
     def __post_init__(self):
         if not isinstance(self.dimension, int) or self.dimension < 1:
             raise InputError("dimension: must be an integer >= 1")
-        pts = tuple(make_vector(p) for p in self.points)
+        pts = rational_rows(self.points, "points", self.dimension)
         if not pts:
             raise InputError("points: configuration must contain at least one point")
-        for i, p in enumerate(pts):
-            if len(p) != self.dimension:
-                raise InputError(
-                    f"points[{i}]: expected {self.dimension} coordinates, got {len(p)}"
-                )
         seen: dict[Point, int] = {}
         for i, p in enumerate(pts):
             if p in seen:
@@ -78,14 +72,7 @@ class Configuration:
         answered exactly on this integer lattice. The primitive row of a
         scaled difference is the one the rational difference clears to.
         """
-        den = 1
-        for p in self.points:
-            for c in p:
-                den = math.lcm(den, c.denominator)
-        return tuple(
-            tuple(c.numerator * (den // c.denominator) for c in p)
-            for p in self.points
-        )
+        return lattice(self.points)[1]
 
 
 @dataclass(frozen=True)
@@ -102,13 +89,7 @@ class Subspace:
     def __post_init__(self):
         if not isinstance(self.ambient_dimension, int) or self.ambient_dimension < 1:
             raise InputError("ambient_dimension: must be an integer >= 1")
-        gens = tuple(make_vector(g) for g in self.generators)
-        for i, g in enumerate(gens):
-            if len(g) != self.ambient_dimension:
-                raise InputError(
-                    f"generators[{i}]: expected {self.ambient_dimension} "
-                    f"coordinates, got {len(g)}"
-                )
+        gens = rational_rows(self.generators, "generators", self.ambient_dimension)
         object.__setattr__(self, "generators", gens)
         k = rank(gens)
         if k == 0:
@@ -149,12 +130,7 @@ def project_onto_complement(point, kernel: Subspace) -> Point:
     The component inside the kernel is found exactly by solving the normal
     equations with the Gram matrix of the kernel's generators.
     """
-    p = make_vector(point)
-    if len(p) != kernel.ambient_dimension:
-        raise InputError(
-            f"point has dimension {len(p)}, kernel expects "
-            f"{kernel.ambient_dimension}"
-        )
+    (p,) = rational_rows((point,), "point", kernel.ambient_dimension)
     gens = kernel.generators
     gram = gram_matrix(gens)
     rhs = [dot(g, p) for g in gens]
@@ -257,13 +233,6 @@ def check_general_position(config: Configuration, kernel: Subspace) -> SubspaceC
     )
 
 
-def _rational_cell(value, where: str) -> Fraction:
-    try:
-        return as_rational(value)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
-
-
 def configuration_from_json(obj) -> Configuration:
     """Build a Configuration from its JSON form, naming bad fields."""
     if not isinstance(obj, dict):
@@ -276,19 +245,12 @@ def configuration_from_json(obj) -> Configuration:
     raw_points = obj.get("points")
     if not isinstance(raw_points, list):
         raise InputError("points: missing or not a list")
-    points = []
-    for i, row in enumerate(raw_points):
-        if not isinstance(row, list):
-            raise InputError(f"points[{i}]: expected a list of rationals")
-        points.append(
-            tuple(_rational_cell(cell, f"points[{i}][{j}]") for j, cell in enumerate(row))
-        )
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise InputError("labels: expected a list of strings")
         labels = tuple(labels)
-    return Configuration(dim, tuple(points), labels)
+    return Configuration(dim, raw_points, labels)
 
 
 def configuration_to_json(config: Configuration) -> dict:
@@ -313,17 +275,7 @@ def subspace_from_json(obj) -> Subspace:
     raw = obj.get("generators")
     if not isinstance(raw, list):
         raise InputError("generators: missing or not a list")
-    gens = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise InputError(f"generators[{i}]: expected a list of rationals")
-        gens.append(
-            tuple(
-                _rational_cell(cell, f"generators[{i}][{j}]")
-                for j, cell in enumerate(row)
-            )
-        )
-    return Subspace(dim, tuple(gens))
+    return Subspace(dim, raw)
 
 
 def subspace_to_json(kernel: Subspace) -> dict:

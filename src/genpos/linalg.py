@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of fractions.Fraction and nothing is ever rounded. Rank
-and span membership are computed by fraction-free integer elimination on
+Vectors are tuples of fractions.Fraction and nothing is ever rounded. Every
+list of rational rows, from the JSON loaders or the Python API, is checked
+and converted once by rational_rows, and lattice is where a list of vectors
+is scaled by its common denominator onto integer rows. Rank and span
+membership are computed by fraction-free integer elimination on
 denominator-cleared rows, which IncrementalSpan also accepts directly;
 determinants use the Bareiss pivoting scheme; Gram matrices give an
 independent route to linear independence, kept separate so the two can
@@ -54,12 +57,45 @@ def as_rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
-def make_vector(coords) -> Vector:
-    """Normalize an iterable of rational-like values into a Vector."""
-    vec = tuple(as_rational(c) for c in coords)
-    if not vec:
-        raise InputError("vector must have at least one coordinate")
-    return vec
+def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
+    """Check and convert rows of rational-like cells, naming the bad field.
+
+    Each row must be a list or tuple of dimension cells, each accepted by
+    as_rational; without a dimension, the first row's length is the one
+    every row must have. Errors read name[i] or name[i][j].
+    """
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"{name}[{i}]: expected a list of rationals")
+        vector = []
+        for j, cell in enumerate(row):
+            try:
+                vector.append(as_rational(cell))
+            except InputError as exc:
+                raise InputError(f"{name}[{i}][{j}]: {exc}") from None
+        if dimension is None:
+            if not vector:
+                raise InputError(f"{name}[{i}]: expected at least one coordinate")
+            dimension = len(vector)
+        elif len(vector) != dimension:
+            raise InputError(
+                f"{name}[{i}]: expected {dimension} coordinates, got {len(vector)}"
+            )
+        out.append(tuple(vector))
+    return tuple(out)
+
+
+def lattice(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm of all denominators, and the vectors scaled by it to integers.
+
+    A common positive scale changes no rank, no span membership and no
+    determinant's sign, so rank questions are answered on the integer rows.
+    """
+    den = math.lcm(*{c.denominator for v in vectors for c in v})
+    return den, tuple(
+        tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors
+    )
 
 
 def vector_sub(a: Vector, b: Vector) -> Vector:
@@ -75,23 +111,9 @@ def distance_sq(a: Vector, b: Vector) -> Fraction:
     return dot(d, d)
 
 
-def _common_dimension(vectors: list[Vector]) -> int | None:
-    """Shared length of all vectors, None for an empty list."""
-    if not vectors:
-        return None
-    dim = len(vectors[0])
-    for i, v in enumerate(vectors):
-        if len(v) != dim:
-            raise InputError(
-                f"vectors[{i}]: expected dimension {dim}, got {len(v)}"
-            )
-    return dim
-
-
 def gram_matrix(vectors) -> Matrix:
     """Square matrix of pairwise inner products, exact."""
-    vecs = [make_vector(v) for v in vectors]
-    _common_dimension(vecs)
+    vecs = rational_rows(vectors, "vectors")
     return tuple(tuple(dot(u, w) for w in vecs) for u in vecs)
 
 
@@ -105,11 +127,8 @@ def _bareiss_determinant(matrix: Matrix) -> Fraction:
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    den = 1
-    for row in matrix:
-        for x in row:
-            den = math.lcm(den, x.denominator)
-    a = [[int(x * den) for x in row] for row in matrix]
+    den, rows = lattice(matrix)
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -227,11 +246,10 @@ class IncrementalSpan:
 
 def rank(vectors) -> int:
     """Dimension of the linear span, by fraction-free elimination."""
-    vecs = [make_vector(v) for v in vectors]
-    dim = _common_dimension(vecs)
-    if dim is None:
+    vecs = rational_rows(vectors, "vectors")
+    if not vecs:
         return 0
-    span = IncrementalSpan(dim)
+    span = IncrementalSpan(len(vecs[0]))
     for v in vecs:
         span.add(v)
     return span.rank
@@ -243,14 +261,14 @@ def solve_linear_system(rows, rhs) -> list[Fraction] | None:
     Free variables are set to zero, so rank-deficient but consistent systems
     still produce a solution.
     """
-    matrix = [list(make_vector(r)) for r in rows]
+    matrix = [list(r) for r in rational_rows(rows, "rows")]
     b = [as_rational(x) for x in rhs]
     m = len(matrix)
     if m != len(b):
         raise InputError(f"matrix has {m} rows but right side has {len(b)} entries")
     if m == 0:
         return []
-    width = _common_dimension([tuple(r) for r in matrix])
+    width = len(matrix[0])
     aug = [row + [val] for row, val in zip(matrix, b)]
     pivot_cols: list[int] = []
     r = 0

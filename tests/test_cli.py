@@ -304,6 +304,85 @@ class TestHostileInput:
             assert run(argv).exit_code in (0, 1, 2)
 
 
+# Structured JSON documents for the loaders: a well-formed document, then at
+# most one level (dimension, row list, one row or one cell) replaced by any
+# JSON value, so all three exit codes occur.
+_RATIONAL = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=2).map(str),
+    st.integers(min_value=-2, max_value=2),
+)
+_JSON_VALUE = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-3, max_value=3),
+        st.floats(),
+        st.text(max_size=4),
+        _RATIONAL,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _document(draw, dimension_key, rows_key, max_rows):
+    dimension = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(
+        st.lists(
+            st.lists(_RATIONAL, min_size=dimension, max_size=dimension),
+            min_size=1,
+            max_size=max_rows,
+        )
+    )
+    level = draw(st.sampled_from(["none", "dimension", "rows", "row", "cell"]))
+    if level == "dimension":
+        dimension = draw(_JSON_VALUE)
+    elif level == "rows":
+        rows = draw(_JSON_VALUE)
+    elif level in ("row", "cell"):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if level == "row":
+            rows[i] = draw(_JSON_VALUE)
+        else:
+            j = draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))
+            rows[i][j] = draw(_JSON_VALUE)
+    return {dimension_key: dimension, rows_key: rows}
+
+
+class TestStructuredInput:
+    """Documents of the right outline with wrong parts still exit 0, 1 or 2,
+    and every exit 2 is an error diagnostic."""
+
+    # The fixture files are only read, so examples may share them.
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        config=_document("dimension", "points", max_rows=6),
+        kernel=_document("ambient_dimension", "generators", max_rows=2),
+    )
+    def test_decide_and_check_exit_codes(self, tmp_path, fixture_files, config, kernel):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps(kernel), encoding="utf-8")
+        for argv in (
+            ["decide", "-c", str(config_path)],
+            ["check", "-c", str(config_path), "-s", fixture_files["xaxis"]],
+            ["check", "-c", fixture_files["square"], "-s", str(kernel_path)],
+        ):
+            result = run(argv)
+            assert result.exit_code in (0, 1, 2)
+            if result.exit_code == 2:
+                assert result.diagnostics.startswith("error: ")
+
+
 class TestSelftest:
     def test_battery_passes(self):
         result = run(["selftest"])

@@ -124,7 +124,7 @@ class TestMinimalPatterns:
     def test_vector_counts_are_k_plus_one(self):
         for k in range(1, 5):
             for p in minimal_patterns(k, 6):
-                assert p.vector_count == k + 1
+                assert sum(s - 1 for s in p.sizes) == k + 1
 
 
 class TestDecide:

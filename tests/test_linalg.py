@@ -5,14 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos import (
+    AffineMap,
+    Configuration,
     IncrementalSpan,
     InputError,
+    Subspace,
     as_rational,
     gram_determinant,
     gram_matrix,
     rank,
     solve_linear_system,
 )
+from genpos.linalg import lattice, rational_rows
 
 F = Fraction
 
@@ -29,6 +33,43 @@ def test_as_rational_accepts_strings_ints_fractions():
 def test_as_rational_rejects_non_rationals(bad):
     with pytest.raises(InputError):
         as_rational(bad)
+
+
+# A row must be a list or tuple: a string row is not read as its digits, and
+# a bare number is an input error, not a TypeError.
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Configuration(2, ["12", "34"]), r"points\[0\]"),
+        (lambda: Configuration(1, (5,)), r"points\[0\]"),
+        (lambda: Subspace(3, ["100"]), r"generators\[0\]"),
+        (lambda: AffineMap(((1,),), 3), r"translation\[0\]"),
+        (lambda: AffineMap(("1",), (1,)), r"matrix\[0\]"),
+        (lambda: rank([1, 2]), r"vectors\[0\]"),
+        (lambda: gram_matrix([(1, 2), "34"]), r"vectors\[1\]"),
+    ],
+)
+def test_rows_must_be_lists_or_tuples(build, field):
+    with pytest.raises(InputError, match=field + ": expected a list of rationals"):
+        build()
+
+
+def test_rational_rows_names_cell_and_length():
+    assert rational_rows([["1/2", 3], (F(2),) * 2], "points", 2) == (
+        (F(1, 2), F(3)),
+        (F(2), F(2)),
+    )
+    with pytest.raises(InputError, match=r"^points\[1\]\[0\]: not a rational"):
+        rational_rows([["1", "2"], ["x", "2"]], "points", 2)
+    with pytest.raises(InputError, match=r"^points\[1\]: expected 2 coordinates, got 3"):
+        rational_rows([["1", "2"], ["1", "2", "3"]], "points")
+    with pytest.raises(InputError, match=r"^points\[0\]: expected at least one"):
+        rational_rows([[]], "points")
+
+
+def test_lattice_clears_all_denominators_at_once():
+    assert lattice([(F(1, 2), F(-1, 3)), (F(0), F(5, 4))]) == (12, ((6, -4), (0, 15)))
+    assert lattice([]) == (1, ())
 
 
 def test_gram_matrix_orthonormal_pair():
