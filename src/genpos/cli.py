@@ -111,10 +111,25 @@ def _cmd_classical(args) -> tuple[int, str, str]:
     return code, _dumps(out), diag
 
 
+GENERATE_DEFAULT_MAX_POINTS = 1 << 16
+
+
+def _refuse_above(exponent: int, max_points: int) -> None:
+    """Refuse, before building anything, a stage of 2^exponent points that
+    is over max_points: 2^e > m iff e >= m.bit_length()."""
+    if exponent >= max_points.bit_length():
+        raise InputError(
+            f"stage: would build 2^{exponent} points, more than "
+            f"--max-points {max_points}"
+        )
+
+
 def _cmd_generate(args) -> tuple[int, str, str]:
     if args.generator == "cantor-graph":
+        _refuse_above(args.stage + 1, args.max_points)
         config = cantor_graph_stage(args.stage)
     elif args.generator == "product-cantor":
+        _refuse_above(args.dim * args.stage, args.max_points)
         system = product_cantor_system(args.dim)
         origin = Configuration(args.dim, (tuple(0 for _ in range(args.dim)),))
         config = iterate_system(system, args.stage, origin)
@@ -220,6 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
     prod = gsub.add_parser("product-cantor", help="middle-thirds product stage")
     prod.add_argument("--stage", type=int, required=True)
     prod.add_argument("--dim", type=_positive_int, required=True)
+    for stage_parser in (cantor, prod):
+        stage_parser.add_argument(
+            "--max-points",
+            type=_positive_int,
+            default=GENERATE_DEFAULT_MAX_POINTS,
+            help="refuse a stage with more points (default %(default)s)",
+        )
     rand = gsub.add_parser("random", help="seeded random configuration")
     rand.add_argument("--points", type=_positive_int, required=True)
     rand.add_argument("--dim", type=_positive_int, required=True)

@@ -228,7 +228,9 @@ def perturb_to_generic(
             tuple(x + d for x, d in zip(p, _ball_offset(rng, config.dimension, step)))
             for p in config.points
         ]
-        if len(set(moved)) < len(moved):
+        # keyed on integer pairs: hashing a Fraction costs a modular inverse
+        distinct = {tuple((x.numerator, x.denominator) for x in p) for p in moved}
+        if len(distinct) < len(moved):
             continue
         candidate = Configuration(config.dimension, tuple(moved), config.labels)
         verdict = decide_all_projections(candidate)

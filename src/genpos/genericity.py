@@ -35,16 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby
+from math import gcd
 
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, subspace_to_json
-from .linalg import (
-    IncrementalSpan,
-    Vector,
-    primitive_row,
-    rank,
-    vector_sub,
-)
+from .linalg import IncrementalSpan, Vector, rank, vector_sub
 
 ORACLE_DEFAULT_MAX_POINTS = 12
 
@@ -131,7 +126,7 @@ class Verdict:
 
 def difference_system(config: Configuration, groups: PointGroups) -> list[Vector]:
     """All in-group difference vectors, base point to every other member."""
-    n = len(config.points)
+    n = len(config)
     for j, g in enumerate(groups.groups):
         for t, idx in enumerate(g):
             if idx >= n:
@@ -204,7 +199,7 @@ def _engine_patterns(config: Configuration):
     it fits n points iff it has at most n - k - 1 groups; none fits once
     k > n - 2. Only fitting partitions are built.
     """
-    n = len(config.points)
+    n = len(config)
     for k in range(1, min(config.dimension, n - 1)):
         for partition in _partitions_desc(k + 1, n - k - 1):
             yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
@@ -227,47 +222,38 @@ def _build_certificate(
     return Certificate(pattern, groups, witness)
 
 
-class _DifferenceRows:
-    """Primitive integer rows of p_m - p_b for m > b, on the integer lattice.
+class _DifferenceRows(dict):
+    """Directions of p_m - p_b for m > b, on the integer lattice.
 
-    Every difference vector pairs a base with a later point, so table[b][m]
-    is defined for m > b (entries up to b are None). The rows for a base are
-    built together on first use and then shared by every pattern and every
-    visit; a base no search reaches costs nothing.
+    table[b][m] is the difference row divided by the gcd of its entries and
+    signed so that its first non-zero entry is positive, as a tuple; it is
+    defined for m > b (entries up to b are None). A k = 1 key is the entry
+    itself. The rows for a base are built together on first use and then
+    shared by every pattern and every visit; a base no search reaches costs
+    nothing.
     """
 
-    __slots__ = ("dimension", "_points", "_rows")
+    __slots__ = ("dimension", "points")
 
     def __init__(self, config: Configuration):
+        super().__init__()
         self.dimension = config.dimension
-        self._points = config.integer_points
-        self._rows: list[list[list[int] | None] | None] = [None] * len(self._points)
+        self.points = config.integer_points
 
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __getitem__(self, b: int) -> list[list[int] | None]:
-        rows = self._rows[b]
-        if rows is None:
-            base = self._points[b]
-            rows = [None] * (b + 1)
-            rows += [
-                primitive_row([x - y for x, y in zip(p, base)])
-                for p in self._points[b + 1:]
-            ]
-            self._rows[b] = rows
+    def __missing__(self, b: int) -> list[tuple[int, ...] | None]:
+        base = self.points[b]
+        rows: list[tuple[int, ...] | None] = [None] * (b + 1)
+        for p in self.points[b + 1:]:
+            row = [x - y for x, y in zip(p, base)]  # non-zero: points differ
+            g = gcd(*row)
+            for x in row:
+                if x:
+                    break
+            if x < 0:
+                g = -g
+            rows.append(tuple(row) if g == 1 else tuple([y // g for y in row]))
+        self[b] = rows
         return rows
-
-
-def _direction(row: list[int]) -> tuple[int, ...]:
-    """The primitive row signed so that its first non-zero entry is positive.
-
-    The search keys only rows that are independent of the prefix span, so
-    the row is never zero.
-    """
-    for x in row:
-        if x:
-            return tuple(row) if x > 0 else tuple(-y for y in row)
 
 
 def _prefixes(
@@ -284,7 +270,7 @@ def _prefixes(
     empty on entry, holds the vectors of the prefix drawn last: rows are
     added and rolled back along the placement.
     """
-    n = len(table)
+    n = len(table.points)
     used = [False] * n
     groups: list[list[int]] = []
 
@@ -434,37 +420,66 @@ def _first_violation(
     place the same prefixes, apart from the order of groups of equal size,
     so they share one walk. It orders only the groups that every one of
     them orders, and a pattern skips the prefixes out of its own order. Each
-    prefix computes its keys once, into a dict dropped with the prefix, and
-    runs the tail of every live pattern in canonical order, each on its own
-    free indices. A pattern that hits is dropped with every later one, while
-    earlier ones walk on, so the earliest pattern with a violation wins with
-    its first family. Walks run in the order of their first patterns, so
-    once a walk has no live pattern, no later one has. Before the winner
-    hits, a later pattern may hit on items that share a point: that
-    completes a family of an earlier pattern, which therefore hits too.
+    prefix computes its keys once (into a dict dropped with the prefix, when
+    the walk has more than one pattern) and runs the tail of every live
+    pattern in canonical order, each on its own free indices. A pattern
+    that hits is dropped with every later one, while earlier ones walk on,
+    so the earliest pattern with a violation wins with its first family.
+    Walks run in the order of their first patterns, so once a walk has no
+    live pattern, no later one has. Before the winner hits, a later pattern
+    may hit on items that share a point: that completes a family of an
+    earlier pattern, which therefore hits too.
     """
-    n = len(table)
+    n = len(table.points)
     walks: dict = {}
     for index, pattern in enumerate(patterns):
         counts, equal, above = _plan(pattern.sizes)
         walks.setdefault(counts, []).append((index, pattern.sizes, equal, above))
     best, family = len(patterns), None
     span = IncrementalSpan(table.dimension)
-    keys: dict = {}
+    pivots = span.rows
 
-    def key(b: int, m: int) -> tuple[int, ...]:
+    def reduced(b: int, m: int) -> tuple[int, ...]:
+        """The direction of table[b][m] modulo the prefix span: the
+        elimination of IncrementalSpan.residual, then the table's sign
+        rule, in one call. The search keys only rows independent of the
+        prefix span, so the residual is never zero."""
         slot = b * n + m
         direction = keys.get(slot)
         if direction is None:
-            direction = keys[slot] = _direction(span.residual(table[b][m]))
+            row = table[b][m]
+            for p, base in pivots:
+                f_row = row[p]
+                if f_row:
+                    f_base = base[p]
+                    row = [f_base * x - f_row * y for x, y in zip(row, base)]
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+            for x in row:
+                if x:
+                    break
+            direction = tuple(row) if x > 0 else tuple(-y for y in row)
+            if store:
+                keys[slot] = direction
         return direction
+
+    def entry(b: int, m: int) -> tuple[int, ...]:
+        return table[b][m]
 
     for counts, members in walks.items():
         order = tuple(map(all, zip(*(member[2] for member in members))))
+        # An empty prefix (k = 1) keys on the table itself. Otherwise keys
+        # are kept for the prefix only when another pattern may read them:
+        # within one pattern's tail no key is computed twice.
+        key = reduced if counts else entry
+        store = len(members) > 1
+        keys = {}
         for prefix, used in _prefixes(table, counts, order, span):
             if members[0][0] >= best:
                 return family
-            keys = {}
+            if store:
+                keys = {}
             for index, sizes, equal, above in members:
                 if index >= best:
                     break
@@ -489,7 +504,7 @@ def decide_all_projections(config: Configuration) -> Verdict:
     runs on the configuration's integer lattice; the certificate is built
     from the rational points.
     """
-    if config.dimension == 1 or len(config.points) == 1:
+    if config.dimension == 1 or len(config) == 1:
         return Verdict(True)
     table = _DifferenceRows(config)
     for _, patterns in groupby(_engine_patterns(config), lambda p: p.k):
@@ -531,7 +546,7 @@ def decide_all_projections_oracle(
     sums up to the point count instead of just k + 1. Refuses configurations
     above max_points.
     """
-    n = len(config.points)
+    n = len(config)
     if n > max_points:
         raise OracleGuardError(
             f"brute force refused: {n} points exceeds the guard of {max_points}"
@@ -566,7 +581,7 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     violating family of the single-group pattern (s,) with k = s - 2, and
     the decide search finds the first one.
     """
-    n = len(config.points)
+    n = len(config)
     table = _DifferenceRows(config)
     for size in range(3, min(n, config.dimension + 1) + 1):
         family = _first_violation([DegeneracyPattern(size - 2, (size,))], table)

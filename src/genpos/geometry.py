@@ -5,13 +5,16 @@ orthogonal complement collapses two points into the same fiber exactly when
 their difference lies in H. The per-kernel check asks, with k = dim H, that
 every non-degenerate fiber has at most k+1 affinely independent points and
 that the fiber sizes do not overshoot k in total.
+
+A Configuration holds its points on the integer lattice built by
+linalg.lattice, which the loader fills straight from the JSON cells; the
+Fraction points are derived from it only when something reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InputError
 from .linalg import (
@@ -30,49 +33,83 @@ Point = Vector
 FiberPartition = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class Configuration:
-    """A finite list of pairwise-distinct labeled points in Q^N."""
+    """A finite list of pairwise-distinct labeled points in Q^N.
 
-    dimension: int
-    points: tuple[Point, ...]
-    labels: tuple[str, ...] | None = None
+    The points are held on the integer lattice: integer_points are the
+    points scaled by `denominator`, the lcm of all coordinate denominators,
+    and the constructor builds them from the rows without a Fraction. Every
+    rank question about the points is answered on the lattice, since a
+    common positive scale changes no rank and no span membership of point
+    differences. `points`, the rational coordinates, is derived from the
+    lattice on first read. Instances are immutable; two are equal iff their
+    dimensions, points and labels are.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+    __slots__ = ("dimension", "denominator", "integer_points", "labels", "_points")
+
+    def __init__(self, dimension: int, points, labels=None):
+        if not isinstance(dimension, int) or dimension < 1:
             raise InputError("dimension: must be an integer >= 1")
-        pts = rational_rows(self.points, "points", self.dimension)
-        if not pts:
+        den, rows = lattice(points, "points", dimension)
+        if not rows:
             raise InputError("points: configuration must contain at least one point")
-        seen: dict[Point, int] = {}
-        for i, p in enumerate(pts):
-            if p in seen:
+        if len(set(rows)) < len(rows):
+            seen: dict[tuple[int, ...], int] = {}
+            for i, row in enumerate(rows):
+                j = seen.setdefault(row, i)
+                if j != i:
+                    raise InputError(f"points: duplicate point at indices {j} and {i}")
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != len(rows):
                 raise InputError(
-                    f"points: duplicate point at indices {seen[p]} and {i}"
+                    f"labels: expected {len(rows)} entries, got {len(labels)}"
                 )
-            seen[p] = i
-        object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != len(pts):
-                raise InputError(
-                    f"labels: expected {len(pts)} entries, got {len(labels)}"
-                )
-            object.__setattr__(self, "labels", labels)
+        init = object.__setattr__
+        init(self, "dimension", dimension)
+        init(self, "denominator", den)
+        init(self, "integer_points", rows)
+        init(self, "labels", labels)
+        init(self, "_points", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Configuration is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Configuration, (self.dimension, self.points, self.labels)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The points as tuples of Fraction, built from the lattice once."""
+        pts = self._points
+        if pts is None:
+            den = self.denominator
+            pts = tuple(
+                tuple(Fraction(x, den) for x in row) for row in self.integer_points
+            )
+            object.__setattr__(self, "_points", pts)
+        return pts
+
+    def _key(self):
+        return self.dimension, self.denominator, self.integer_points, self.labels
+
+    def __eq__(self, other):
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Configuration(dimension={self.dimension!r}, points={self.points!r}, "
+            f"labels={self.labels!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def integer_points(self) -> tuple[tuple[int, ...], ...]:
-        """The points scaled by the lcm of all coordinate denominators.
-
-        A common positive scale changes no rank and no span membership of
-        point differences, so every rank question about the points is
-        answered exactly on this integer lattice. The primitive row of a
-        scaled difference is the one the rational difference clears to.
-        """
-        return lattice(self.points)[1]
+        return len(self.integer_points)
 
 
 @dataclass(frozen=True)

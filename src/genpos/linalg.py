@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of fractions.Fraction and nothing is ever rounded. Every
-list of rational rows, from the JSON loaders or the Python API, is checked
-and converted once by rational_rows, and lattice is where a list of vectors
-is scaled by its common denominator onto integer rows. Rank and span
-membership are computed by fraction-free integer elimination on
-denominator-cleared rows, which IncrementalSpan also accepts directly;
-determinants use the Bareiss pivoting scheme; Gram matrices give an
-independent route to linear independence, kept separate so the two can
-cross-check each other.
+Nothing is ever rounded. rational_pair is the one definition of an input
+cell, read as a reduced (numerator, denominator) pair, and _checked_rows the
+one check of a list of rows, naming the bad field. Rows reach the program
+along one of two routes: rational_rows turns them into tuples of
+fractions.Fraction, and lattice scales them by the lcm of their
+denominators onto integer rows without building a Fraction, which is how a
+Configuration holds its points. Rank and span membership are computed by
+fraction-free integer elimination on denominator-cleared rows, which
+IncrementalSpan also accepts directly; determinants use the Bareiss pivoting
+scheme; Gram matrices give an independent route to linear independence,
+kept separate so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -33,23 +35,34 @@ def _excerpt(text: str, limit: int = 40) -> str:
     return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
-def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+def rational_pair(value) -> tuple[int, int]:
+    """The reduced numerator and positive denominator of a rational cell.
+
+    This is the one definition of the accepted cells: an int (not a bool), a
+    Fraction, or a "p" or "p/q" string with an optional sign and surrounding
+    whitespace. Floats are refused as inexact, and so is a string of more
+    digits than Python converts to an int.
+    """
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, bool):
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value.strip()):
+        text = value.strip()
+        if not _RATIONAL_RE.fullmatch(text):
             raise InputError(
                 f'not a rational: {_excerpt(value)} (expected "p/q" or "p")'
             )
+        num, _, den = text.partition("/")
         try:
-            return Fraction(value)
+            p = int(num)
+            q = int(den) if den else 1
         except ValueError as exc:  # Python's limit on int-string digits
             raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
+        g = math.gcd(p, q)
+        return (p, q) if g == 1 else (p // g, q // g)
     if isinstance(value, float):
         raise InputError(
             f'floating point value {value!r} is not exact; pass "p/q" strings'
@@ -57,21 +70,23 @@ def as_rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
-def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
-    """Check and convert rows of rational-like cells, naming the bad field.
+def as_rational(value) -> Fraction:
+    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*rational_pair(value))
 
-    Each row must be a list or tuple of dimension cells, each accepted by
-    as_rational; without a dimension, the first row's length is the one
-    every row must have. Errors read name[i] or name[i][j].
-    """
+
+def _checked_rows(rows, name: str, dimension: int | None, cell) -> tuple:
+    """Rows of cell(c) for every cell c, with the checks of rational_rows."""
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise InputError(f"{name}[{i}]: expected a list of rationals")
         vector = []
-        for j, cell in enumerate(row):
+        for j, c in enumerate(row):
             try:
-                vector.append(as_rational(cell))
+                vector.append(cell(c))
             except InputError as exc:
                 raise InputError(f"{name}[{i}][{j}]: {exc}") from None
         if dimension is None:
@@ -86,16 +101,30 @@ def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
     return tuple(out)
 
 
-def lattice(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The lcm of all denominators, and the vectors scaled by it to integers.
+def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
+    """Check and convert rows of rational-like cells, naming the bad field.
 
-    A common positive scale changes no rank, no span membership and no
-    determinant's sign, so rank questions are answered on the integer rows.
+    Each row must be a list or tuple of dimension cells, each accepted by
+    rational_pair; without a dimension, the first row's length is the one
+    every row must have. Errors read name[i] or name[i][j].
     """
-    den = math.lcm(*{c.denominator for v in vectors for c in v})
-    return den, tuple(
-        tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors
-    )
+    return _checked_rows(rows, name, dimension, as_rational)
+
+
+def lattice(
+    rows, name: str = "vectors", dimension: int | None = None
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm of all denominators, and the rows scaled by it to integers.
+
+    The rows are checked as rational_rows checks them, but no Fraction is
+    built: each cell is read once as a reduced pair. A common positive scale
+    changes no rank, no span membership and no determinant's sign, so rank
+    questions are answered on the integer rows, and the lcm of reduced
+    denominators makes the scaled rows unique to the rational ones.
+    """
+    pairs = _checked_rows(rows, name, dimension, rational_pair)
+    den = math.lcm(*{q for row in pairs for _, q in row})
+    return den, tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
 
 
 def vector_sub(a: Vector, b: Vector) -> Vector:
@@ -166,9 +195,10 @@ class IncrementalSpan:
     """Row echelon form grown one vector at a time, with cheap rollback.
 
     Rows are primitive integer vectors, each zero before its pivot column and
-    stored in pivot order. Existing rows are never modified when a vector is
-    added, so a backtracking search can snapshot with mark() and restore with
-    rollback(); both are O(rows).
+    stored in pivot order as (pivot column, row) pairs in `rows`, one list
+    for the span's lifetime that callers may read but not change. Existing
+    rows are never modified when a vector is added, so a backtracking search
+    can snapshot with mark() and restore with rollback(); both are O(rows).
 
     add_row takes an integer row of the span's dimension directly and never
     mutates it, so callers may share cached rows; primitive rows keep the
@@ -176,18 +206,18 @@ class IncrementalSpan:
     and clear their denominators first.
     """
 
-    __slots__ = ("dimension", "_rows", "_inserts")
+    __slots__ = ("dimension", "rows", "_inserts")
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise InputError("dimension must be >= 1")
         self.dimension = dimension
-        self._rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
         self._inserts: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def residual(self, row: list[int]) -> list[int]:
         """The integer row reduced modulo the span, zero in every pivot column.
@@ -197,7 +227,7 @@ class IncrementalSpan:
         vanishes in the pivot columns: two rows are parallel modulo the span
         iff their residuals are parallel. Zero iff the row lies in the span.
         """
-        for p, base in self._rows:
+        for p, base in self.rows:
             if row[p]:
                 f_base, f_row = base[p], row[p]
                 row = primitive_row(
@@ -213,7 +243,7 @@ class IncrementalSpan:
                 break
         else:
             return False
-        rows = self._rows
+        rows = self.rows
         pos = len(rows)
         while pos and rows[pos - 1][0] > pivot:
             pos -= 1
@@ -241,7 +271,7 @@ class IncrementalSpan:
 
     def rollback(self, mark: int) -> None:
         while len(self._inserts) > mark:
-            del self._rows[self._inserts.pop()]
+            del self.rows[self._inserts.pop()]
 
 
 def rank(vectors) -> int:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genpos import configuration_from_json
+from genpos import (
+    Configuration,
+    configuration_from_json,
+    configuration_to_json,
+    random_configuration,
+)
 from genpos import cli
 from genpos.cli import run
 
@@ -49,6 +54,28 @@ class TestDecide:
         a = run(["decide", "-c", fixture_files["square"]])
         b = run(["decide", "-c", fixture_files["square"]])
         assert a.payload == b.payload
+
+    def test_generic_verdict_builds_no_fraction_points(self, tmp_path, monkeypatch):
+        """A generic decide runs from the JSON text to the verdict on the
+        integer lattice; only a certificate reads the rational points."""
+        reads = []
+        points = Configuration.points
+        monkeypatch.setattr(
+            Configuration,
+            "points",
+            property(lambda self: reads.append(1) or points.fget(self)),
+        )
+        cases = [
+            (random_configuration(16, 2, 10**6, 1), 0),
+            (random_configuration(8, 3, 10**6, 1), 0),
+            (Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1))), 1),
+        ]
+        for i, (config, code) in enumerate(cases):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(configuration_to_json(config)))
+            reads.clear()
+            assert run(["decide", "-c", str(path)]).exit_code == code
+            assert bool(reads) == bool(code)
 
 
 class TestDecideOracle:
@@ -117,6 +144,42 @@ class TestGenerate:
         assert result.exit_code == 0
         doc = payload_json(result)
         assert len(doc["points"]) == 4
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["cantor-graph", "--stage", "16"], "2^17"),
+            (["cantor-graph", "--stage", "10000000000"], "2^10000000001"),
+            (["cantor-graph", "--stage", "3", "--max-points", "15"], "2^4"),
+            (["product-cantor", "--stage", "6", "--dim", "3"], "2^18"),
+            (["product-cantor", "--stage", "1", "--dim", "3", "--max-points", "7"], "2^3"),
+        ],
+    )
+    def test_stage_over_max_points_is_refused_unbuilt(self, monkeypatch, argv, count):
+        def build(*args):
+            raise AssertionError("the refused stage was built")
+
+        monkeypatch.setattr(cli, "cantor_graph_stage", build)
+        monkeypatch.setattr(cli, "iterate_system", build)
+        result = run(["generate", *argv])
+        assert result.exit_code == 2
+        assert result.diagnostics == (
+            f"error: stage: would build {count} points, more than --max-points "
+            f"{argv[-1] if '--max-points' in argv else 65536}"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cantor-graph", "--stage", "3", "--max-points", "16"],
+            ["product-cantor", "--stage", "2", "--dim", "2", "--max-points", "16"],
+            ["product-cantor", "--stage", "0", "--dim", "2", "--max-points", "1"],
+        ],
+    )
+    def test_stage_at_max_points_is_built(self, argv):
+        result = run(["generate", *argv])
+        assert result.exit_code == 0
+        assert len(payload_json(result)["points"]) == int(argv[-1])
 
     def test_random_requires_seed(self):
         result = run(

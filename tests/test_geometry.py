@@ -1,6 +1,12 @@
+import copy
+import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     Configuration,
@@ -18,6 +24,7 @@ from genpos import (
     subspace_to_json,
     vector_sub,
 )
+from genpos.linalg import _excerpt
 from genpos.selftest import grid_configuration, random_subspace
 
 F = Fraction
@@ -229,3 +236,179 @@ class TestJson:
             configuration_from_json(
                 {"dimension": 1, "points": [["2/4"], ["1/2"]]}
             )
+
+
+# The loader reads each cell once as a reduced integer pair and builds the
+# lattice without a Fraction. The reference below is the loader as first
+# written: Python's own Fraction parser after the same syntax check, rows of
+# Fraction, duplicates found on the Fraction points, and the lattice taken
+# from those points.
+_REFERENCE_CELL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _reference_cell(value):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise InputError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _REFERENCE_CELL.fullmatch(value.strip()):
+            raise InputError(
+                f'not a rational: {_excerpt(value)} (expected "p/q" or "p")'
+            )
+        try:
+            return Fraction(value)
+        except ValueError as exc:
+            raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
+    if isinstance(value, float):
+        raise InputError(
+            f'floating point value {value!r} is not exact; pass "p/q" strings'
+        )
+    raise InputError(f"not a rational: {value!r}")
+
+
+def _reference_points(dimension, rows):
+    points = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"points[{i}]: expected a list of rationals")
+        vector = []
+        for j, cell in enumerate(row):
+            try:
+                vector.append(_reference_cell(cell))
+            except InputError as exc:
+                raise InputError(f"points[{i}][{j}]: {exc}") from None
+        if len(vector) != dimension:
+            raise InputError(
+                f"points[{i}]: expected {dimension} coordinates, got {len(vector)}"
+            )
+        points.append(tuple(vector))
+    if not points:
+        raise InputError("points: configuration must contain at least one point")
+    seen = {}
+    for i, p in enumerate(points):
+        if p in seen:
+            raise InputError(f"points: duplicate point at indices {seen[p]} and {i}")
+        seen[p] = i
+    return tuple(points)
+
+
+def _assert_loads_like_reference(doc):
+    dimension, rows, labels = doc["dimension"], doc["points"], doc.get("labels")
+    try:
+        expected = _reference_points(dimension, rows)
+    except InputError as exc:
+        for load in (
+            lambda: configuration_from_json(doc),
+            lambda: Configuration(dimension, rows, labels),
+        ):
+            with pytest.raises(InputError) as raised:
+                load()
+            assert str(raised.value) == str(exc)
+        return
+    config = configuration_from_json(doc)
+    assert config.points == expected
+    den = math.lcm(*(c.denominator for p in expected for c in p))
+    assert config.denominator == den
+    assert config.integer_points == tuple(
+        tuple(int(c * den) for c in p) for p in expected
+    )
+    for other in (
+        Configuration(dimension, rows, labels),
+        Configuration(dimension, expected, labels),
+    ):
+        assert other == config and hash(other) == hash(config)
+        assert other.points == expected
+    assert config != Configuration(dimension, expected, ["x"] * len(expected))
+    if len(expected) > 1:
+        assert config != Configuration(dimension, expected[:-1], None)
+
+
+LOADER_DOCUMENTS = {
+    "ints and p/q": [[1, "2/3"], ["-5", 7]],
+    "unreduced fractions": [["2/4", "6/3"], ["-3/9", "0/5"]],
+    "signs, zeros and whitespace": [[" +3/6", "-0"], ["\t-2/4\n", "+0"]],
+    "leading zeros": [["007/014", "0"], ["1", "00"]],
+    "a float": [["1", 0.5]],
+    "an integral float": [[1.0, "1"]],
+    "a bool": [[True, "1"]],
+    "null": [[None, "1"]],
+    "a nested list": [[[1], "1"]],
+    "a decimal string": [["1.5", "1"]],
+    "an exponent": [["1e3", "1"]],
+    "a zero denominator": [["3/0", "1"]],
+    "a signed denominator": [["3/-4", "1"]],
+    "spaces inside": [["1 / 2", "1"]],
+    "empty string": [["", "1"]],
+    "over the digit limit": [["1" * 5000, "0"], ["0", "1"]],
+    "denominator over the digit limit": [["1/" + "3" * 4301, "0"]],
+    "ragged row": [["1", "2"], ["3"]],
+    "long row": [["1", "2", "3"]],
+    "string row": ["12", ["3", "4"]],
+    "no points": [],
+    "duplicate spelled differently": [["1/2", "0"], ["1", "1"], ["2/4", "-0"]],
+    "duplicate after a bad cell": [["1", "1"], ["1", "1"], ["x", "1"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_DOCUMENTS))
+def test_loader_matches_fraction_reference(name):
+    _assert_loads_like_reference({"dimension": 2, "points": LOADER_DOCUMENTS[name]})
+
+
+_valid_cells = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.builds(
+        lambda p, q, form: form.format(p=p, q=q),
+        st.integers(-6, 6),
+        st.integers(1, 8),
+        st.sampled_from(["{p}/{q}", "{p}", " {p}/{q}\n", "+{q}/{q}", "-0/{q}"]),
+    ),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8)),
+)
+_hostile_cells = st.sampled_from(
+    [True, False, 0.5, 2.0, None, [], {}, "", " ", "1e3", "1.0", "0x1", "1/0",
+     "1/-2", "1//2", "١", "1" * 4301, "-1/" + "9" * 4400]
+)
+
+
+@st.composite
+def _configuration_documents(draw):
+    dimension = draw(st.integers(1, 3))
+    cells = st.one_of(_valid_cells, _valid_cells, _hostile_cells)
+    row = st.one_of(
+        st.lists(cells, min_size=dimension, max_size=dimension),
+        st.lists(_valid_cells, min_size=dimension, max_size=dimension),
+        st.lists(_valid_cells, max_size=dimension + 1),
+        st.sampled_from(["12", 3, None]),
+    )
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    doc = {"dimension": dimension, "points": rows}
+    if draw(st.booleans()):
+        doc["labels"] = [f"p{i}" for i in range(len(rows))]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_configuration_documents())
+def test_loader_matches_fraction_reference_on_generated_documents(doc):
+    _assert_loads_like_reference(doc)
+
+
+def test_configuration_is_immutable_and_copies():
+    config = Configuration(1, (("1/2",), (2,)), ("a", "b"))
+    with pytest.raises(AttributeError):
+        config.points = ((F(3),),)
+    with pytest.raises(AttributeError):
+        config.integer_points = ((3,),)
+    assert config.points == ((F(1, 2),), (F(2),))
+    for copied in (
+        copy.copy(config),
+        copy.deepcopy(config),
+        pickle.loads(pickle.dumps(config)),
+    ):
+        assert copied == config and copied.integer_points == ((1,), (4,))
