@@ -129,10 +129,15 @@ def _cmd_generate(args) -> tuple[int, str, str]:
         _refuse_above(args.stage + 1, args.max_points)
         config = cantor_graph_stage(args.stage)
     elif args.generator == "product-cantor":
+        # Checked before the system of 2^dim maps is built, which stage 0
+        # does not need either.
+        if args.stage < 0:
+            raise InputError("stage: must be an integer >= 0")
         _refuse_above(args.dim * args.stage, args.max_points)
-        system = product_cantor_system(args.dim)
-        origin = Configuration(args.dim, (tuple(0 for _ in range(args.dim)),))
-        config = iterate_system(system, args.stage, origin)
+        config = Configuration(args.dim, ((0,) * args.dim,))
+        if args.stage:
+            system = product_cantor_system(args.dim)
+            config = iterate_system(system, args.stage, config)
     else:
         config = random_configuration(
             args.points, args.dim, args.denominator, args.seed

@@ -34,6 +34,7 @@ vectors would find.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd
 
@@ -125,7 +126,8 @@ class Verdict:
 
 
 def difference_system(config: Configuration, groups: PointGroups) -> list[Vector]:
-    """All in-group difference vectors, base point to every other member."""
+    """All in-group difference vectors, base point to every other member, as
+    rational vectors. Only the brute-force oracle uses it."""
     n = len(config)
     for j, g in enumerate(groups.groups):
         for t, idx in enumerate(g):
@@ -211,12 +213,20 @@ def _build_certificate(
     """Certificate from a violating family: witness is the span of its vectors.
 
     The witness generators are the greedy maximal independent subsequence of
-    the difference system, so the span is unchanged but redundant vectors are
-    dropped. The recorded k is the actual span dimension.
+    the in-group differences, base point to every other member, so the span
+    is unchanged but redundant vectors are dropped. The differences are taken
+    on the integer lattice, and only the chosen ones become rational vectors.
+    The recorded k is the actual span dimension.
     """
-    vectors = difference_system(config, PointGroups(groups))
+    points, den = config.integer_points, config.denominator
     span = IncrementalSpan(config.dimension)
-    basis = [v for v in vectors if span.add(v)]
+    basis = []
+    for g in groups:
+        base = points[g[0]]
+        for m in g[1:]:
+            row = [x - y for x, y in zip(points[m], base)]
+            if span.add_row(row):
+                basis.append(tuple(Fraction(x, den) for x in row))
     witness = Subspace(config.dimension, tuple(basis))
     pattern = DegeneracyPattern(witness.dim, tuple(len(g) for g in groups))
     return Certificate(pattern, groups, witness)
@@ -437,25 +447,18 @@ def _first_violation(
         walks.setdefault(counts, []).append((index, pattern.sizes, equal, above))
     best, family = len(patterns), None
     span = IncrementalSpan(table.dimension)
-    pivots = span.rows
+    residual = span.residual
 
     def reduced(b: int, m: int) -> tuple[int, ...]:
-        """The direction of table[b][m] modulo the prefix span: the
-        elimination of IncrementalSpan.residual, then the table's sign
-        rule, in one call. The search keys only rows independent of the
-        prefix span, so the residual is never zero."""
+        """The direction of table[b][m] modulo the prefix span: its
+        residual, signed by the table's rule. The table row is primitive, and
+        so is the residual once an elimination step has run, so the key is
+        unique to the direction. The search keys only rows independent of
+        the prefix span, so the residual is never zero."""
         slot = b * n + m
         direction = keys.get(slot)
         if direction is None:
-            row = table[b][m]
-            for p, base in pivots:
-                f_row = row[p]
-                if f_row:
-                    f_base = base[p]
-                    row = [f_base * x - f_row * y for x, y in zip(row, base)]
-                    g = gcd(*row)
-                    if g > 1:
-                        row = [x // g for x in row]
+            row = residual(table[b][m])
             for x in row:
                 if x:
                     break
@@ -501,8 +504,8 @@ def decide_all_projections(config: Configuration) -> Verdict:
     Generic iff no family of disjoint groups has a deficient difference-vector
     span. One-point configurations and dimension 1 are generic by vacuity
     (no proper non-zero kernel or no admissible pattern exists). The search
-    runs on the configuration's integer lattice; the certificate is built
-    from the rational points.
+    and the certificate run on the configuration's integer lattice; only the
+    witness basis is built as rational vectors.
     """
     if config.dimension == 1 or len(config) == 1:
         return Verdict(True)

@@ -13,6 +13,7 @@ Fraction points are derived from it only when something reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .linalg import (
     dot,
     gram_matrix,
     lattice,
+    primitive_row,
     rank,
     rational_rows,
     solve_linear_system,
@@ -183,9 +185,18 @@ def project_onto_complement(point, kernel: Subspace) -> Point:
 
 def _kernel_span(kernel: Subspace) -> IncrementalSpan:
     span = IncrementalSpan(kernel.ambient_dimension)
-    for g in kernel.generators:
-        span.add(g)
+    _, rows = lattice(kernel.generators)
+    for row in rows:
+        span.add_row(row)
     return span
+
+
+def _integer_row(vector: Vector) -> list[int]:
+    """Clear denominators and divide by the gcd; spans are unchanged."""
+    den = 1
+    for c in vector:
+        den = math.lcm(den, c.denominator)
+    return primitive_row([c.numerator * (den // c.denominator) for c in vector])
 
 
 def difference_rank(points, indices) -> int:
@@ -217,7 +228,7 @@ def fibers(config: Configuration, kernel: Subspace) -> FiberPartition:
     reps: list[Point] = []
     for i, p in enumerate(config.points):
         for ci, rep in enumerate(reps):
-            if span.includes(vector_sub(p, rep)):
+            if not any(span.residual(_integer_row(vector_sub(p, rep)))):
                 classes[ci].append(i)
                 break
         else:

@@ -7,10 +7,11 @@ along one of two routes: rational_rows turns them into tuples of
 fractions.Fraction, and lattice scales them by the lcm of their
 denominators onto integer rows without building a Fraction, which is how a
 Configuration holds its points. Rank and span membership are computed by
-fraction-free integer elimination on denominator-cleared rows, which
-IncrementalSpan also accepts directly; determinants use the Bareiss pivoting
-scheme; Gram matrices give an independent route to linear independence,
-kept separate so the two can cross-check each other.
+IncrementalSpan on integer rows only: its residual, fraction-free integer
+elimination, is the one elimination step, and rational vectors reach it
+through lattice. Determinants use the Bareiss pivoting scheme; Gram
+matrices give an independent route to linear independence, kept separate
+so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -183,37 +184,30 @@ def primitive_row(row: list[int]) -> list[int]:
     return row
 
 
-def _integer_row(vector: Vector) -> list[int]:
-    """Clear denominators and divide by the gcd; spans are unchanged."""
-    den = 1
-    for c in vector:
-        den = math.lcm(den, c.denominator)
-    return primitive_row([c.numerator * (den // c.denominator) for c in vector])
-
-
 class IncrementalSpan:
-    """Row echelon form grown one vector at a time, with cheap rollback.
+    """Integer rows in echelon form, grown one row at a time, with rollback.
 
-    Rows are primitive integer vectors, each zero before its pivot column and
-    stored in pivot order as (pivot column, row) pairs in `rows`, one list
-    for the span's lifetime that callers may read but not change. Existing
-    rows are never modified when a vector is added, so a backtracking search
-    can snapshot with mark() and restore with rollback(); both are O(rows).
+    `rows` holds (pivot column, row) pairs in the order the rows were added,
+    one list for the span's lifetime that callers may read but not change.
+    Each row is zero in the pivot columns of the rows added before it and
+    non-zero in its own pivot, the first column where it is non-zero. Rows
+    are never modified once stored, so a backtracking search snapshots with
+    mark(), the row count, and restores with rollback(), which truncates.
 
-    add_row takes an integer row of the span's dimension directly and never
-    mutates it, so callers may share cached rows; primitive rows keep the
-    elimination's entries smallest. add and includes take rational vectors
-    and clear their denominators first.
+    Rows are integer sequences of the span's dimension, such as the rows of
+    lattice; rational vectors go through lattice first. add_row never
+    mutates its argument, so callers may share cached rows. A stored row is
+    primitive (the gcd of its entries is 1) if at least one elimination step
+    ran on it; otherwise it is stored as given.
     """
 
-    __slots__ = ("dimension", "rows", "_inserts")
+    __slots__ = ("dimension", "rows")
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise InputError("dimension must be >= 1")
         self.dimension = dimension
         self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
-        self._inserts: list[int] = []
 
     @property
     def rank(self) -> int:
@@ -222,17 +216,21 @@ class IncrementalSpan:
     def residual(self, row: list[int]) -> list[int]:
         """The integer row reduced modulo the span, zero in every pivot column.
 
-        Each step scales by a non-zero integer and divides by a gcd, so the
-        result is a non-zero multiple of the unique vector of row + span that
-        vanishes in the pivot columns: two rows are parallel modulo the span
-        iff their residuals are parallel. Zero iff the row lies in the span.
+        This is the one elimination step of the program. Each step scales by
+        a non-zero integer and divides by a gcd, so the result is a non-zero
+        multiple of the unique vector of row + span that vanishes in the
+        pivot columns: two rows are parallel modulo the span iff their
+        residuals are parallel. Zero iff the row lies in the span. The row
+        is returned as given if no step ran.
         """
         for p, base in self.rows:
-            if row[p]:
-                f_base, f_row = base[p], row[p]
-                row = primitive_row(
-                    [f_base * a - f_row * b for a, b in zip(row, base)]
-                )
+            f_row = row[p]
+            if f_row:
+                f_base = base[p]
+                row = [f_base * a - f_row * b for a, b in zip(row, base)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
         return row
 
     def add_row(self, row: list[int]) -> bool:
@@ -240,48 +238,25 @@ class IncrementalSpan:
         row = self.residual(row)
         for pivot, x in enumerate(row):
             if x:
-                break
-        else:
-            return False
-        rows = self.rows
-        pos = len(rows)
-        while pos and rows[pos - 1][0] > pivot:
-            pos -= 1
-        rows.insert(pos, (pivot, row))
-        self._inserts.append(pos)
-        return True
-
-    def _checked_row(self, vector: Vector) -> list[int]:
-        if len(vector) != self.dimension:
-            raise InputError(
-                f"vector has dimension {len(vector)}, span expects {self.dimension}"
-            )
-        return _integer_row(vector)
-
-    def includes(self, vector: Vector) -> bool:
-        """True iff the rational vector lies in the current span."""
-        return not any(self.residual(self._checked_row(vector)))
-
-    def add(self, vector: Vector) -> bool:
-        """Add a rational vector; returns True iff the rank grew."""
-        return self.add_row(self._checked_row(vector))
+                self.rows.append((pivot, row))
+                return True
+        return False
 
     def mark(self) -> int:
-        return len(self._inserts)
+        return len(self.rows)
 
     def rollback(self, mark: int) -> None:
-        while len(self._inserts) > mark:
-            del self.rows[self._inserts.pop()]
+        del self.rows[mark:]
 
 
 def rank(vectors) -> int:
     """Dimension of the linear span, by fraction-free elimination."""
-    vecs = rational_rows(vectors, "vectors")
-    if not vecs:
+    _, rows = lattice(vectors)
+    if not rows:
         return 0
-    span = IncrementalSpan(len(vecs[0]))
-    for v in vecs:
-        span.add(v)
+    span = IncrementalSpan(len(rows[0]))
+    for row in rows:
+        span.add_row(row)
     return span.rank
 
 

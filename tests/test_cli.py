@@ -56,8 +56,9 @@ class TestDecide:
         assert a.payload == b.payload
 
     def test_generic_verdict_builds_no_fraction_points(self, tmp_path, monkeypatch):
-        """A generic decide runs from the JSON text to the verdict on the
-        integer lattice; only a certificate reads the rational points."""
+        """decide runs from the JSON text to the verdict on the integer
+        lattice, certificate included, and never reads the rational points;
+        the certificate is the one built from them."""
         reads = []
         points = Configuration.points
         monkeypatch.setattr(
@@ -66,16 +67,40 @@ class TestDecide:
             property(lambda self: reads.append(1) or points.fget(self)),
         )
         cases = [
-            (random_configuration(16, 2, 10**6, 1), 0),
-            (random_configuration(8, 3, 10**6, 1), 0),
-            (Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1))), 1),
+            (random_configuration(16, 2, 10**6, 1), None),
+            (random_configuration(8, 3, 10**6, 1), None),
+            (Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1))), ["0", "1"]),
+            (
+                Configuration(
+                    2, [["0", "0"], ["0", "1/2"], ["1/3", "0"], ["1/3", "1/2"]]
+                ),
+                ["0", "1/2"],
+            ),
         ]
-        for i, (config, code) in enumerate(cases):
+        for i, (config, generator) in enumerate(cases):
             path = tmp_path / f"{i}.json"
             path.write_text(json.dumps(configuration_to_json(config)))
             reads.clear()
-            assert run(["decide", "-c", str(path)]).exit_code == code
-            assert bool(reads) == bool(code)
+            result = run(["decide", "-c", str(path)])
+            assert not reads
+            if generator is None:
+                assert result.exit_code == 0
+                continue
+            assert result.exit_code == 1
+            assert result.payload == json.dumps(
+                {
+                    "generic": False,
+                    "certificate": {
+                        "k": 1,
+                        "groups": [[0, 1], [2, 3]],
+                        "witness_H": {
+                            "ambient_dimension": 2,
+                            "generators": [generator],
+                        },
+                    },
+                },
+                indent=2,
+            )
 
 
 class TestDecideOracle:
@@ -160,6 +185,7 @@ class TestGenerate:
             raise AssertionError("the refused stage was built")
 
         monkeypatch.setattr(cli, "cantor_graph_stage", build)
+        monkeypatch.setattr(cli, "product_cantor_system", build)
         monkeypatch.setattr(cli, "iterate_system", build)
         result = run(["generate", *argv])
         assert result.exit_code == 2
@@ -167,6 +193,26 @@ class TestGenerate:
             f"error: stage: would build {count} points, more than --max-points "
             f"{argv[-1] if '--max-points' in argv else 65536}"
         )
+
+    @pytest.mark.parametrize(
+        "stage, code, diagnostics",
+        [("-1", 2, "error: stage: must be an integer >= 0"), ("0", 0, "")],
+    )
+    def test_product_cantor_stage_at_most_zero_builds_no_system(
+        self, monkeypatch, stage, code, diagnostics
+    ):
+        # 2^40 maps would never finish building: stage 0 is the origin alone,
+        # and a negative stage is refused first.
+        def build(*args):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr(cli, "product_cantor_system", build)
+        monkeypatch.setattr(cli, "iterate_system", build)
+        result = run(["generate", "product-cantor", "--stage", stage, "--dim", "40"])
+        assert result.exit_code == code
+        assert result.diagnostics == diagnostics
+        if code == 0:
+            assert payload_json(result)["points"] == [["0"] * 40]
 
     @pytest.mark.parametrize(
         "argv",

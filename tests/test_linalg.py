@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -175,42 +176,89 @@ def test_rank_bounded_by_count_and_dimension(vectors):
 @settings(max_examples=60, deadline=None)
 @given(vector_lists(max_dim=4, max_count=4).filter(bool), st.tuples(*[rationals] * 4))
 def test_span_includes_stable_under_basis_rewrite(vectors, extra):
-    # appending sums of existing vectors never changes the span
+    # appending sums of existing rows never changes the span
     dim = len(vectors[0])
-    probe = tuple(extra[:dim])
-    doubled = list(vectors) + [
-        tuple(a + b for a, b in zip(vectors[0], vectors[-1]))
-    ]
+    _, (*rows, probe) = lattice([*vectors, extra[:dim]])
+    doubled = rows + [tuple(a + b for a, b in zip(rows[0], rows[-1]))]
     spans = [IncrementalSpan(dim), IncrementalSpan(dim)]
-    for span, basis in zip(spans, (vectors, doubled)):
-        for v in basis:
-            span.add(v)
-    assert spans[0].includes(probe) == spans[1].includes(probe)
+    for span, basis in zip(spans, (rows, doubled)):
+        for row in basis:
+            span.add_row(row)
+    assert spans[0].rank == spans[1].rank
+    assert any(spans[0].residual(probe)) == any(spans[1].residual(probe))
 
 
 def test_incremental_span_rollback_restores_rank():
+    _, (e1, e2, e3, twice_e1) = lattice(
+        [(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1), (1, 0, 0)]
+    )
     span = IncrementalSpan(3)
-    assert span.add((F(1), F(0), F(0)))
+    assert span.add_row(e1)
     mark = span.mark()
-    assert span.add((F(0), F(1), F(0)))
-    assert span.add((F(0), F(0), F(1)))
+    rows = list(span.rows)
+    assert span.add_row(e2)
+    assert span.add_row(e3)
     assert span.rank == 3
     span.rollback(mark)
     assert span.rank == 1
-    assert span.includes((F(2), F(0), F(0)))
-    assert not span.includes((F(0), F(1), F(0)))
+    assert span.rows == rows
+    assert not any(span.residual(twice_e1))
+    assert any(span.residual(e2))
 
 
 def test_incremental_span_integer_rows_match_rational_vectors():
+    _, (third, negative) = lattice([(F(1, 3), F(2, 3), F(0)), (-5, -10, 0)])
     span = IncrementalSpan(3)
     assert span.add_row([2, 4, 0])
-    assert not span.add((F(1, 3), F(2, 3), F(0)))
-    assert span.includes((F(-5), F(-10), F(0)))
+    assert not span.add_row(third)
+    assert not any(span.residual(negative))
     assert not span.add_row([-5, -10, 0])
     row = [0, 3, 6]
     assert span.add_row(row)
     assert row == [0, 3, 6]
     assert span.rank == 2
+    # Stored as given when no elimination step runs, primitive once one has.
+    assert span.add_row([1, 1, 1])
+    assert span.rows == [(0, [2, 4, 0]), (1, [0, 3, 6]), (2, [0, 0, 1])]
+
+
+def _direction(row) -> tuple[int, ...]:
+    """The row divided by its gcd, signed so its first non-zero entry is
+    positive; the zero row stays zero."""
+    g = math.gcd(*row)
+    if g and next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row) if g else tuple(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    vector_lists(max_dim=4, max_count=6).filter(bool),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+def test_incremental_span_is_independent_of_insertion_order(vectors, rnd, data):
+    dim = len(vectors[0])
+    probe = data.draw(st.tuples(*[rationals] * dim))
+    _, (*rows, probe) = lattice([*vectors, probe])
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    outcomes = []
+    for order in (rows, shuffled):
+        span = IncrementalSpan(dim)
+        for row in order[:cut]:
+            span.add_row(row)
+        mark = span.mark()
+        kept = list(span.rows)
+        for row in order[cut:]:
+            span.add_row(row)
+        residual = span.residual(probe)
+        assert not any(residual[p] for p, _ in span.rows)
+        outcomes.append((span.rank, _direction(residual)))
+        span.rollback(mark)
+        assert span.rows == kept
+    assert outcomes[0] == outcomes[1]
 
 
 def test_solve_linear_system_unique():
