@@ -26,8 +26,13 @@ k = 1 the prefix is empty: a collinear triple (3,) or two disjoint parallel
 chords (2, 2), in O(n^2) expected time. The patterns of one k are searched
 together: those that place the same prefixes share one walk over them, and
 each prefix's keys are computed once for all of them and dropped with the
-prefix. The same search, one path for every k, returns the
-lexicographically first family that a depth-first search over all k + 1
+prefix. A walk places only prefixes that a tail can complete: the first
+point of each prefix group leaves room above it for the family points that
+must lie there (its own later points, the groups ordered above it, and the
+fewest tail points that any of the walk's patterns puts above the last
+group), and a pattern's tail runs only when its free points can hold it. A
+pruned prefix has no tail, so the same search, one path for every k, returns
+the lexicographically first family that a depth-first search over all k + 1
 vectors would find.
 """
 
@@ -45,6 +50,18 @@ from .linalg import IncrementalSpan, Vector, rank, vector_sub
 ORACLE_DEFAULT_MAX_POINTS = 12
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """The values as a tuple, or an InputError naming the first that is not
+    an int; bools are refused too."""
+    values = tuple(values)
+    for i, value in enumerate(values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(
+                f"{name}[{i}]: must be an integer, not {type(value).__name__}"
+            )
+    return values
+
+
 @dataclass(frozen=True)
 class DegeneracyPattern:
     """Group sizes plus a span bound k describing a degeneracy to avoid.
@@ -58,9 +75,9 @@ class DegeneracyPattern:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise InputError("k: must be an integer >= 1")
-        sizes = tuple(sorted((int(s) for s in self.sizes), reverse=True))
+        sizes = tuple(sorted(_integers(self.sizes, "sizes"), reverse=True))
         if not sizes:
             raise InputError("sizes: at least one group is required")
         if sizes[-1] < 2:
@@ -86,7 +103,7 @@ class PointGroups:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
+        groups = tuple(_integers(g, f"groups[{j}]") for j, g in enumerate(self.groups))
         if not groups:
             raise InputError("groups: at least one group is required")
         seen: set[int] = set()
@@ -270,25 +287,39 @@ def _prefixes(
     table: _DifferenceRows,
     counts: tuple[int, ...],
     equal: tuple[bool, ...],
+    tail: int,
     span: IncrementalSpan,
 ):
     """The first counts[j] points of every group j, in canonical order, each
-    prefix with the flags of the indices it uses.
+    prefix with the flags of the indices it uses, skipping prefixes that no
+    tail can complete.
 
     Groups are increasing, and where equal[j] (groups j and j + 1 have equal
     sizes) group j + 1 starts above the first element of group j. `span`,
     empty on entry, holds the vectors of the prefix drawn last: rows are
     added and rolled back along the placement.
+
+    need[j] is the number of family points that must lie above the first
+    point of group j: its own counts[j] - 1 later points; where equal[j],
+    also group j + 1's first point and the need[j + 1] points above that;
+    and for the last group the `tail` points that every tail puts above its
+    first point. Those points are distinct, so group j's first point stops
+    at n - need[j]: above it, fewer than need[j] indices are left.
     """
     n = len(table.points)
     used = [False] * n
     groups: list[list[int]] = []
+    need = [0] * len(counts)
+    later = tail
+    for j in reversed(range(len(counts))):
+        need[j] = counts[j] - 1 + later
+        later = 1 + need[j] if j and equal[j - 1] else 0
 
     def place(j: int, min_first: int):
         if j == len(counts):
             yield tuple(tuple(g) for g in groups), used
             return
-        for first in range(min_first, n):
+        for first in range(min_first, n - need[j]):
             if not used[first]:
                 used[first] = True
                 groups.append([first])
@@ -364,20 +395,22 @@ def _first_member_and_chord(members, chords):
 def _plan(sizes: tuple[int, ...]):
     """The prefix of the pattern's families: the points it places in each
     group, whether each prefix group has the size of the next one (which
-    then starts above its first point), and whether the tail's new group
-    starts above the first point of the prefix's last group for that
-    reason."""
+    then starts above its first point), whether the tail's new group starts
+    above the first point of the prefix's last group for that reason, and
+    how many tail points join that group above its last point: two for a
+    last group of 4 or more, one for the last member of a group before a
+    chord."""
     *head, last = sizes
     if last > 3:
-        counts, above = head + [last - 2], False
+        counts, above, joined = head + [last - 2], False, 2
     elif last == 3:
-        counts, above = head, head[-1:] == [3]
+        counts, above, joined = head, head[-1:] == [3], 0
     elif head[-1] == 2:
-        counts, above = head[:-1], head[-2:-1] == [2]
+        counts, above, joined = head[:-1], head[-2:-1] == [2], 0
     else:
-        counts, above = head[:-1] + [head[-1] - 1], False
+        counts, above, joined = head[:-1] + [head[-1] - 1], False, 1
     equal = tuple(sizes[j] == sizes[j + 1] for j in range(len(counts) - 1))
-    return tuple(counts), equal, above
+    return tuple(counts), equal, above, joined
 
 
 def _tail(sizes: tuple[int, ...], prefix, free: list[int], key):
@@ -389,7 +422,7 @@ def _tail(sizes: tuple[int, ...], prefix, free: list[int], key):
         group = _two_members(prefix[-1], free, key)
         return None if group is None else prefix[:-1] + (group,)
     if last == 3:
-        for base in free:
+        for base in free[:-2]:
             group = _two_members((base,), free, key)
             if group is not None:
                 return prefix + (group,)
@@ -432,8 +465,10 @@ def _first_violation(
     them orders, and a pattern skips the prefixes out of its own order. Each
     prefix computes its keys once (into a dict dropped with the prefix, when
     the walk has more than one pattern) and runs the tail of every live
-    pattern in canonical order, each on its own free indices. A pattern
-    that hits is dropped with every later one, while earlier ones walk on,
+    pattern in canonical order, each on its own free indices when they can
+    hold it; the walk skips prefixes that leave too few indices for the
+    fewest tail points among its patterns (see _prefixes). A pattern that
+    hits is dropped with every later one, while earlier ones walk on,
     so the earliest pattern with a violation wins with its first family.
     Walks run in the order of their first patterns, so once a walk has no
     live pattern, no later one has. Before the winner hits, a later pattern
@@ -443,8 +478,11 @@ def _first_violation(
     n = len(table.points)
     walks: dict = {}
     for index, pattern in enumerate(patterns):
-        counts, equal, above = _plan(pattern.sizes)
-        walks.setdefault(counts, []).append((index, pattern.sizes, equal, above))
+        counts, equal, above, joined = _plan(pattern.sizes)
+        size = sum(pattern.sizes) - sum(counts)  # the tail's points
+        walks.setdefault(counts, []).append(
+            (index, pattern.sizes, equal, above, joined, size)
+        )
     best, family = len(patterns), None
     span = IncrementalSpan(table.dimension)
     residual = span.residual
@@ -472,18 +510,21 @@ def _first_violation(
 
     for counts, members in walks.items():
         order = tuple(map(all, zip(*(member[2] for member in members))))
+        # Tail points above the first point of the prefix's last group: all
+        # of them where the tail starts above it, else those that join it.
+        tail = min(size if above else joined for *_, above, joined, size in members)
         # An empty prefix (k = 1) keys on the table itself. Otherwise keys
         # are kept for the prefix only when another pattern may read them:
         # within one pattern's tail no key is computed twice.
         key = reduced if counts else entry
         store = len(members) > 1
         keys = {}
-        for prefix, used in _prefixes(table, counts, order, span):
+        for prefix, used in _prefixes(table, counts, order, tail, span):
             if members[0][0] >= best:
                 return family
             if store:
                 keys = {}
-            for index, sizes, equal, above in members:
+            for index, sizes, equal, above, joined, size in members:
                 if index >= best:
                     break
                 if equal != order and any(
@@ -492,6 +533,10 @@ def _first_violation(
                     continue
                 start = prefix[-1][0] + 1 if above else 0
                 free = [i for i in range(start, n) if not used[i]]
+                # No tail fits in fewer free points, or with fewer above the
+                # last point of the group its members join.
+                if len(free) < size or joined and free[-joined] < prefix[-1][-1]:
+                    continue
                 hit = _tail(sizes, prefix, free, key)
                 if hit is not None:
                     best, family = index, hit

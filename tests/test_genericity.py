@@ -296,3 +296,27 @@ class TestPatternValidation:
 
     def test_sizes_are_canonicalized_descending(self):
         assert DegeneracyPattern(2, (2, 3)).sizes == (3, 2)
+
+    def test_fractional_size_rejected_not_truncated(self):
+        with pytest.raises(InputError, match=r"sizes\[0\]: must be an integer"):
+            DegeneracyPattern(1, (2.9, 2))
+
+    def test_string_size_rejected(self):
+        with pytest.raises(InputError, match=r"sizes\[0\]: must be an integer"):
+            DegeneracyPattern(1, ("3",))
+
+    def test_bool_k_rejected(self):
+        with pytest.raises(InputError, match="k: must be an integer"):
+            DegeneracyPattern(True, (2, 2))
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(InputError, match=r"sizes\[1\]: must be an integer"):
+            DegeneracyPattern(1, (3, True))
+
+    def test_fractional_group_index_rejected_not_truncated(self):
+        with pytest.raises(InputError, match=r"groups\[0\]\[0\]: must be an integer"):
+            PointGroups(((0.5, 1.7), (2,)))
+
+    def test_bool_group_index_rejected(self):
+        with pytest.raises(InputError, match=r"groups\[1\]\[0\]: must be an integer"):
+            PointGroups(((0, 1), (True, 2)))
