@@ -38,9 +38,8 @@ from .geometry import (
     subspace_check_to_json,
     subspace_from_json,
 )
-from .linalg import as_rational
+from .linalg import as_rational, integer
 from .metric import hausdorff_sq
-from .selftest import run_selftest
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,7 @@ def _cmd_generate(args) -> tuple[int, str, str]:
     elif args.generator == "product-cantor":
         # Checked before the system of 2^dim maps is built, which stage 0
         # does not need either.
-        if args.stage < 0:
-            raise InputError("stage: must be an integer >= 0")
+        integer(args.stage, "stage", 0)
         _refuse_above(args.dim * args.stage, args.max_points)
         config = Configuration(args.dim, ((0,) * args.dim,))
         if args.stage:
@@ -170,6 +168,8 @@ def _cmd_hausdorff(args) -> tuple[int, str, str]:
 
 
 def _cmd_selftest(args) -> tuple[int, str, str]:
+    from .selftest import run_selftest  # only this command needs the battery
+
     results = run_selftest()
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed

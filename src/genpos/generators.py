@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError, PerturbationError
 from .genericity import decide_all_projections
 from .geometry import Configuration, Point
-from .linalg import Vector, as_rational, rational_rows
+from .linalg import Vector, as_rational, integer, rational_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -26,9 +26,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or seed < 0:
-            raise InputError("seed: must be a non-negative integer")
-        self._state = seed & _MASK64
+        self._state = integer(seed, "seed", 0) & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -55,8 +53,7 @@ def cantor_graph_stage(stage: int) -> Configuration:
 
     Stage n has 2 + 2*(2^n - 1) points; every plateau value appears twice.
     """
-    if not isinstance(stage, int) or stage < 1:
-        raise InputError("stage: must be an integer >= 1")
+    integer(stage, "stage", 1)
     points: list[Point] = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
     intervals: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
     for s in range(1, stage + 1):
@@ -105,8 +102,7 @@ class IteratedFunctionSystem:
     maps: tuple[AffineMap, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise InputError("dimension: must be an integer >= 1")
+        integer(self.dimension, "dimension", 1)
         if not self.maps:
             raise InputError("maps: at least one map is required")
         for i, m in enumerate(self.maps):
@@ -119,8 +115,7 @@ class IteratedFunctionSystem:
 
 def product_cantor_system(dimension: int) -> IteratedFunctionSystem:
     """The 2^N contractions x -> x/3 + t, t in {0, 2/3}^N."""
-    if not isinstance(dimension, int) or dimension < 1:
-        raise InputError("dimension: must be an integer >= 1")
+    integer(dimension, "dimension", 1)
     third = Fraction(1, 3)
     identity_third = tuple(
         tuple(third if i == j else Fraction(0) for j in range(dimension))
@@ -141,8 +136,7 @@ def iterate_system(
     Results are deduplicated exactly and sorted by coordinates; stage 0
     returns the seeds unchanged.
     """
-    if not isinstance(stage, int) or stage < 0:
-        raise InputError("stage: must be an integer >= 0")
+    integer(stage, "stage", 0)
     if seeds.dimension != system.dimension:
         raise InputError(
             f"seeds dimension {seeds.dimension} does not match system "
@@ -160,6 +154,27 @@ def iterate_system(
     return Configuration(system.dimension, tuple(sorted(out)))
 
 
+def _distinct_draws(
+    rng: SplitMix64, count: int, dimension: int, top: int
+) -> list[tuple[int, ...]]:
+    """count pairwise-distinct tuples of dimension integers uniform in
+    0..top, drawn in order; a tuple equal to an earlier one is redrawn."""
+    if (top + 1) ** dimension < count:
+        raise InputError(
+            f"count: the grid has only {(top + 1) ** dimension} "
+            f"distinct points, fewer than {count}"
+        )
+    chosen: list[tuple[int, ...]] = []
+    taken: set[tuple[int, ...]] = set()
+    while len(chosen) < count:
+        p = tuple(rng.below(top + 1) for _ in range(dimension))
+        if p in taken:
+            continue
+        taken.add(p)
+        chosen.append(p)
+    return chosen
+
+
 def random_configuration(
     count: int, dimension: int, denominator: int, seed: int
 ) -> Configuration:
@@ -168,30 +183,13 @@ def random_configuration(
     Sampling uses SplitMix64 seeded as given; a point equal to an earlier one
     is redrawn, so the result is always pairwise distinct.
     """
-    if not isinstance(count, int) or count < 1:
-        raise InputError("count: must be an integer >= 1")
-    if not isinstance(dimension, int) or dimension < 1:
-        raise InputError("dimension: must be an integer >= 1")
-    if not isinstance(denominator, int) or denominator < 2:
-        raise InputError("denominator: must be an integer >= 2")
-    if (denominator + 1) ** dimension < count:
-        raise InputError(
-            f"count: the grid has only {(denominator + 1) ** dimension} "
-            f"distinct points, fewer than {count}"
-        )
-    rng = SplitMix64(seed)
-    chosen: list[Point] = []
-    taken: set[Point] = set()
-    while len(chosen) < count:
-        p = tuple(
-            Fraction(rng.below(denominator + 1), denominator)
-            for _ in range(dimension)
-        )
-        if p in taken:
-            continue
-        taken.add(p)
-        chosen.append(p)
-    return Configuration(dimension, tuple(chosen))
+    integer(count, "count", 1)
+    integer(dimension, "dimension", 1)
+    integer(denominator, "denominator", 2)
+    draws = _distinct_draws(SplitMix64(seed), count, dimension, denominator)
+    return Configuration(
+        dimension, tuple(tuple(Fraction(x, denominator) for x in p) for p in draws)
+    )
 
 
 _OFFSET_GRID = 1 << 16
@@ -218,8 +216,7 @@ def perturb_to_generic(
     eps = as_rational(epsilon)
     if eps <= 0:
         raise InputError("epsilon: must be positive")
-    if not isinstance(max_attempts, int) or max_attempts < 1:
-        raise InputError("max_attempts: must be an integer >= 1")
+    integer(max_attempts, "max_attempts", 1)
     rng = SplitMix64(seed)
     step = eps / _OFFSET_GRID
     last_certificate = None

@@ -45,21 +45,15 @@ from math import gcd
 
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, subspace_to_json
-from .linalg import IncrementalSpan, Vector, rank, vector_sub
+from .linalg import IncrementalSpan, Vector, integer, rank, vector_sub
 
 ORACLE_DEFAULT_MAX_POINTS = 12
 
 
-def _integers(values, name: str) -> tuple[int, ...]:
-    """The values as a tuple, or an InputError naming the first that is not
-    an int; bools are refused too."""
-    values = tuple(values)
-    for i, value in enumerate(values):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(
-                f"{name}[{i}]: must be an integer, not {type(value).__name__}"
-            )
-    return values
+def _require_below(k: int, dimension: int) -> None:
+    """The one check that a span bound k is below the ambient dimension."""
+    if k >= dimension:
+        raise InputError(f"k: {k} is not below the ambient dimension {dimension}")
 
 
 @dataclass(frozen=True)
@@ -75,13 +69,11 @@ class DegeneracyPattern:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise InputError("k: must be an integer >= 1")
-        sizes = tuple(sorted(_integers(self.sizes, "sizes"), reverse=True))
+        integer(self.k, "k", 1)
+        sizes = [integer(s, f"sizes[{i}]", 2) for i, s in enumerate(self.sizes)]
+        sizes = tuple(sorted(sizes, reverse=True))
         if not sizes:
             raise InputError("sizes: at least one group is required")
-        if sizes[-1] < 2:
-            raise InputError("sizes: every group must have at least 2 points")
         if sum(s - 1 for s in sizes) < self.k + 1:
             raise InputError(
                 f"sizes: sum(size - 1) = {sum(s - 1 for s in sizes)} "
@@ -90,10 +82,7 @@ class DegeneracyPattern:
         object.__setattr__(self, "sizes", sizes)
 
     def validate_for(self, dimension: int) -> None:
-        if self.k >= dimension:
-            raise InputError(
-                f"k: {self.k} is not below the ambient dimension {dimension}"
-            )
+        _require_below(self.k, dimension)
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,10 @@ class PointGroups:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        groups = tuple(_integers(g, f"groups[{j}]") for j, g in enumerate(self.groups))
+        groups = tuple(
+            tuple(integer(idx, f"groups[{j}][{i}]", 0) for i, idx in enumerate(g))
+            for j, g in enumerate(self.groups)
+        )
         if not groups:
             raise InputError("groups: at least one group is required")
         seen: set[int] = set()
@@ -111,8 +103,6 @@ class PointGroups:
             if not g:
                 raise InputError(f"groups[{j}]: group is empty")
             for idx in g:
-                if idx < 0:
-                    raise InputError(f"groups[{j}]: negative index {idx}")
                 if idx in seen:
                     raise InputError(f"groups: index {idx} is repeated")
                 seen.add(idx)
@@ -190,10 +180,7 @@ def _partitions_desc(total: int, max_parts: int | None = None):
 
 def minimal_patterns(k: int, dimension: int) -> list[DegeneracyPattern]:
     """All patterns with sum(size - 1) exactly k + 1, in canonical order."""
-    if not isinstance(k, int) or k < 1:
-        raise InputError("k: must be an integer >= 1")
-    if k >= dimension:
-        raise InputError(f"k: {k} is not below the ambient dimension {dimension}")
+    _require_below(integer(k, "k", 1), integer(dimension, "dimension", 1))
     return [
         DegeneracyPattern(k, tuple(part + 1 for part in partition))
         for partition in _partitions_desc(k + 1)
@@ -595,7 +582,7 @@ def decide_all_projections_oracle(
     above max_points.
     """
     n = len(config)
-    if n > max_points:
+    if n > integer(max_points, "max_points", 1):
         raise OracleGuardError(
             f"brute force refused: {n} points exceeds the guard of {max_points}"
         )

@@ -23,6 +23,7 @@ from .linalg import (
     Vector,
     dot,
     gram_matrix,
+    integer,
     lattice,
     primitive_row,
     rank,
@@ -51,8 +52,7 @@ class Configuration:
     __slots__ = ("dimension", "denominator", "integer_points", "labels", "_points")
 
     def __init__(self, dimension: int, points, labels=None):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise InputError("dimension: must be an integer >= 1")
+        integer(dimension, "dimension", 1)
         den, rows = lattice(points, "points", dimension)
         if not rows:
             raise InputError("points: configuration must contain at least one point")
@@ -126,8 +126,7 @@ class Subspace:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.ambient_dimension, int) or self.ambient_dimension < 1:
-            raise InputError("ambient_dimension: must be an integer >= 1")
+        integer(self.ambient_dimension, "ambient_dimension", 1)
         gens = rational_rows(self.generators, "generators", self.ambient_dimension)
         object.__setattr__(self, "generators", gens)
         k = rank(gens)
@@ -287,9 +286,6 @@ def configuration_from_json(obj) -> Configuration:
         raise InputError("configuration: expected a JSON object")
     if "dimension" not in obj:
         raise InputError("dimension: missing")
-    dim = obj["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InputError("dimension: must be an integer")
     raw_points = obj.get("points")
     if not isinstance(raw_points, list):
         raise InputError("points: missing or not a list")
@@ -298,7 +294,7 @@ def configuration_from_json(obj) -> Configuration:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise InputError("labels: expected a list of strings")
         labels = tuple(labels)
-    return Configuration(dim, raw_points, labels)
+    return Configuration(obj["dimension"], raw_points, labels)
 
 
 def configuration_to_json(config: Configuration) -> dict:
@@ -317,13 +313,10 @@ def subspace_from_json(obj) -> Subspace:
         raise InputError("subspace: expected a JSON object")
     if "ambient_dimension" not in obj:
         raise InputError("ambient_dimension: missing")
-    dim = obj["ambient_dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InputError("ambient_dimension: must be an integer")
     raw = obj.get("generators")
     if not isinstance(raw, list):
         raise InputError("generators: missing or not a list")
-    return Subspace(dim, raw)
+    return Subspace(obj["ambient_dimension"], raw)
 
 
 def subspace_to_json(kernel: Subspace) -> dict:

@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Nothing is ever rounded. rational_pair is the one definition of an input
-cell, read as a reduced (numerator, denominator) pair, and _checked_rows the
-one check of a list of rows, naming the bad field. Rows reach the program
-along one of two routes: rational_rows turns them into tuples of
-fractions.Fraction, and lattice scales them by the lcm of their
-denominators onto integer rows without building a Fraction, which is how a
-Configuration holds its points. Rank and span membership are computed by
-IncrementalSpan on integer rows only: its residual, fraction-free integer
-elimination, is the one elimination step, and rational vectors reach it
-through lattice. Determinants use the Bareiss pivoting scheme; Gram
-matrices give an independent route to linear independence, kept separate
-so the two can cross-check each other.
+cell, read as a reduced (numerator, denominator) pair, _checked_rows the one
+check of a list of rows, naming the bad field, and integer the one check of
+an integer argument. Rows reach the program along one of two routes:
+rational_rows turns them into tuples of fractions.Fraction, and lattice
+scales them by the lcm of their denominators onto integer rows without
+building a Fraction, which is how a Configuration holds its points. Rank and
+span membership are computed by IncrementalSpan on integer rows only: its
+residual, fraction-free integer elimination, is the one elimination step,
+and rational vectors reach it through lattice. Determinants use the Bareiss
+pivoting scheme; Gram matrices give an independent route to linear
+independence, kept separate so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -69,6 +69,19 @@ def rational_pair(value) -> tuple[int, int]:
             f'floating point value {value!r} is not exact; pass "p/q" strings'
         )
     raise InputError(f"not a rational: {value!r}")
+
+
+def integer(value, name: str, minimum: int | None = None) -> int:
+    """The value if it is an int, not a bool, and at least minimum.
+
+    This is the one check of an integer argument; anything else raises an
+    InputError naming the argument.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if minimum is None or value >= minimum:
+            return value
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise InputError(f"{name}: must be an integer{bound}")
 
 
 def as_rational(value) -> Fraction:
@@ -204,9 +217,7 @@ class IncrementalSpan:
     __slots__ = ("dimension", "rows")
 
     def __init__(self, dimension: int):
-        if dimension < 1:
-            raise InputError("dimension must be >= 1")
-        self.dimension = dimension
+        self.dimension = integer(dimension, "dimension", 1)
         self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
 
     @property

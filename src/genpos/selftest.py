@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .generators import SplitMix64, cantor_graph_stage, perturb_to_generic
+from .generators import (
+    SplitMix64,
+    _distinct_draws,
+    cantor_graph_stage,
+    perturb_to_generic,
+)
 from .genericity import (
     decide_all_projections,
     decide_all_projections_oracle,
@@ -33,15 +38,7 @@ def grid_configuration(
     rng: SplitMix64, count: int, dimension: int, top: int
 ) -> Configuration:
     """Random configuration with integer coordinates in 0..top, distinct."""
-    chosen: list[tuple[Fraction, ...]] = []
-    taken = set()
-    while len(chosen) < count:
-        p = tuple(Fraction(rng.below(top + 1)) for _ in range(dimension))
-        if p in taken:
-            continue
-        taken.add(p)
-        chosen.append(p)
-    return Configuration(dimension, tuple(chosen))
+    return Configuration(dimension, _distinct_draws(rng, count, dimension, top))
 
 
 def random_subspace(rng: SplitMix64, dimension: int, k: int) -> Subspace:

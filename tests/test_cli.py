@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -500,3 +504,14 @@ class TestSelftest:
         assert doc["failed"] == 0
         assert doc["passed"] == len(doc["checks"])
         assert all(c["passed"] for c in doc["checks"])
+
+    def test_importing_the_cli_leaves_the_battery_unloaded(self):
+        # Only `selftest` needs the battery, so `decide` does not pay for it.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, genpos.cli; print('genpos.selftest' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "False\n"

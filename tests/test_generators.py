@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from genpos import (
     Subspace,
     cantor_graph_stage,
     check_general_position,
+    configuration_to_json,
     decide_all_projections,
     hausdorff_sq,
     iterate_system,
@@ -18,6 +21,7 @@ from genpos import (
     product_cantor_system,
     random_configuration,
 )
+from genpos.selftest import grid_configuration
 
 F = Fraction
 
@@ -144,6 +148,27 @@ class TestRandomConfiguration:
     def test_denominator_bound_validated(self):
         with pytest.raises(InputError):
             random_configuration(3, 2, 1, seed=0)
+
+    def test_draws_are_pinned(self):
+        # Seeded draws are part of the contract: this digest covers both
+        # users of the one draw loop, on small grids that force redraws.
+        digest = hashlib.sha256()
+        for seed in range(40):
+            config = random_configuration(
+                3 + seed % 9, 2 + seed % 3, 3 + seed % 7, seed
+            )
+            digest.update(json.dumps(configuration_to_json(config)).encode())
+        rng = SplitMix64(11)
+        for i in range(40):
+            config = grid_configuration(rng, 2 + i % 8, 2 + i % 3, 2 + i % 3)
+            digest.update(json.dumps(configuration_to_json(config)).encode())
+        assert digest.hexdigest() == (
+            "8fdfdcfe1dafb4eb854c1ba249329e3dbb75d1484648d6e3b9a41237d700690a"
+        )
+
+    def test_grid_too_small_for_count_is_refused_not_redrawn_forever(self):
+        with pytest.raises(InputError, match="grid has only 3 distinct points"):
+            grid_configuration(SplitMix64(1), 6, 1, 2)
 
 
 class TestSplitMix64:
