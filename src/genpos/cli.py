@@ -10,6 +10,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -300,7 +301,16 @@ def run(argv) -> CommandResult:
 def main(argv=None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     if result.payload:
-        print(result.payload)
+        try:
+            print(result.payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early, as `genpos ... | head` does: the
+            # rest is not wanted, and the exit code still reports the result.
+            # Pointing stdout at devnull keeps the flush at exit from raising.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     if result.diagnostics:
         print(result.diagnostics, file=sys.stderr)
     return result.exit_code

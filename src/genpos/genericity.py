@@ -20,27 +20,32 @@ Pattern k is searched only after every smaller k came back empty, so any k
 vectors of a family are independent, and a family violates iff its last two
 vectors are parallel modulo the span of the other k - 1. The search places
 those k - 1 vectors (the prefix) in lexicographic order and decides the last
-two by hashing their sign-normalised primitive directions modulo the prefix
-span into buckets, the degeneracy-testing view of Gajentaan and Overmars. For
-k = 1 the prefix is empty: a collinear triple (3,) or two disjoint parallel
-chords (2, 2), in O(n^2) expected time. The patterns of one k are searched
-together: those that place the same prefixes share one walk over them, and
-each prefix's keys are computed once for all of them and dropped with the
-prefix. A walk places only prefixes that a tail can complete: the first
-point of each prefix group leaves room above it for the family points that
-must lie there (its own later points, the groups ordered above it, and the
-fewest tail points that any of the walk's patterns puts above the last
-group), and a pattern's tail runs only when its free points can hold it. A
-pruned prefix has no tail, so the same search, one path for every k, returns
-the lexicographically first family that a depth-first search over all k + 1
-vectors would find.
+two by hashing their directions modulo the prefix span into buckets, the
+degeneracy-testing view of Gajentaan and Overmars. Each prefix maps the
+points its tails reach once, by the span's quotient map
+(IncrementalSpan.image), and keys the vector from point b to point m by
+image(p_m) - image(p_b), divided by its gcd and sign-normalised; a tail whose
+keys are all distinct is rejected by comparing the size of their set with
+their number, and only a repeat runs the ordered scan for the
+lexicographically first family. For k = 1 the prefix is empty: a collinear
+triple (3,) or two disjoint parallel chords (2, 2), in O(n^2) expected time.
+The patterns of one k are searched together: those that place the same
+prefixes share one walk over them, and each prefix's keys are computed once
+for all of them and dropped with the prefix. A walk places only prefixes that
+a tail can complete: the first point of each prefix group leaves room above
+it for the family points that must lie there (its own later points, the
+groups ordered above it, and the fewest tail points that any of the walk's
+patterns puts above the last group), and a pattern's tail runs only when its
+free points can hold it. A pruned prefix has no tail, so the same search, one
+path for every k, returns the lexicographically first family that a
+depth-first search over all k + 1 vectors would find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat, starmap
 from math import gcd
 
 from .errors import InputError, OracleGuardError
@@ -357,8 +362,11 @@ def _two_members(group: tuple[int, ...], free: list[int], key):
     """The group extended by its first two later members whose vectors are
     parallel modulo the span, or None."""
     base, after = group[0], group[-1]
-    hit = _first_collision((key(base, m), m) for m in free if m > after)
-    return None if hit is None else group + hit
+    members = [m for m in free if m > after]
+    keys = list(map(key, repeat(base, len(members)), members))
+    if len(set(keys)) == len(keys):  # no key repeats: no scan
+        return None
+    return group + _first_collision(zip(keys, members))
 
 
 def _first_member_and_chord(members, chords):
@@ -414,14 +422,20 @@ def _tail(sizes: tuple[int, ...], prefix, free: list[int], key):
             if group is not None:
                 return prefix + (group,)
         return None
-    chords = ((key(i, j), (i, j)) for i, j in combinations(free, 2))
+    keys = list(starmap(key, combinations(free, 2)))
     if head[-1] == 2:
-        hit = _first_collision(chords)
-        return None if hit is None else prefix + hit
+        if len(set(keys)) == len(keys):
+            return None
+        return prefix + _first_collision(zip(keys, combinations(free, 2)))
     *groups, group = prefix
-    members = ((key(group[0], m), m) for m in free if m > group[-1])
-    hit = _first_member_and_chord(members, chords)
-    return None if hit is None else (*groups, group + (hit[0],), hit[1])
+    members = [m for m in free if m > group[-1]]
+    member_keys = list(map(key, repeat(group[0], len(members)), members))
+    if set(member_keys).isdisjoint(keys):
+        return None
+    member, chord = _first_member_and_chord(
+        zip(member_keys, members), zip(keys, combinations(free, 2))
+    )
+    return (*groups, group + (member,), chord)
 
 
 def _first_violation(
@@ -450,13 +464,15 @@ def _first_violation(
     place the same prefixes, apart from the order of groups of equal size,
     so they share one walk. It orders only the groups that every one of
     them orders, and a pattern skips the prefixes out of its own order. Each
-    prefix computes its keys once (into a dict dropped with the prefix, when
-    the walk has more than one pattern) and runs the tail of every live
-    pattern in canonical order, each on its own free indices when they can
-    hold it; the walk skips prefixes that leave too few indices for the
-    fewest tail points among its patterns (see _prefixes). A pattern that
-    hits is dropped with every later one, while earlier ones walk on,
-    so the earliest pattern with a violation wins with its first family.
+    prefix maps each point its tails reach once (into a list dropped with
+    the prefix), computes its keys once (into a dict dropped with the
+    prefix, when the walk has more than one pattern) and runs the tail of
+    every live pattern in canonical order, each on its own free indices
+    when they can hold it; the walk skips prefixes that leave too few
+    indices for the fewest tail points among its patterns (see _prefixes).
+    A pattern that hits is dropped with every later one, while earlier ones
+    walk on, so the earliest pattern with a violation wins with its first
+    family.
     Walks run in the order of their first patterns, so once a walk has no
     live pattern, no later one has. Before the winner hits, a later pattern
     may hit on items that share a point: that completes a family of an
@@ -472,25 +488,32 @@ def _first_violation(
         )
     best, family = len(patterns), None
     span = IncrementalSpan(table.dimension)
-    residual = span.residual
+    image, points = span.image, table.points
+    zeros = [0] * table.dimension
 
     def reduced(b: int, m: int) -> tuple[int, ...]:
-        """The direction of table[b][m] modulo the prefix span: its
-        residual, signed by the table's rule. The table row is primitive, and
-        so is the residual once an elimination step has run, so the key is
-        unique to the direction. The search keys only rows independent of
-        the prefix span, so the residual is never zero."""
+        """The direction of p_m - p_b modulo the prefix span: the difference
+        of the two points' images under the span's quotient map, divided by
+        the gcd of its entries and signed so that its first non-zero entry
+        is positive. The map is linear with the span as its kernel, so the
+        key is unique to the direction modulo the span. The search keys
+        only vectors independent of the prefix span, so it is never zero."""
         slot = b * n + m
         direction = keys.get(slot)
         if direction is None:
-            row = residual(table[b][m])
-            for x in row:
-                if x:
-                    break
-            direction = tuple(row) if x > 0 else tuple(-y for y in row)
+            head, tip = images[b] or point_image(b), images[m] or point_image(m)
+            row = [x - y for x, y in zip(tip, head)]
+            g = gcd(*row)
+            if row < zeros:
+                g = -g
+            direction = tuple(row) if g == 1 else tuple([x // g for x in row])
             if store:
                 keys[slot] = direction
         return direction
+
+    def point_image(i: int) -> list[int]:
+        images[i] = row = image(points[i])
+        return row
 
     def entry(b: int, m: int) -> tuple[int, ...]:
         return table[b][m]
@@ -509,6 +532,7 @@ def _first_violation(
         for prefix, used in _prefixes(table, counts, order, tail, span):
             if members[0][0] >= best:
                 return family
+            images = [None] * n  # point images under this prefix's span
             if store:
                 keys = {}
             for index, sizes, equal, above, joined, size in members:

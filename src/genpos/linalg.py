@@ -7,11 +7,14 @@ an integer argument. Rows reach the program along one of two routes:
 rational_rows turns them into tuples of fractions.Fraction, and lattice
 scales them by the lcm of their denominators onto integer rows without
 building a Fraction, which is how a Configuration holds its points. Rank and
-span membership are computed by IncrementalSpan on integer rows only: its
-residual, fraction-free integer elimination, is the one elimination step,
-and rational vectors reach it through lattice. Determinants use the Bareiss
-pivoting scheme; Gram matrices give an independent route to linear
-independence, kept separate so the two can cross-check each other.
+span membership are computed by IncrementalSpan on integer rows only, and
+all elimination is there: residual, fraction-free integer elimination with
+gcd division, reduces a row modulo the span, and image takes the same steps
+without the division, a linear quotient map by the span whose differences
+key directions in the decide search. Rational vectors reach it through
+lattice. Determinants use the Bareiss pivoting scheme; Gram matrices give an
+independent route to linear independence, kept separate so the two can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -212,6 +215,12 @@ class IncrementalSpan:
     mutates its argument, so callers may share cached rows. A stored row is
     primitive (the gcd of its entries is 1) if at least one elimination step
     ran on it; otherwise it is stored as given.
+
+    Elimination is defined here only: residual reduces one row modulo the
+    span (add_row and geometry.fibers use it), and image maps rows linearly
+    onto the quotient by the span, so that the decide search keys the
+    direction from point b to point m by image(p_m) - image(p_b), one
+    elimination per point rather than one per pair.
     """
 
     __slots__ = ("dimension", "rows")
@@ -227,7 +236,7 @@ class IncrementalSpan:
     def residual(self, row: list[int]) -> list[int]:
         """The integer row reduced modulo the span, zero in every pivot column.
 
-        This is the one elimination step of the program. Each step scales by
+        With image, this is the program's elimination. Each step scales by
         a non-zero integer and divides by a gcd, so the result is a non-zero
         multiple of the unique vector of row + span that vanishes in the
         pivot columns: two rows are parallel modulo the span iff their
@@ -242,6 +251,28 @@ class IncrementalSpan:
                 g = math.gcd(*row)
                 if g > 1:
                     row = [x // g for x in row]
+        return row
+
+    def image(self, row: list[int]) -> list[int]:
+        """The integer row under the span's quotient map, pivot columns dropped.
+
+        The map takes each elimination step of residual without its gcd
+        division, and also where the row's pivot entry is zero, where the
+        step only scales by the pivot. So every row is scaled by the same
+        product of pivots, and the map is linear: image(a) - image(b) is
+        image(a - b), a non-zero multiple of residual(a - b) without its
+        pivot columns, which are zero there. Its kernel is exactly the span.
+        The argument is not changed.
+        """
+        row = list(row)
+        for p, base in self.rows:
+            f_row, f_base = row[p], base[p]
+            if f_row:
+                row = [f_base * a - f_row * b for a, b in zip(row, base)]
+            else:
+                row = [f_base * a for a in row]
+        for p in sorted([p for p, _ in self.rows], reverse=True):
+            del row[p]
         return row
 
     def add_row(self, row: list[int]) -> bool:

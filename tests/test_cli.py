@@ -515,3 +515,23 @@ class TestSelftest:
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout == "False\n"
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_keeps_the_exit_code(self):
+        # A stage-12 Cantor graph is about 400 kB of JSON, more than a pipe
+        # holds, so the CLI is still writing when the reader goes away, as
+        # with `genpos generate cantor-graph --stage 12 | head -c 10`.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "genpos.cli", "generate", "cantor-graph",
+             "--stage", "12"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""

@@ -14,9 +14,10 @@ subset scan.
 """
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -36,6 +37,7 @@ from genpos import (
     vector_sub,
     verdict_to_json,
 )
+from genpos import genericity
 from genpos.genericity import Verdict, _build_certificate, _engine_patterns
 from genpos.linalg import IncrementalSpan, primitive_row
 from genpos.selftest import grid_configuration
@@ -296,6 +298,91 @@ CORPORA = {
 def test_buckets_match_search_byte_for_byte(name):
     corpus = CORPORA[name]()
     assert _mismatches(corpus) == []
+
+
+def _high_dimension_corpus():
+    """Generic sets of 8 or 9 points in dimensions 6 to 8, and each with the
+    last pattern of a k of 5 or 6 that fits it planted, under seeded affine
+    maps. Here the prefix spans are deepest, so point images, taken without
+    gcd division, have their largest entries."""
+    rng = SplitMix64(6868)
+    out = []
+    for n, dim, k in ((9, 6, 5), (8, 7, 5), (8, 8, 6)):
+        generic = random_configuration(n, dim, 10**6, 600 + dim)
+        pattern = [p for p in minimal_patterns(k, dim) if sum(p.sizes) <= n][-1]
+        planted = None
+        while planted is None:
+            planted = _plant(rng, generic, pattern)
+        out += [_affine_image(rng, generic), _affine_image(rng, planted)]
+    return out
+
+
+def test_high_dimension_sets_match_search_byte_for_byte():
+    corpus = _high_dimension_corpus()
+    assert {decide_all_projections(c).generic for c in corpus} == {True, False}
+    assert _mismatches(corpus) == []
+
+
+def _residual_key(span, row):
+    """The direction of the row modulo the span as the residual gives it,
+    divided by its gcd and signed so its first non-zero entry is positive."""
+    row = span.residual(row)
+    g = math.gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def _buckets(keyed):
+    """The items of (key, item) pairs grouped by key, as a sorted list."""
+    groups = {}
+    for key, item in keyed:
+        groups.setdefault(key, []).append(item)
+    return sorted(groups.values())
+
+
+SAME_BUCKET_CORPORA = {
+    "integer-core": integer_core_corpus,
+    "planted-patterns": _planted_patterns_corpus,
+    "small-denominator-3d": lambda: _small_denominator_spatial(3)[::10],
+    "small-denominator-4d": lambda: _small_denominator_spatial(4)[::10],
+}
+
+
+@pytest.mark.parametrize("name", list(SAME_BUCKET_CORPORA))
+def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
+    """On every fifth tail the search runs, the chords among its free points
+    and the vectors from the last prefix group's base fall into the same
+    buckets under the search's key, the difference of point images, as
+    under the residual of the difference modulo the prefix span."""
+    tail, calls, checked = genericity._tail, count(), []
+
+    def checking_tail(sizes, prefix, free, key):
+        if next(calls) % 5 == 0:
+            span = IncrementalSpan(config.dimension)
+            for group in prefix:
+                for m in group[1:]:
+                    span.add_row(_difference(group[0], m))
+            pairs = list(combinations(free, 2))
+            if prefix:
+                pairs += [(prefix[-1][0], m) for m in free if m > prefix[-1][0]]
+            engine = _buckets((key(i, j), (i, j)) for i, j in pairs)
+            reference = _buckets(
+                (_residual_key(span, _difference(i, j)), (i, j)) for i, j in pairs
+            )
+            assert engine == reference, (sizes, prefix, free)
+            checked.append(len(prefix))
+        return tail(sizes, prefix, free, key)
+
+    def _difference(b, m):
+        points = config.integer_points
+        return [x - y for x, y in zip(points[m], points[b])]
+
+    corpus = SAME_BUCKET_CORPORA[name]()
+    monkeypatch.setattr(genericity, "_tail", checking_tail)
+    for config in corpus:
+        decide_all_projections(config)
+    assert checked and max(checked) >= 1
 
 
 def test_corpora_reach_both_k1_patterns():

@@ -275,3 +275,78 @@ def test_solve_linear_system_redundant_but_consistent():
 
 def test_solve_linear_system_inconsistent():
     assert solve_linear_system([(1, 1), (2, 2)], [3, 7]) is None
+
+
+# IncrementalSpan.image, the quotient map by the span. Small entries with
+# many zeros, so rows often have a zero entry in some pivot column: there the
+# map's step only scales the row, and skipping it would make the map fail to
+# be linear.
+small = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
+
+
+@st.composite
+def spans_and_rows(draw):
+    """A span in dimension 2..8 of up to N - 1 added rows, its rows, and two
+    more rows a and b, each either drawn freely or a combination of the
+    span's rows."""
+    dim = draw(st.integers(min_value=2, max_value=8))
+    row = st.lists(small, min_size=dim, max_size=dim)
+    added = draw(st.lists(row, max_size=dim - 1))
+    span = IncrementalSpan(dim)
+    for r in added:
+        span.add_row(r)
+
+    def probe():
+        if span.rows and draw(st.booleans()):
+            coeffs = draw(st.lists(small, min_size=span.rank, max_size=span.rank))
+            return [
+                sum(c * base[j] for c, (_, base) in zip(coeffs, span.rows))
+                for j in range(dim)
+            ]
+        return draw(row)
+
+    return span, probe(), probe()
+
+
+def _without_pivots(span, row):
+    pivots = {p for p, _ in span.rows}
+    return [x for j, x in enumerate(row) if j not in pivots]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_rows())
+def test_image_is_linear(case):
+    span, a, b = case
+    difference = [x - y for x, y in zip(span.image(a), span.image(b))]
+    assert difference == span.image([x - y for x, y in zip(a, b)])
+    assert len(difference) == span.dimension - span.rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_rows())
+def test_image_is_zero_exactly_on_the_span(case):
+    span, a, _ = case
+    kept = list(a)
+    assert any(span.image(a)) == any(span.residual(a))
+    assert a == kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_rows())
+def test_image_is_parallel_to_the_residual(case):
+    span, a, b = case
+    for row in (a, [x - y for x, y in zip(a, b)]):
+        assert _direction(span.image(row)) == _direction(
+            _without_pivots(span, span.residual(row))
+        )
+
+
+def test_image_scales_rows_with_a_zero_pivot_entry():
+    span = IncrementalSpan(3)
+    span.add_row([2, 1, 0])
+    # [0, 1, 1] has a zero in the pivot column, so the step scales it by 2,
+    # as it scales every other row: the images of [2, 2, 1] = [2, 1, 0] +
+    # [0, 1, 1] and of [0, 1, 1] agree, since [2, 1, 0] maps to zero.
+    assert span.image([2, 1, 0]) == [0, 0]
+    assert span.image([0, 1, 1]) == [2, 2]
+    assert span.image([2, 2, 1]) == [2, 2]
