@@ -23,10 +23,11 @@ those k - 1 vectors (the prefix) in lexicographic order and decides the last
 two by hashing their directions modulo the prefix span into buckets, the
 degeneracy-testing view of Gajentaan and Overmars. Each prefix maps the
 points its tails reach once, by the span's quotient map
-(IncrementalSpan.image), and keys the vector from point b to point m by
-image(p_m) - image(p_b), divided by its gcd and sign-normalised; a tail whose
-keys are all distinct is rejected by comparing the size of their set with
-their number, and only a repeat runs the ordered scan for the
+(IncrementalSpan.image, the program's one elimination, which also reduces
+each prefix vector the span stores), and keys the vector from point b to
+point m by image(p_m) - image(p_b), divided by its gcd and sign-normalised;
+a tail whose keys are all distinct is rejected by comparing the size of
+their set with their number, and only a repeat runs the ordered scan for the
 lexicographically first family. For k = 1 the prefix is empty: a collinear
 triple (3,) or two disjoint parallel chords (2, 2), in O(n^2) expected time.
 The patterns of one k are searched together: those that place the same

@@ -227,7 +227,7 @@ def fibers(config: Configuration, kernel: Subspace) -> FiberPartition:
     reps: list[Point] = []
     for i, p in enumerate(config.points):
         for ci, rep in enumerate(reps):
-            if not any(span.residual(_integer_row(vector_sub(p, rep)))):
+            if not any(span.image(_integer_row(vector_sub(p, rep)))):
                 classes[ci].append(i)
                 break
         else:

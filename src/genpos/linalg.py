@@ -7,14 +7,14 @@ an integer argument. Rows reach the program along one of two routes:
 rational_rows turns them into tuples of fractions.Fraction, and lattice
 scales them by the lcm of their denominators onto integer rows without
 building a Fraction, which is how a Configuration holds its points. Rank and
-span membership are computed by IncrementalSpan on integer rows only, and
-all elimination is there: residual, fraction-free integer elimination with
-gcd division, reduces a row modulo the span, and image takes the same steps
-without the division, a linear quotient map by the span whose differences
-key directions in the decide search. Rational vectors reach it through
-lattice. Determinants use the Bareiss pivoting scheme; Gram matrices give an
-independent route to linear independence, kept separate so the two can
-cross-check each other.
+span membership are computed by IncrementalSpan on integer rows only;
+rational vectors reach it through lattice. All elimination is there, in one
+method: image, fraction-free integer elimination without division, maps a
+row linearly onto the quotient by the span, so its kernel is exactly the
+span. It reduces each added row, and the differences of point images key
+directions in the decide search. Determinants use the Bareiss pivoting
+scheme; Gram matrices give an independent route to linear independence,
+kept separate so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -203,84 +203,65 @@ def primitive_row(row: list[int]) -> list[int]:
 class IncrementalSpan:
     """Integer rows in echelon form, grown one row at a time, with rollback.
 
-    `rows` holds (pivot column, row) pairs in the order the rows were added,
-    one list for the span's lifetime that callers may read but not change.
-    Each row is zero in the pivot columns of the rows added before it and
-    non-zero in its own pivot, the first column where it is non-zero. Rows
-    are never modified once stored, so a backtracking search snapshots with
-    mark(), the row count, and restores with rollback(), which truncates.
+    `rows` holds (pivot, row) pairs in the order the rows were added, one
+    list for the span's lifetime that callers may read but not change. Each
+    row is stored in the quotient coordinates of the rows before it: the
+    j-th row has dimension - j entries, is primitive (the gcd of its entries
+    is 1), and its pivot, an index within that quotient, is its first
+    non-zero entry. Rows are never modified once stored, so a backtracking
+    search snapshots with mark(), the row count, and restores with
+    rollback(), which truncates.
 
     Rows are integer sequences of the span's dimension, such as the rows of
     lattice; rational vectors go through lattice first. add_row never
-    mutates its argument, so callers may share cached rows. A stored row is
-    primitive (the gcd of its entries is 1) if at least one elimination step
-    ran on it; otherwise it is stored as given.
+    mutates its argument, so callers may share cached rows.
 
-    Elimination is defined here only: residual reduces one row modulo the
-    span (add_row and geometry.fibers use it), and image maps rows linearly
-    onto the quotient by the span, so that the decide search keys the
-    direction from point b to point m by image(p_m) - image(p_b), one
-    elimination per point rather than one per pair.
+    Elimination is defined here only, as image: the span's linear quotient
+    map. add_row stores the image of its row, geometry.fibers tests images
+    for zero, and the decide search keys the direction from point b to point
+    m by image(p_m) - image(p_b), one elimination per point rather than one
+    per pair.
     """
 
     __slots__ = ("dimension", "rows")
 
     def __init__(self, dimension: int):
         self.dimension = integer(dimension, "dimension", 1)
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def residual(self, row: list[int]) -> list[int]:
-        """The integer row reduced modulo the span, zero in every pivot column.
-
-        With image, this is the program's elimination. Each step scales by
-        a non-zero integer and divides by a gcd, so the result is a non-zero
-        multiple of the unique vector of row + span that vanishes in the
-        pivot columns: two rows are parallel modulo the span iff their
-        residuals are parallel. Zero iff the row lies in the span. The row
-        is returned as given if no step ran.
-        """
-        for p, base in self.rows:
-            f_row = row[p]
-            if f_row:
-                f_base = base[p]
-                row = [f_base * a - f_row * b for a, b in zip(row, base)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-        return row
-
     def image(self, row: list[int]) -> list[int]:
-        """The integer row under the span's quotient map, pivot columns dropped.
+        """The integer row under the span's quotient map, a new list of
+        dimension - rank entries.
 
-        The map takes each elimination step of residual without its gcd
-        division, and also where the row's pivot entry is zero, where the
-        step only scales by the pivot. So every row is scaled by the same
-        product of pivots, and the map is linear: image(a) - image(b) is
-        image(a - b), a non-zero multiple of residual(a - b) without its
-        pivot columns, which are zero there. Its kernel is exactly the span.
-        The argument is not changed.
+        Each stored (p, base) takes row to base[p] * row - row[p] * base and
+        drops entry p, which is then zero. The step runs also where row[p]
+        is zero, and there it only scales, so every row is scaled by the
+        same product of pivots and the map is linear: image(a) - image(b) is
+        image(a - b), two rows are parallel modulo the span iff their images
+        are parallel, and the kernel is exactly the span. The row's length
+        is not checked; the argument is not changed.
         """
         row = list(row)
         for p, base in self.rows:
             f_row, f_base = row[p], base[p]
-            if f_row:
-                row = [f_base * a - f_row * b for a, b in zip(row, base)]
-            else:
-                row = [f_base * a for a in row]
-        for p in sorted([p for p, _ in self.rows], reverse=True):
+            row = [f_base * a - f_row * b for a, b in zip(row, base)]
             del row[p]
         return row
 
     def add_row(self, row: list[int]) -> bool:
         """Add an integer row; returns True iff the rank grew."""
-        row = self.residual(row)
+        if len(row) != self.dimension:
+            raise InputError(
+                f"row: expected {self.dimension} coordinates, got {len(row)}"
+            )
+        row = self.image(row)
         for pivot, x in enumerate(row):
             if x:
-                self.rows.append((pivot, row))
+                self.rows.append((pivot, primitive_row(row)))
                 return True
         return False
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -504,6 +505,20 @@ class TestSelftest:
         assert doc["failed"] == 0
         assert doc["passed"] == len(doc["checks"])
         assert all(c["passed"] for c in doc["checks"])
+
+    def test_stdout_is_pinned_byte_for_byte(self):
+        # The battery is seeded, so its report is the same bytes on every
+        # run and every supported Python; a change to the engine that moves
+        # any verdict, witness or count in it changes this digest.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "genpos.cli", "selftest"],
+            env=env, capture_output=True, check=True,
+        )
+        assert hashlib.sha256(out.stdout).hexdigest() == (
+            "1677a746dbd0b0d373599090bff9dae9df02ffe145f02da53f118dae148903a4"
+        )
 
     def test_importing_the_cli_leaves_the_battery_unloaded(self):
         # Only `selftest` needs the battery, so `decide` does not pay for it.

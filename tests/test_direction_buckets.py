@@ -17,7 +17,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 
 import pytest
 
@@ -323,10 +323,50 @@ def test_high_dimension_sets_match_search_byte_for_byte():
     assert _mismatches(corpus) == []
 
 
-def _residual_key(span, row):
-    """The direction of the row modulo the span as the residual gives it,
-    divided by its gcd and signed so its first non-zero entry is positive."""
-    row = span.residual(row)
+def _det(matrix):
+    """Determinant by the Leibniz formula, a signed sum over permutations."""
+    n, total = len(matrix), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def _residual_map(dimension, spanned):
+    """The integer matrix of v -> det(A) v - G^T adj(A) G v, where the rows
+    of G are the independent integer rows spanned and A = G G^T is their
+    Gram matrix. By Cramer's rule on the normal equations this is det(A)
+    times v's orthogonal residual modulo the span, with det(A) > 0, and it
+    uses no elimination, so it is independent of IncrementalSpan."""
+    r = len(spanned)
+    gram = [[sum(a * b for a, b in zip(g, h)) for h in spanned] for g in spanned]
+    adj = [
+        [
+            (-1) ** (i + j)
+            * _det([row[:i] + row[i + 1:] for row in gram[:j] + gram[j + 1:]])
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+    det = _det(gram)
+    return [
+        [
+            det * (i == j)
+            - sum(
+                spanned[a][i] * adj[a][b] * spanned[b][j]
+                for a in range(r)
+                for b in range(r)
+            )
+            for j in range(dimension)
+        ]
+        for i in range(dimension)
+    ]
+
+
+def _residual_key(matrix, row):
+    """The direction of the row's image under the matrix, divided by its gcd
+    and signed so its first non-zero entry is positive."""
+    row = [sum(a * x for a, x in zip(line, row)) for line in matrix]
     g = math.gcd(*row)
     if next(x for x in row if x) < 0:
         g = -g
@@ -354,21 +394,20 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
     """On every fifth tail the search runs, the chords among its free points
     and the vectors from the last prefix group's base fall into the same
     buckets under the search's key, the difference of point images, as
-    under the residual of the difference modulo the prefix span."""
+    under the orthogonal residual of the difference modulo the prefix
+    span."""
     tail, calls, checked = genericity._tail, count(), []
 
     def checking_tail(sizes, prefix, free, key):
         if next(calls) % 5 == 0:
-            span = IncrementalSpan(config.dimension)
-            for group in prefix:
-                for m in group[1:]:
-                    span.add_row(_difference(group[0], m))
+            spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
+            matrix = _residual_map(config.dimension, spanned)
             pairs = list(combinations(free, 2))
             if prefix:
                 pairs += [(prefix[-1][0], m) for m in free if m > prefix[-1][0]]
             engine = _buckets((key(i, j), (i, j)) for i, j in pairs)
             reference = _buckets(
-                (_residual_key(span, _difference(i, j)), (i, j)) for i, j in pairs
+                (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
             )
             assert engine == reference, (sizes, prefix, free)
             checked.append(len(prefix))

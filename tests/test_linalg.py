@@ -185,7 +185,7 @@ def test_span_includes_stable_under_basis_rewrite(vectors, extra):
         for row in basis:
             span.add_row(row)
     assert spans[0].rank == spans[1].rank
-    assert any(spans[0].residual(probe)) == any(spans[1].residual(probe))
+    assert any(spans[0].image(probe)) == any(spans[1].image(probe))
 
 
 def test_incremental_span_rollback_restores_rank():
@@ -202,8 +202,8 @@ def test_incremental_span_rollback_restores_rank():
     span.rollback(mark)
     assert span.rank == 1
     assert span.rows == rows
-    assert not any(span.residual(twice_e1))
-    assert any(span.residual(e2))
+    assert not any(span.image(twice_e1))
+    assert any(span.image(e2))
 
 
 def test_incremental_span_integer_rows_match_rational_vectors():
@@ -211,15 +211,36 @@ def test_incremental_span_integer_rows_match_rational_vectors():
     span = IncrementalSpan(3)
     assert span.add_row([2, 4, 0])
     assert not span.add_row(third)
-    assert not any(span.residual(negative))
+    assert not any(span.image(negative))
     assert not span.add_row([-5, -10, 0])
     row = [0, 3, 6]
     assert span.add_row(row)
     assert row == [0, 3, 6]
     assert span.rank == 2
-    # Stored as given when no elimination step runs, primitive once one has.
+    # Each row is stored primitive, in the quotient coordinates of the rows
+    # before it, with its pivot taken within that quotient.
     assert span.add_row([1, 1, 1])
-    assert span.rows == [(0, [2, 4, 0]), (1, [0, 3, 6]), (2, [0, 0, 1])]
+    assert span.rows == [(0, [1, 2, 0]), (0, [1, 2]), (0, [1])]
+
+
+@pytest.mark.parametrize(
+    "dimension, rows",
+    [
+        (3, [[1, 2]]),
+        (2, [[0, 1, 7]]),
+        (2, [[1, 0], [0, 1], [1, 1, 1]]),
+        (1, [[]]),
+    ],
+)
+def test_add_row_refuses_rows_of_the_wrong_length(dimension, rows):
+    span = IncrementalSpan(dimension)
+    *good, bad = rows
+    for row in good:
+        span.add_row(row)
+    with pytest.raises(InputError, match=(
+        rf"^row: expected {dimension} coordinates, got {len(bad)}$"
+    )):
+        span.add_row(bad)
 
 
 def _direction(row) -> tuple[int, ...]:
@@ -253,9 +274,11 @@ def test_incremental_span_is_independent_of_insertion_order(vectors, rnd, data):
         kept = list(span.rows)
         for row in order[cut:]:
             span.add_row(row)
-        residual = span.residual(probe)
-        assert not any(residual[p] for p, _ in span.rows)
-        outcomes.append((span.rank, _direction(residual)))
+        # The image keeps the columns that are not pivots of the span's
+        # echelon form, a set fixed by the span, so its direction is too.
+        image = span.image(probe)
+        assert len(image) == dim - span.rank
+        outcomes.append((span.rank, _direction(image)))
         span.rollback(mark)
         assert span.rows == kept
     assert outcomes[0] == outcomes[1]
@@ -286,9 +309,9 @@ small = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
 
 @st.composite
 def spans_and_rows(draw):
-    """A span in dimension 2..8 of up to N - 1 added rows, its rows, and two
-    more rows a and b, each either drawn freely or a combination of the
-    span's rows."""
+    """A span in dimension 2..8 of up to N - 1 added rows, those rows, and
+    two more rows a and b, each either drawn freely or a combination of the
+    added rows."""
     dim = draw(st.integers(min_value=2, max_value=8))
     row = st.lists(small, min_size=dim, max_size=dim)
     added = draw(st.lists(row, max_size=dim - 1))
@@ -297,26 +320,29 @@ def spans_and_rows(draw):
         span.add_row(r)
 
     def probe():
-        if span.rows and draw(st.booleans()):
-            coeffs = draw(st.lists(small, min_size=span.rank, max_size=span.rank))
+        if added and draw(st.booleans()):
+            coeffs = draw(st.lists(small, min_size=len(added), max_size=len(added)))
             return [
-                sum(c * base[j] for c, (_, base) in zip(coeffs, span.rows))
-                for j in range(dim)
+                sum(c * r[j] for c, r in zip(coeffs, added)) for j in range(dim)
             ]
         return draw(row)
 
-    return span, probe(), probe()
+    return span, added, probe(), probe()
 
 
-def _without_pivots(span, row):
-    pivots = {p for p, _ in span.rows}
-    return [x for j, x in enumerate(row) if j not in pivots]
+def _in_span(generators, row) -> bool:
+    """Whether the row is a combination of the generators, by the Fraction
+    Gauss-Jordan elimination of solve_linear_system, independent of
+    IncrementalSpan."""
+    if not generators:
+        return not any(row)
+    return solve_linear_system(list(zip(*generators)), row) is not None
 
 
 @settings(max_examples=200, deadline=None)
 @given(spans_and_rows())
 def test_image_is_linear(case):
-    span, a, b = case
+    span, _, a, b = case
     difference = [x - y for x, y in zip(span.image(a), span.image(b))]
     assert difference == span.image([x - y for x, y in zip(a, b)])
     assert len(difference) == span.dimension - span.rank
@@ -325,20 +351,36 @@ def test_image_is_linear(case):
 @settings(max_examples=200, deadline=None)
 @given(spans_and_rows())
 def test_image_is_zero_exactly_on_the_span(case):
-    span, a, _ = case
+    span, added, a, _ = case
     kept = list(a)
-    assert any(span.image(a)) == any(span.residual(a))
+    assert any(span.image(a)) != _in_span(added, a)
     assert a == kept
 
 
 @settings(max_examples=200, deadline=None)
 @given(spans_and_rows())
-def test_image_is_parallel_to_the_residual(case):
-    span, a, b = case
-    for row in (a, [x - y for x, y in zip(a, b)]):
-        assert _direction(span.image(row)) == _direction(
-            _without_pivots(span, span.residual(row))
-        )
+def test_image_is_parallel_exactly_modulo_the_span(case):
+    # a and b are dependent modulo the span S iff a is in S or b is in
+    # S + <a>, and then, and only then, their images are parallel.
+    span, added, a, b = case
+    image_a, image_b = span.image(a), span.image(b)
+    parallel = all(
+        image_a[i] * image_b[j] == image_a[j] * image_b[i]
+        for i in range(len(image_a))
+        for j in range(i)
+    )
+    assert parallel == (_in_span(added, a) or _in_span([*added, a], b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_rows())
+def test_stored_rows_shrink_by_one_entry_per_rank_and_are_primitive(case):
+    span, added, _, _ = case
+    assert span.rank == rank(added)
+    for j, (pivot, row) in enumerate(span.rows):
+        assert len(row) == span.dimension - j
+        assert math.gcd(*row) == 1
+        assert row[pivot] and not any(row[:pivot])
 
 
 def test_image_scales_rows_with_a_zero_pivot_entry():
