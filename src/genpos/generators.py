@@ -133,8 +133,10 @@ def iterate_system(
 ) -> Configuration:
     """Apply every length-`stage` word of the system's maps to every seed.
 
-    Results are deduplicated exactly and sorted by coordinates; stage 0
-    returns the seeds unchanged.
+    The points are built level by level: each level is every map applied to
+    every point of the level before it, deduplicated exactly, so a point
+    reached by several words is mapped on once. The result is sorted by
+    coordinates; stage 0 returns the seeds unchanged.
     """
     integer(stage, "stage", 0)
     if seeds.dimension != system.dimension:
@@ -144,14 +146,10 @@ def iterate_system(
         )
     if stage == 0:
         return seeds
-    out: set[Point] = set()
-    for word in product(range(len(system.maps)), repeat=stage):
-        for seed in seeds.points:
-            x = seed
-            for index in word:
-                x = system.maps[index].apply(x)
-            out.add(x)
-    return Configuration(system.dimension, tuple(sorted(out)))
+    level: set[Point] = set(seeds.points)
+    for _ in range(stage):
+        level = {m.apply(x) for m in system.maps for x in level}
+    return Configuration(system.dimension, tuple(sorted(level)))
 
 
 def _distinct_draws(

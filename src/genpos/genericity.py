@@ -21,25 +21,30 @@ vectors of a family are independent, and a family violates iff its last two
 vectors are parallel modulo the span of the other k - 1. The search places
 those k - 1 vectors (the prefix) in lexicographic order and decides the last
 two by hashing their directions modulo the prefix span into buckets, the
-degeneracy-testing view of Gajentaan and Overmars. Each prefix maps the
-points its tails reach once, by the span's quotient map
-(IncrementalSpan.image, the program's one elimination, which also reduces
-each prefix vector the span stores), and keys the vector from point b to
-point m by image(p_m) - image(p_b), divided by its gcd and sign-normalised;
-a tail whose keys are all distinct is rejected by comparing the size of
-their set with their number, and only a repeat runs the ordered scan for the
-lexicographically first family. For k = 1 the prefix is empty: a collinear
-triple (3,) or two disjoint parallel chords (2, 2), in O(n^2) expected time.
-The patterns of one k are searched together: those that place the same
-prefixes share one walk over them, and each prefix's keys are computed once
-for all of them and dropped with the prefix. A walk places only prefixes that
-a tail can complete: the first point of each prefix group leaves room above
-it for the family points that must lie there (its own later points, the
-groups ordered above it, and the fewest tail points that any of the walk's
-patterns puts above the last group), and a pattern's tail runs only when its
-free points can hold it. A pruned prefix has no tail, so the same search, one
-path for every k, returns the lexicographically first family that a
-depth-first search over all k + 1 vectors would find.
+degeneracy-testing view of Gajentaan and Overmars. The search reads one
+input, the configuration's integer points. A prefix adds the plain
+differences p_m - p_b of its groups to an IncrementalSpan, which stores each
+as its primitive image (IncrementalSpan.image, the program's one
+elimination). Each prefix maps the points its tails reach once, by the
+span's quotient map, and keys the vector from point b to point m by
+image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
+of a stored row changes no key; a tail whose keys are all distinct is
+rejected by comparing the size of their set with their number, and only a
+repeat runs the ordered scan for the lexicographically first family. For
+k = 1 the prefix is empty and the keys are the primitive, sign-normalised
+differences themselves, built per base on first use by the k = 1 walk
+alone (_DifferenceRows): a collinear triple (3,) or two disjoint parallel
+chords (2, 2), in O(n^2) expected time. The patterns of one k are searched
+together: those that place the same prefixes share one walk over them, and
+each prefix's keys are computed once for all of them, on every walk, and
+dropped with the prefix. A walk places only prefixes that a tail can
+complete: the first point of each prefix group leaves room above it for the
+family points that must lie there (its own later points, the groups ordered
+above it, and the fewest tail points that any of the walk's patterns puts
+above the last group), and a pattern's tail runs only when its free points
+can hold it. A pruned prefix has no tail, so the same search, one path for
+every k, returns the lexicographically first family that a depth-first
+search over all k + 1 vectors would find.
 """
 
 from __future__ import annotations
@@ -243,33 +248,30 @@ def _build_certificate(
 
 
 class _DifferenceRows(dict):
-    """Directions of p_m - p_b for m > b, on the integer lattice.
+    """Directions of p_m - p_b for m > b, on the integer lattice: the k = 1
+    keys.
 
     table[b][m] is the difference row divided by the gcd of its entries and
     signed so that its first non-zero entry is positive, as a tuple; it is
-    defined for m > b (entries up to b are None). A k = 1 key is the entry
-    itself. The rows for a base are built together on first use and then
-    shared by every pattern and every visit; a base no search reaches costs
-    nothing.
+    defined for m > b (entries up to b are None). The rows for a base are
+    built together on first use and then shared by both k = 1 patterns; a
+    base the search does not reach costs nothing.
     """
 
-    __slots__ = ("dimension", "points")
+    __slots__ = ("points",)
 
-    def __init__(self, config: Configuration):
+    def __init__(self, points):
         super().__init__()
-        self.dimension = config.dimension
-        self.points = config.integer_points
+        self.points = points
 
     def __missing__(self, b: int) -> list[tuple[int, ...] | None]:
         base = self.points[b]
+        zeros = [0] * len(base)
         rows: list[tuple[int, ...] | None] = [None] * (b + 1)
         for p in self.points[b + 1:]:
             row = [x - y for x, y in zip(p, base)]  # non-zero: points differ
             g = gcd(*row)
-            for x in row:
-                if x:
-                    break
-            if x < 0:
+            if row < zeros:
                 g = -g
             rows.append(tuple(row) if g == 1 else tuple([y // g for y in row]))
         self[b] = rows
@@ -277,7 +279,7 @@ class _DifferenceRows(dict):
 
 
 def _prefixes(
-    table: _DifferenceRows,
+    points,
     counts: tuple[int, ...],
     equal: tuple[bool, ...],
     tail: int,
@@ -289,8 +291,9 @@ def _prefixes(
 
     Groups are increasing, and where equal[j] (groups j and j + 1 have equal
     sizes) group j + 1 starts above the first element of group j. `span`,
-    empty on entry, holds the vectors of the prefix drawn last: rows are
-    added and rolled back along the placement.
+    empty on entry, holds the vectors of the prefix drawn last: the plain
+    differences p_m - p_b of the integer points are added and rolled back
+    along the placement.
 
     need[j] is the number of family points that must lie above the first
     point of group j: its own counts[j] - 1 later points; where equal[j],
@@ -299,7 +302,7 @@ def _prefixes(
     first point. Those points are distinct, so group j's first point stops
     at n - need[j]: above it, fewer than need[j] indices are left.
     """
-    n = len(table.points)
+    n = len(points)
     used = [False] * n
     groups: list[list[int]] = []
     need = [0] * len(counts)
@@ -326,11 +329,11 @@ def _prefixes(
             above = j + 1 < len(counts) and equal[j]
             yield from place(j + 1, group[0] + 1 if above else 0)
             return
-        rows = table[group[0]]
+        base = points[group[0]]
         for m in range(start, n):
             if not used[m]:
                 mark = span.mark()
-                span.add_row(rows[m])
+                span.add_row([x - y for x, y in zip(points[m], base)])
                 used[m] = True
                 group.append(m)
                 yield from extend(j, m + 1)
@@ -440,7 +443,7 @@ def _tail(sizes: tuple[int, ...], prefix, free: list[int], key):
 
 
 def _first_violation(
-    patterns: list[DegeneracyPattern], table: _DifferenceRows
+    patterns: list[DegeneracyPattern], points
 ) -> tuple[tuple[int, ...], ...] | None:
     """Lexicographically first family of the first of the patterns, all of
     one k, that has k + 1 vectors spanning at most k dimensions, or None.
@@ -459,18 +462,20 @@ def _first_violation(
 
     A family is its prefix followed by its tail, so the first prefix that has
     a tail, with its first tail, is the first family. k = 1 is the empty
-    prefix: a collinear triple (3,) or two parallel chords (2, 2).
+    prefix: a collinear triple (3,) or two parallel chords (2, 2), keyed on
+    the difference table (_DifferenceRows), which only that walk builds.
 
+    `points` are the configuration's integer points, the search's one input.
     Patterns whose prefixes place the same number of points in each group
     place the same prefixes, apart from the order of groups of equal size,
     so they share one walk. It orders only the groups that every one of
     them orders, and a pattern skips the prefixes out of its own order. Each
     prefix maps each point its tails reach once (into a list dropped with
-    the prefix), computes its keys once (into a dict dropped with the
-    prefix, when the walk has more than one pattern) and runs the tail of
-    every live pattern in canonical order, each on its own free indices
-    when they can hold it; the walk skips prefixes that leave too few
-    indices for the fewest tail points among its patterns (see _prefixes).
+    the prefix), computes each key once (into a dict dropped with the
+    prefix, on every walk) and runs the tail of every live pattern in
+    canonical order, each on its own free indices when they can hold it;
+    the walk skips prefixes that leave too few indices for the fewest tail
+    points among its patterns (see _prefixes).
     A pattern that hits is dropped with every later one, while earlier ones
     walk on, so the earliest pattern with a violation wins with its first
     family.
@@ -479,7 +484,7 @@ def _first_violation(
     may hit on items that share a point: that completes a family of an
     earlier pattern, which therefore hits too.
     """
-    n = len(table.points)
+    n = len(points)
     walks: dict = {}
     for index, pattern in enumerate(patterns):
         counts, equal, above, joined = _plan(pattern.sizes)
@@ -488,9 +493,9 @@ def _first_violation(
             (index, pattern.sizes, equal, above, joined, size)
         )
     best, family = len(patterns), None
-    span = IncrementalSpan(table.dimension)
-    image, points = span.image, table.points
-    zeros = [0] * table.dimension
+    span = IncrementalSpan(len(points[0]))
+    image = span.image
+    zeros = [0] * span.dimension
 
     def reduced(b: int, m: int) -> tuple[int, ...]:
         """The direction of p_m - p_b modulo the prefix span: the difference
@@ -508,8 +513,7 @@ def _first_violation(
             if row < zeros:
                 g = -g
             direction = tuple(row) if g == 1 else tuple([x // g for x in row])
-            if store:
-                keys[slot] = direction
+            keys[slot] = direction
         return direction
 
     def point_image(i: int) -> list[int]:
@@ -524,18 +528,14 @@ def _first_violation(
         # Tail points above the first point of the prefix's last group: all
         # of them where the tail starts above it, else those that join it.
         tail = min(size if above else joined for *_, above, joined, size in members)
-        # An empty prefix (k = 1) keys on the table itself. Otherwise keys
-        # are kept for the prefix only when another pattern may read them:
-        # within one pattern's tail no key is computed twice.
+        if not counts:  # the empty prefix (k = 1) keys on the table
+            table = _DifferenceRows(points)
         key = reduced if counts else entry
-        store = len(members) > 1
-        keys = {}
-        for prefix, used in _prefixes(table, counts, order, tail, span):
+        for prefix, used in _prefixes(points, counts, order, tail, span):
             if members[0][0] >= best:
                 return family
             images = [None] * n  # point images under this prefix's span
-            if store:
-                keys = {}
+            keys = {}  # and its keys, for every pattern of the walk
             for index, sizes, equal, above, joined, size in members:
                 if index >= best:
                     break
@@ -559,16 +559,14 @@ def decide_all_projections(config: Configuration) -> Verdict:
     """Verdict over every projection kernel at once.
 
     Generic iff no family of disjoint groups has a deficient difference-vector
-    span. One-point configurations and dimension 1 are generic by vacuity
-    (no proper non-zero kernel or no admissible pattern exists). The search
-    and the certificate run on the configuration's integer lattice; only the
-    witness basis is built as rational vectors.
+    span. One-point configurations and dimension 1 are generic by vacuity:
+    no pattern fits them. The search and the certificate run on the
+    configuration's integer lattice; only the witness basis is built as
+    rational vectors.
     """
-    if config.dimension == 1 or len(config) == 1:
-        return Verdict(True)
-    table = _DifferenceRows(config)
+    points = config.integer_points
     for _, patterns in groupby(_engine_patterns(config), lambda p: p.k):
-        groups = _first_violation(list(patterns), table)
+        groups = _first_violation(list(patterns), points)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
@@ -611,8 +609,6 @@ def decide_all_projections_oracle(
         raise OracleGuardError(
             f"brute force refused: {n} points exceeds the guard of {max_points}"
         )
-    if config.dimension == 1 or n == 1:
-        return Verdict(True)
     if minimal_only:
         patterns = _engine_patterns(config)
     else:
@@ -641,10 +637,9 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     violating family of the single-group pattern (s,) with k = s - 2, and
     the decide search finds the first one.
     """
-    n = len(config)
-    table = _DifferenceRows(config)
+    n, points = len(config), config.integer_points
     for size in range(3, min(n, config.dimension + 1) + 1):
-        family = _first_violation([DegeneracyPattern(size - 2, (size,))], table)
+        family = _first_violation([DegeneracyPattern(size - 2, (size,))], points)
         if family is not None:
             return ClassicalReport(False, family[0])
     return ClassicalReport(True)

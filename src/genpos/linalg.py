@@ -287,13 +287,12 @@ def solve_linear_system(rows, rhs) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if the system is inconsistent.
 
     Free variables are set to zero, so rank-deficient but consistent systems
-    still produce a solution.
+    still produce a solution. rhs is checked as one row of rational cells,
+    one per row of the matrix.
     """
     matrix = [list(r) for r in rational_rows(rows, "rows")]
-    b = [as_rational(x) for x in rhs]
     m = len(matrix)
-    if m != len(b):
-        raise InputError(f"matrix has {m} rows but right side has {len(b)} entries")
+    (b,) = rational_rows((rhs,), "rhs", m)
     if m == 0:
         return []
     width = len(matrix[0])

@@ -2,10 +2,12 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from genpos import (
+    AffineMap,
     Configuration,
     InputError,
     PerturbationError,
@@ -16,6 +18,7 @@ from genpos import (
     configuration_to_json,
     decide_all_projections,
     hausdorff_sq,
+    IteratedFunctionSystem,
     iterate_system,
     perturb_to_generic,
     product_cantor_system,
@@ -77,6 +80,33 @@ class TestCantorGraph:
             cantor_graph_stage(0)
 
 
+def _system(dimension, maps):
+    """A system of affine maps, each given as (translation, matrix), where a
+    matrix given as one Fraction is that multiple of the identity."""
+    built = []
+    for translation, matrix in maps:
+        if isinstance(matrix, Fraction):
+            matrix = tuple(
+                tuple(matrix if i == j else F(0) for j in range(dimension))
+                for i in range(dimension)
+            )
+        built.append(AffineMap(matrix, translation))
+    return IteratedFunctionSystem(dimension, tuple(built))
+
+
+def _word_by_word(system, stage, seeds):
+    """Every length-stage word of the maps applied to every seed, one word
+    at a time, deduplicated and sorted: the definition iterate_system
+    follows level by level."""
+    out = set()
+    for word in product(range(len(system.maps)), repeat=stage):
+        for x in seeds.points:
+            for index in word:
+                x = system.maps[index].apply(x)
+            out.add(x)
+    return Configuration(system.dimension, tuple(sorted(out)))
+
+
 class TestIteratedSystem:
     def test_product_stage_one(self):
         system = product_cantor_system(2)
@@ -112,6 +142,60 @@ class TestIteratedSystem:
         system = product_cantor_system(2)
         with pytest.raises(InputError):
             iterate_system(system, 1, Configuration(3, ((0, 0, 0),)))
+
+    @pytest.mark.parametrize("stage", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_product_cantor_matches_word_by_word(self, dimension, stage):
+        system = product_cantor_system(dimension)
+        origin = Configuration(dimension, ((0,) * dimension,))
+        config = iterate_system(system, stage, origin)
+        assert config == _word_by_word(system, stage, origin)
+        assert len(config) == 2 ** (dimension * stage)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    @pytest.mark.parametrize("system, seeds", [
+        # Three halvings of [0, 1] whose images overlap.
+        (_system(1, [((0,), F(1, 2)), ((F(1, 4),), F(1, 2)),
+                     ((F(1, 2),), F(1, 2))]),
+         ((0,), (1,))),
+        # A rotation by a quarter turn and two halvings; the rotation maps
+        # the seed square onto itself, and it and a halving fix the origin.
+        (_system(2, [((0, 0), ((0, -1), (1, 0))),
+                     ((0, 0), F(1, 2)),
+                     ((F(1, 2), 0), F(1, 2))]),
+         ((0, 0), (1, 1), (-1, 1), (-1, -1), (1, -1))),
+    ])
+    def test_overlapping_maps_merge_points_as_word_by_word(self, system, seeds, stage):
+        seeds = Configuration(system.dimension, seeds)
+        config = iterate_system(system, stage, seeds)
+        assert config == _word_by_word(system, stage, seeds)
+        assert len(config) < len(system.maps) ** stage * len(seeds)
+
+    def test_each_level_maps_the_last_once(self, monkeypatch):
+        """Stage s applies every map to every point of levels 0..s-1, not
+        every word of length s to the seeds."""
+        system = product_cantor_system(2)
+        origin = Configuration(2, ((0, 0),))
+        applies = Counter()
+        apply = AffineMap.apply
+
+        def counting_apply(self, point):
+            applies["calls"] += 1
+            return apply(self, point)
+
+        monkeypatch.setattr(AffineMap, "apply", counting_apply)
+        iterate_system(system, 4, origin)
+        assert applies["calls"] == 4 * (1 + 4 + 16 + 64)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 5, 7])
+    def test_two_map_system_gives_the_cantor_graph(self, stage):
+        # (x, y) -> (x/3, y/2) and (x/3 + 2/3, y/2 + 1/2) from (0,0), (1,1).
+        system = _system(2, [
+            ((0, 0), ((F(1, 3), 0), (0, F(1, 2)))),
+            ((F(2, 3), F(1, 2)), ((F(1, 3), 0), (0, F(1, 2)))),
+        ])
+        seeds = Configuration(2, ((0, 0), (1, 1)))
+        assert iterate_system(system, stage, seeds) == cantor_graph_stage(stage)
 
 
 class TestRandomConfiguration:

@@ -300,6 +300,14 @@ def test_solve_linear_system_inconsistent():
     assert solve_linear_system([(1, 1), (2, 2)], [3, 7]) is None
 
 
+@pytest.mark.parametrize("rhs", ["34", 5, [1, "x"], [1, 2.5], [1, 2, 3], [1]])
+def test_solve_linear_system_checks_rhs_as_one_row(rhs):
+    # A string was read digit by digit and an int raised TypeError; a bad
+    # cell or a wrong length did not name rhs.
+    with pytest.raises(InputError, match=r"^rhs\b"):
+        solve_linear_system([[1, 0], [0, 1]], rhs)
+
+
 # IncrementalSpan.image, the quotient map by the span. Small entries with
 # many zeros, so rows often have a zero entry in some pivot column: there the
 # map's step only scales the row, and skipping it would make the map fail to

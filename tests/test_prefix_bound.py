@@ -24,7 +24,7 @@ from genpos import (
     rank,
 )
 from genpos import genericity
-from genpos.genericity import _canonical_families, _DifferenceRows, _plan, _prefixes
+from genpos.genericity import _canonical_families, _plan, _prefixes
 from genpos.linalg import IncrementalSpan
 from test_direction_buckets import _affine_image, _reference_verdict, _verdict_json
 
@@ -37,13 +37,13 @@ def _recorded_walks(monkeypatch, n, dimension):
     calls, walks = [], []
     first_violation, prefixes = genericity._first_violation, genericity._prefixes
 
-    def record_first_violation(patterns, table):
+    def record_first_violation(patterns, points):
         calls.append(patterns)
-        return first_violation(patterns, table)
+        return first_violation(patterns, points)
 
-    def record_prefixes(table, counts, equal, tail, span):
+    def record_prefixes(points, counts, equal, tail, span):
         walks.append((calls[-1], counts, equal, tail))
-        return prefixes(table, counts, equal, tail, span)
+        return prefixes(points, counts, equal, tail, span)
 
     monkeypatch.setattr(genericity, "_first_violation", record_first_violation)
     monkeypatch.setattr(genericity, "_prefixes", record_prefixes)
@@ -61,12 +61,12 @@ def test_bounded_walks_place_every_prefix_of_every_family(monkeypatch, dimension
     for n in range(3, 10):
         config, walks = _recorded_walks(monkeypatch, n, dimension)
         assert walks
-        table = _DifferenceRows(config)
+        points = config.integer_points
         for patterns, counts, equal, tail in walks:
             placed = {
                 prefix
                 for prefix, _ in _prefixes(
-                    table, counts, equal, tail, IncrementalSpan(dimension)
+                    points, counts, equal, tail, IncrementalSpan(dimension)
                 )
             }
             members = [p for p in patterns if _plan(p.sizes)[0] == counts]
@@ -147,8 +147,8 @@ def test_two_chord_walk_places_fifty_five_prefixes(monkeypatch):
     placed, tails = [], []
     prefixes, tail = genericity._prefixes, genericity._tail
 
-    def record_prefixes(table, counts, equal, tail_points, span):
-        for prefix, used in prefixes(table, counts, equal, tail_points, span):
+    def record_prefixes(points, counts, equal, tail_points, span):
+        for prefix, used in prefixes(points, counts, equal, tail_points, span):
             if counts == (2, 2):
                 placed.append(prefix)
             yield prefix, used
