@@ -39,7 +39,7 @@ from .geometry import (
     subspace_check_to_json,
     subspace_from_json,
 )
-from .linalg import as_rational, integer
+from .linalg import integer
 from .metric import hausdorff_sq
 
 
@@ -146,9 +146,8 @@ def _cmd_generate(args) -> tuple[int, str, str]:
 
 def _cmd_perturb(args) -> tuple[int, str, str]:
     config = _load_config(args.config)
-    epsilon = as_rational(args.epsilon)
     try:
-        out = perturb_to_generic(config, epsilon, args.seed, args.max_attempts)
+        out = perturb_to_generic(config, args.epsilon, args.seed, args.max_attempts)
     except PerturbationError as exc:
         payload = {
             "error": "max attempts exhausted",

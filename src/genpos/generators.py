@@ -1,4 +1,5 @@
-"""Deterministic producers of instructive configurations.
+"""Deterministic producers of instructive configurations, each computed as
+integer rows over one denominator and handed to Configuration._on_lattice.
 
 Randomness comes from SplitMix64 (Steele, Lea and Flood's 64-bit mixer) with
 unbiased bounded sampling by rejection. The algorithm is part of the external
@@ -8,14 +9,15 @@ every release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .errors import InputError, PerturbationError
 from .genericity import decide_all_projections
-from .geometry import Configuration, Point
-from .linalg import Vector, as_rational, integer, rational_rows
+from .geometry import Configuration
+from .linalg import integer, lattice, rational_pair
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,51 +48,31 @@ class SplitMix64:
                 return draw % bound
 
 
-def cantor_graph_stage(stage: int) -> Configuration:
-    """Endpoints of the middle-thirds gaps removed through `stage`, paired
-    with the plateau value the Cantor function takes there, plus (0,0) and
-    (1,1). Points are ordered by x.
-
-    Stage n has 2 + 2*(2^n - 1) points; every plateau value appears twice.
-    """
-    integer(stage, "stage", 1)
-    points: list[Point] = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
-    intervals: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
-    for s in range(1, stage + 1):
-        nxt: list[tuple[Fraction, Fraction]] = []
-        for i, (a, b) in enumerate(intervals):
-            third = (b - a) / 3
-            left, right = a + third, b - third
-            y = Fraction(2 * i + 1, 2**s)
-            points.append((left, y))
-            points.append((right, y))
-            nxt.append((a, left))
-            nxt.append((right, b))
-        intervals = nxt
-    points.sort(key=lambda p: p[0])
-    return Configuration(2, tuple(points))
-
-
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> Mx + t with rational matrix M and translation t."""
+    """x -> (Ax + c) / D with integer A and c, built from a rational matrix
+    and translation: D is the lcm of all their denominators."""
 
-    matrix: tuple[Vector, ...]
-    translation: Vector
+    matrix: tuple[tuple[int, ...], ...]
+    translation: tuple[int, ...]
+    denominator: int = field(init=False)
 
     def __post_init__(self):
-        (t,) = rational_rows((self.translation,), "translation")
+        # The translation is checked alone first, so that its errors name it.
+        _, (t,) = lattice((self.translation,), "translation")
         n = len(t)
-        rows = rational_rows(self.matrix, "matrix", n)
+        den, (*rows, t) = lattice((*self.matrix, self.translation), "matrix", n)
         if len(rows) != n:
             raise InputError(f"matrix: expected {n}x{n} to match the translation")
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "matrix", tuple(rows))
         object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "denominator", den)
 
-    def apply(self, point: Point) -> Point:
+    def apply(self, row, scale: int) -> tuple[int, ...]:
+        """The image of the point row / scale, as a row over D * scale."""
         return tuple(
-            sum((m * x for m, x in zip(row, point)), Fraction(0)) + t
-            for row, t in zip(self.matrix, self.translation)
+            sum(a * x for a, x in zip(arow, row)) + t * scale
+            for arow, t in zip(self.matrix, self.translation)
         )
 
 
@@ -133,10 +115,10 @@ def iterate_system(
 ) -> Configuration:
     """Apply every length-`stage` word of the system's maps to every seed.
 
-    The points are built level by level: each level is every map applied to
-    every point of the level before it, deduplicated exactly, so a point
-    reached by several words is mapped on once. The result is sorted by
-    coordinates; stage 0 returns the seeds unchanged.
+    The points are built level by level: each level is every map applied
+    to every point of the last, as integer rows over one denominator, so
+    equal points merge exactly and each is mapped on once. The result is
+    sorted by coordinates; stage 0 returns the seeds unchanged.
     """
     integer(stage, "stage", 0)
     if seeds.dimension != system.dimension:
@@ -146,10 +128,29 @@ def iterate_system(
         )
     if stage == 0:
         return seeds
-    level: set[Point] = set(seeds.points)
+    den = math.lcm(*(m.denominator for m in system.maps))
+    scale, level = seeds.denominator, set(seeds.integer_points)
     for _ in range(stage):
-        level = {m.apply(x) for m in system.maps for x in level}
-    return Configuration(system.dimension, tuple(sorted(level)))
+        level = {
+            tuple(den // m.denominator * x for x in m.apply(row, scale))
+            for m in system.maps for row in level
+        }
+        scale *= den
+    return Configuration._on_lattice(system.dimension, scale, sorted(level))
+
+
+def cantor_graph_stage(stage: int) -> Configuration:
+    """The stage of (x, y) -> (x/3, y/2), (x/3 + 2/3, y/2 + 1/2) from (0,0)
+    and (1,1): those two and the endpoints of the middle-thirds gaps removed
+    so far, each at the Cantor function's plateau value, ordered by x.
+
+    Stage n has 2 + 2*(2^n - 1) points; every plateau value appears twice.
+    """
+    integer(stage, "stage", 1)
+    shrink = (("1/3", 0), (0, "1/2"))
+    maps = (AffineMap(shrink, (0, 0)), AffineMap(shrink, ("2/3", "1/2")))
+    seeds = Configuration(2, ((0, 0), (1, 1)))
+    return iterate_system(IteratedFunctionSystem(2, maps), stage, seeds)
 
 
 def _distinct_draws(
@@ -157,7 +158,8 @@ def _distinct_draws(
 ) -> list[tuple[int, ...]]:
     """count pairwise-distinct tuples of dimension integers uniform in
     0..top, drawn in order; a tuple equal to an earlier one is redrawn."""
-    if (top + 1) ** dimension < count:
+    # 2 or more values per axis give count points from count.bit_length() axes
+    if (top < 1 or dimension < count.bit_length()) and (top + 1) ** dimension < count:
         raise InputError(
             f"count: the grid has only {(top + 1) ** dimension} "
             f"distinct points, fewer than {count}"
@@ -185,20 +187,18 @@ def random_configuration(
     integer(dimension, "dimension", 1)
     integer(denominator, "denominator", 2)
     draws = _distinct_draws(SplitMix64(seed), count, dimension, denominator)
-    return Configuration(
-        dimension, tuple(tuple(Fraction(x, denominator) for x in p) for p in draws)
-    )
+    return Configuration._on_lattice(dimension, denominator, draws)
 
 
 _OFFSET_GRID = 1 << 16
 
 
-def _ball_offset(rng: SplitMix64, dimension: int, step: Fraction) -> Vector:
+def _ball_offset(rng: SplitMix64, dimension: int) -> list[int]:
     # uniform on the integer grid inside the radius-2^16 ball, by rejection
     while True:
         cells = [rng.below(2 * _OFFSET_GRID + 1) - _OFFSET_GRID for _ in range(dimension)]
         if sum(c * c for c in cells) <= _OFFSET_GRID * _OFFSET_GRID:
-            return tuple(step * c for c in cells)
+            return cells
 
 
 def perturb_to_generic(
@@ -208,26 +208,29 @@ def perturb_to_generic(
 
     Offsets are drawn from the rational grid of spacing epsilon/2^16 inside
     the epsilon-ball, so the squared distance moved is at most epsilon^2 and
-    all arithmetic stays exact. Raises PerturbationError, carrying the last
+    all arithmetic stays exact, on integer rows over lcm(denominator, 2^16 q)
+    for epsilon = p/q. Raises PerturbationError, carrying the last
     certificate seen, once max_attempts candidates failed.
     """
-    eps = as_rational(epsilon)
-    if eps <= 0:
+    try:
+        p, q = rational_pair(epsilon)
+    except InputError as exc:
+        raise InputError(f"epsilon: {exc}") from None
+    if p <= 0:
         raise InputError("epsilon: must be positive")
     integer(max_attempts, "max_attempts", 1)
-    rng = SplitMix64(seed)
-    step = eps / _OFFSET_GRID
+    rng, dim = SplitMix64(seed), config.dimension
+    den = math.lcm(config.denominator, q * _OFFSET_GRID)
+    scale, step = den // config.denominator, p * (den // (q * _OFFSET_GRID))
     last_certificate = None
     for _ in range(max_attempts):
         moved = [
-            tuple(x + d for x, d in zip(p, _ball_offset(rng, config.dimension, step)))
-            for p in config.points
+            tuple(scale * x + step * d for x, d in zip(row, _ball_offset(rng, dim)))
+            for row in config.integer_points
         ]
-        # keyed on integer pairs: hashing a Fraction costs a modular inverse
-        distinct = {tuple((x.numerator, x.denominator) for x in p) for p in moved}
-        if len(distinct) < len(moved):
+        if len(set(moved)) < len(moved):
             continue
-        candidate = Configuration(config.dimension, tuple(moved), config.labels)
+        candidate = Configuration._on_lattice(dim, den, moved, config.labels)
         verdict = decide_all_projections(candidate)
         if verdict.generic:
             return candidate

@@ -6,9 +6,9 @@ their difference lies in H. The per-kernel check asks, with k = dim H, that
 every non-degenerate fiber has at most k+1 affinely independent points and
 that the fiber sizes do not overshoot k in total.
 
-A Configuration holds its points on the integer lattice built by
-linalg.lattice, which the loader fills straight from the JSON cells; the
-Fraction points are derived from it only when something reads them.
+A Configuration holds its points on the integer lattice, filled by
+linalg.lattice from JSON cells or by Configuration._on_lattice from the
+generators' integer rows. Its JSON and its Fraction points come from it.
 """
 
 from __future__ import annotations
@@ -68,9 +68,24 @@ class Configuration:
                 raise InputError(
                     f"labels: expected {len(rows)} entries, got {len(labels)}"
                 )
+        self._fill(dimension, den, rows, labels)
+
+    @classmethod
+    def _on_lattice(cls, dimension: int, denominator: int, rows, labels=None):
+        """The points row / denominator, unchecked, for producers that hold
+        distinct integer rows over one positive denominator. Dividing all of
+        them by their gcd leaves the lcm of the reduced denominators."""
+        g = math.gcd(denominator, *(x for row in rows for x in row))
+        if g > 1:
+            rows = [tuple(x // g for x in row) for row in rows]
+        self = object.__new__(cls)
+        self._fill(dimension, denominator // g, tuple(rows), labels)
+        return self
+
+    def _fill(self, dimension, denominator, rows, labels):
         init = object.__setattr__
         init(self, "dimension", dimension)
-        init(self, "denominator", den)
+        init(self, "denominator", denominator)
         init(self, "integer_points", rows)
         init(self, "labels", labels)
         init(self, "_points", None)
@@ -298,10 +313,9 @@ def configuration_from_json(obj) -> Configuration:
 
 
 def configuration_to_json(config: Configuration) -> dict:
-    out = {
-        "dimension": config.dimension,
-        "points": [[str(c) for c in p] for p in config.points],
-    }
+    den = config.denominator
+    points = [[str(Fraction(x, den)) for x in row] for row in config.integer_points]
+    out = {"dimension": config.dimension, "points": points}
     if config.labels is not None:
         out["labels"] = list(config.labels)
     return out

@@ -13,6 +13,7 @@ from genpos import (
     Configuration,
     configuration_from_json,
     configuration_to_json,
+    decide_all_projections,
     random_configuration,
 )
 from genpos import cli
@@ -106,6 +107,47 @@ class TestDecide:
                 },
                 indent=2,
             )
+
+
+class TestProducersStayOnTheLattice:
+    """generate and perturb compute on the integer lattice and format their
+    JSON from it: no run reads the rational points, whatever its exit."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads = []
+        points = Configuration.points
+        monkeypatch.setattr(
+            Configuration,
+            "points",
+            property(lambda self: reads.append(1) or points.fget(self)),
+        )
+        return reads
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cantor-graph", "--stage", "4"],
+            ["product-cantor", "--stage", "2", "--dim", "3"],
+            ["product-cantor", "--stage", "0", "--dim", "2"],
+            ["random", "--points", "9", "--dim", "3", "--denominator", "100", "--seed", "4"],
+        ],
+    )
+    def test_generate_reads_no_points(self, reads, argv):
+        result = run(["generate", *argv])
+        assert result.exit_code == 0 and result.payload
+        assert not reads
+
+    def test_perturb_reads_no_points(self, reads, fixture_files, monkeypatch):
+        argv = ["perturb", "-c", fixture_files["square"], "--epsilon", "1/100",
+                "--seed", "1", "--max-attempts", "2"]
+        assert run(argv).exit_code == 0
+        degenerate = decide_all_projections(Configuration(2, ((0, 0), (1, 1), (2, 2))))
+        monkeypatch.setattr(
+            "genpos.generators.decide_all_projections", lambda c: degenerate
+        )
+        assert run(argv).exit_code == 1
+        assert not reads
 
 
 class TestDecideOracle:
@@ -280,19 +322,20 @@ class TestPerturb:
         assert result.exit_code == 2
 
     def test_bad_epsilon(self, fixture_files):
-        result = run(
-            [
-                "perturb",
-                "-c",
-                fixture_files["square"],
-                "--epsilon",
-                "0",
-                "--seed",
-                "1",
-            ]
-        )
-        assert result.exit_code == 2
-        assert "epsilon" in result.diagnostics
+        for epsilon in ["0", "abc", "1.5", "1/0", ""]:
+            result = run(
+                [
+                    "perturb",
+                    "-c",
+                    fixture_files["square"],
+                    "--epsilon",
+                    epsilon,
+                    "--seed",
+                    "1",
+                ]
+            )
+            assert result.exit_code == 2, epsilon
+            assert result.diagnostics.startswith("error: epsilon: "), epsilon
 
 
 class TestHausdorff:

@@ -24,6 +24,7 @@ from genpos import (
     product_cantor_system,
     random_configuration,
 )
+from genpos.generators import _distinct_draws
 from genpos.selftest import grid_configuration
 
 F = Fraction
@@ -94,17 +95,73 @@ def _system(dimension, maps):
     return IteratedFunctionSystem(dimension, tuple(built))
 
 
+def _rational_apply(m, point):
+    """The map on a Fraction point, from its integer form (A, c) over D."""
+    return tuple(
+        (sum(a * x for a, x in zip(row, point)) + t) / m.denominator
+        for row, t in zip(m.matrix, m.translation)
+    )
+
+
 def _word_by_word(system, stage, seeds):
     """Every length-stage word of the maps applied to every seed, one word
-    at a time, deduplicated and sorted: the definition iterate_system
-    follows level by level."""
+    at a time in Fraction, deduplicated and sorted: the definition
+    iterate_system follows level by level on the lattice."""
     out = set()
     for word in product(range(len(system.maps)), repeat=stage):
         for x in seeds.points:
             for index in word:
-                x = system.maps[index].apply(x)
+                x = _rational_apply(system.maps[index], x)
             out.add(x)
     return Configuration(system.dimension, tuple(sorted(out)))
+
+
+def _cantor_by_intervals(stage):
+    """The Cantor graph stage built from its intervals: each gap removed at
+    step s, from the i-th interval left, gives its two endpoints at the
+    plateau value (2i + 1) / 2^s."""
+    points = [(F(0), F(0)), (F(1), F(1))]
+    intervals = [(F(0), F(1))]
+    for s in range(1, stage + 1):
+        nxt = []
+        for i, (a, b) in enumerate(intervals):
+            third = (b - a) / 3
+            left, right = a + third, b - third
+            y = F(2 * i + 1, 2**s)
+            points.append((left, y))
+            points.append((right, y))
+            nxt.append((a, left))
+            nxt.append((right, b))
+        intervals = nxt
+    points.sort(key=lambda p: p[0])
+    return Configuration(2, tuple(points))
+
+
+class TestAffineMap:
+    def test_holds_integer_matrix_and_translation_over_one_denominator(self):
+        m = AffineMap(((F(1, 3), 0), (0, "1/2")), ("2/3", F(1, 2)))
+        assert m.matrix == ((2, 0), (0, 3))
+        assert m.translation == (4, 3)
+        assert m.denominator == 6
+
+    def test_apply_maps_a_row_over_scale_to_a_row_over_d_times_scale(self):
+        m = AffineMap(((F(1, 3), 0), (0, "1/2")), ("2/3", F(1, 2)))
+        # (1/2, 1/4) -> (1/6 + 2/3, 1/8 + 1/2) = (5/6, 5/8), over 6 * 4.
+        assert m.apply((2, 1), 4) == (20, 15)
+
+    @pytest.mark.parametrize(
+        "matrix, translation, message",
+        [
+            (((1, 0),), (0, 0), r"^matrix: expected 2x2 to match the translation"),
+            (((1, 0), (0, 1), (1, 1)), (0, 0), r"^matrix: expected 2x2"),
+            (((1, 0), (0, "x")), (0, 0), r"^matrix\[1\]\[1\]: not a rational"),
+            (((1, 0), (0, 1)), (0, 0.5), r"^translation\[0\]\[1\]: floating point"),
+            (((1, 0), (0, 1, 2)), (0, 0), r"^matrix\[1\]: expected 2 coordinates"),
+        ],
+    )
+    def test_bad_cells_are_named(self, matrix, translation, message):
+        with pytest.raises(InputError, match=message):
+            AffineMap(matrix, translation)
 
 
 class TestIteratedSystem:
@@ -179,9 +236,9 @@ class TestIteratedSystem:
         applies = Counter()
         apply = AffineMap.apply
 
-        def counting_apply(self, point):
+        def counting_apply(self, row, scale):
             applies["calls"] += 1
-            return apply(self, point)
+            return apply(self, row, scale)
 
         monkeypatch.setattr(AffineMap, "apply", counting_apply)
         iterate_system(system, 4, origin)
@@ -195,7 +252,9 @@ class TestIteratedSystem:
             ((F(2, 3), F(1, 2)), ((F(1, 3), 0), (0, F(1, 2)))),
         ])
         seeds = Configuration(2, ((0, 0), (1, 1)))
-        assert iterate_system(system, stage, seeds) == cantor_graph_stage(stage)
+        reference = _cantor_by_intervals(stage)
+        assert iterate_system(system, stage, seeds) == reference
+        assert cantor_graph_stage(stage) == reference
 
 
 class TestRandomConfiguration:
@@ -254,6 +313,32 @@ class TestRandomConfiguration:
         with pytest.raises(InputError, match="grid has only 3 distinct points"):
             grid_configuration(SplitMix64(1), 6, 1, 2)
 
+    def test_grid_refusal_is_exactly_where_the_power_says(self):
+        """The refusal skips the power from count.bit_length() axes on; it
+        must still refuse exactly the grids with fewer than count points. A
+        draw that is not refused must finish, so the generator gives up
+        after far more draws than any grid here needs."""
+
+        class Budgeted(SplitMix64):
+            def below(self, bound):
+                self.left -= 1
+                assert self.left, "an impossible draw was not refused"
+                return super().below(bound)
+
+        for count, dimension, top in product(range(1, 65), range(1, 8), range(4)):
+            rng = Budgeted(count)
+            rng.left = 10**5
+            refuse = (top + 1) ** dimension < count
+            try:
+                draws = _distinct_draws(rng, count, dimension, top)
+            except InputError as exc:
+                assert refuse, (count, dimension, top)
+                size = (top + 1) ** dimension
+                assert str(exc).startswith(f"count: the grid has only {size} ")
+            else:
+                assert not refuse, (count, dimension, top)
+                assert len(set(draws)) == count
+
 
 class TestSplitMix64:
     def test_known_sequence_is_stable(self):
@@ -287,6 +372,17 @@ class TestPerturb:
         with pytest.raises(InputError):
             perturb_to_generic(square, 0, seed=1)
 
+    @pytest.mark.parametrize("epsilon", ["abc", "1.5", 1.5, "", None, True, "1/0"])
+    def test_bad_epsilon_is_named(self, square, epsilon):
+        with pytest.raises(InputError, match=r"^epsilon: "):
+            perturb_to_generic(square, epsilon, seed=1)
+
+    @pytest.mark.parametrize("epsilon", ["1/100", " 2/200 ", F(1, 100)])
+    def test_epsilon_cells_are_read_as_rationals(self, square, epsilon):
+        assert perturb_to_generic(square, epsilon, seed=1) == perturb_to_generic(
+            square, F(1, 100), seed=1
+        )
+
     def test_failure_carries_certificate(self, square, monkeypatch):
         # force every candidate to be judged non-generic so the budget runs out
         degenerate = decide_all_projections(square)
@@ -307,3 +403,37 @@ class TestPerturb:
         config = Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1)), labels=tuple("abcd"))
         out = perturb_to_generic(config, F(1, 100), seed=4, max_attempts=5)
         assert out.labels == tuple("abcd")
+
+
+def _pinned_outputs():
+    """Every producer on small inputs: Cantor graph and product-Cantor
+    stages, and seeded perturbations of a Cantor stage, a product stage and
+    a random set."""
+    def origin(n):
+        return Configuration(n, ((0,) * n,))
+
+    for stage in range(1, 9):
+        yield cantor_graph_stage(stage)
+    for dimension in (1, 2, 3):
+        for stage in (1, 2, 3):
+            system = product_cantor_system(dimension)
+            yield iterate_system(system, stage, origin(dimension))
+    sources = (
+        cantor_graph_stage(3),
+        iterate_system(product_cantor_system(2), 2, origin(2)),
+        random_configuration(10, 3, 1000, 5),
+    )
+    for config in sources:
+        for seed, epsilon in enumerate((F(1, 64), F(1, 100), F(3, 7))):
+            yield perturb_to_generic(config, epsilon, seed)
+
+
+def test_producer_outputs_are_pinned():
+    # The producers' JSON bytes are part of the contract; this digest was
+    # taken from the Fraction producers the lattice ones replaced.
+    digest = hashlib.sha256()
+    for config in _pinned_outputs():
+        digest.update(json.dumps(configuration_to_json(config)).encode())
+    assert digest.hexdigest() == (
+        "cec7c32e51a63bddb52c63cbf2b1f919f4d5ec146c5e4a6465602239300a643e"
+    )

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genpos import (
@@ -324,6 +324,41 @@ def _assert_loads_like_reference(doc):
     assert config != Configuration(dimension, expected, ["x"] * len(expected))
     if len(expected) > 1:
         assert config != Configuration(dimension, expected[:-1], None)
+
+
+@st.composite
+def _lattice_rows(draw):
+    """(dimension, denominator, rows): distinct integer rows, negative
+    entries among them, over a denominator that is often not the least one,
+    since the rows may all share a factor with it."""
+    dimension = draw(st.integers(1, 3))
+    least, factor = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    cell = st.integers(-500, 500)
+    if draw(st.booleans()):
+        cell = st.integers(-60, 60).map(lambda x: x * factor)
+    rows = draw(
+        st.lists(st.tuples(*[cell] * dimension), min_size=1, max_size=6, unique=True)
+    )
+    labels = draw(st.none() | st.just(tuple(str(i) for i in range(len(rows)))))
+    return dimension, least * factor, rows, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lattice_rows())
+@example(case=(1, 6, [(2,), (4,)], None))
+@example(case=(2, 12, [(-4, 6), (0, -8)], ("a", "b")))
+@example(case=(2, 7, [(0, 0)], None))
+def test_on_lattice_is_the_constructor_on_the_rational_points(case):
+    dimension, den, rows, labels = case
+    built = Configuration._on_lattice(dimension, den, rows, labels)
+    reference = Configuration(
+        dimension, [[F(x, den) for x in row] for row in rows], labels
+    )
+    assert built == reference and hash(built) == hash(reference)
+    assert built.denominator == reference.denominator
+    assert built.integer_points == reference.integer_points
+    assert built.points == reference.points
+    assert built.labels == reference.labels
 
 
 LOADER_DOCUMENTS = {

@@ -16,7 +16,9 @@ from fractions import Fraction
 import pytest
 
 from genpos import (
+    AffineMap,
     Configuration,
+    IteratedFunctionSystem,
     SplitMix64,
     Subspace,
     cantor_graph_stage,
@@ -24,11 +26,14 @@ from genpos import (
     decide_all_projections,
     decide_all_projections_oracle,
     fibers,
+    iterate_system,
     perturb_to_generic,
+    product_cantor_system,
     rank,
     vector_sub,
     verdict_to_json,
 )
+from genpos.genericity import ORACLE_DEFAULT_MAX_POINTS
 from genpos.selftest import grid_configuration, random_subspace
 
 F = Fraction
@@ -192,3 +197,72 @@ def test_per_fiber_rank_matches_rational_rank():
                 diffs = [vector_sub(config.points[i], base) for i in fiber.indices[1:]]
                 independent = rank(diffs) == len(fiber.indices) - 1
                 assert fiber.affinely_independent == independent
+
+
+def _contraction(rng, dimension):
+    """A random affine contraction of Q^dimension: each matrix cell has
+    absolute value at most 1/(dimension + 1), so every row sums below 1 in
+    absolute value, and the translation lies in [0, 1]^dimension."""
+    matrix = tuple(
+        tuple(F(rng.below(5) - 2, 2 * (dimension + 1) + rng.below(4))
+              for _ in range(dimension))
+        for _ in range(dimension)
+    )
+    translation = tuple(F(rng.below(8), 2 + rng.below(6)) for _ in range(dimension))
+    return AffineMap(matrix, translation)
+
+
+@functools.cache
+def contraction_corpus():
+    """Stages of seeded random rational contraction systems, the random
+    Cantor sets of the paper: N = 2-3, 2-3 maps, stages 1-2, at most 12
+    points in the plane and 8 in space, where the oracle's time grows
+    fastest. Their denominators grow as D^stage. Then affine images of
+    product-Cantor stages, which keep their parallel chords and so stay
+    degenerate."""
+    out = []
+    rng = SplitMix64(2021)
+    for i in range(48):
+        dim, count, stage = 2 + i % 2, 2 + (i // 2) % 2, 1 + (i // 4) % 2
+        limit = 12 if dim == 2 else 8
+        if count**stage > limit:
+            stage = 1
+        system = IteratedFunctionSystem(
+            dim, tuple(_contraction(rng, dim) for _ in range(count))
+        )
+        seeds = 1 + rng.below(limit // count**stage)
+        points = {tuple(F(rng.below(7), 1 + rng.below(4)) for _ in range(dim))
+                  for _ in range(seeds)}
+        out.append(iterate_system(system, stage, Configuration(dim, tuple(points))))
+    for i in range(12):
+        dim = 2 + i % 2
+        origin = Configuration(dim, ((0,) * dim,))
+        stage = iterate_system(product_cantor_system(dim), 1, origin)
+        while True:  # redraw a map that merges two of the points
+            affine = IteratedFunctionSystem(dim, (_contraction(rng, dim),))
+            image = iterate_system(affine, 1, stage)
+            if len(image) == len(stage):
+                break
+        out.append(image)
+    return out
+
+
+CONTRACTION_CORPUS_SIZE = 60
+
+
+def test_contraction_corpus_covers_both_verdicts():
+    configs = contraction_corpus()
+    assert len(configs) == CONTRACTION_CORPUS_SIZE
+    assert all(len(c) <= ORACLE_DEFAULT_MAX_POINTS for c in configs)
+    generic = [decide_all_projections(c).generic for c in configs]
+    assert 10 <= sum(generic) <= CONTRACTION_CORPUS_SIZE - 10
+    assert not any(generic[48:])
+    assert max(c.denominator for c in configs) >= 10**4
+
+
+@pytest.mark.parametrize("index", range(CONTRACTION_CORPUS_SIZE))
+def test_decide_matches_oracle_on_contraction_stages(index):
+    config = contraction_corpus()[index]
+    engine = decide_all_projections(config)
+    oracle = decide_all_projections_oracle(config)
+    assert _verdict_json(engine) == _verdict_json(oracle)
