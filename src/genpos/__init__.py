@@ -26,7 +26,6 @@ from .genericity import (
     classical_general_position,
     decide_all_projections,
     decide_all_projections_oracle,
-    difference_system,
     is_degenerate_tuple,
     minimal_patterns,
     verdict_to_json,
@@ -90,7 +89,6 @@ __all__ = [
     "configuration_to_json",
     "decide_all_projections",
     "decide_all_projections_oracle",
-    "difference_system",
     "distance_sq",
     "dot",
     "fibers",

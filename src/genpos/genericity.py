@@ -44,7 +44,8 @@ above it, and the fewest tail points that any of the walk's patterns puts
 above the last group), and a pattern's tail runs only when its free points
 can hold it. A pruned prefix has no tail, so the same search, one path for
 every k, returns the lexicographically first family that a depth-first
-search over all k + 1 vectors would find.
+search over all k + 1 vectors would find. The oracle tests each family, and
+the certificate picks its witness, by geometry.difference_basis.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from itertools import combinations, groupby, repeat, starmap
 from math import gcd
 
 from .errors import InputError, OracleGuardError
-from .geometry import Configuration, Subspace, subspace_to_json
-from .linalg import IncrementalSpan, Vector, integer, rank, vector_sub
+from .geometry import Configuration, Subspace, difference_basis, subspace_to_json
+from .linalg import IncrementalSpan, integer
 
 ORACLE_DEFAULT_MAX_POINTS = 12
 
@@ -143,9 +144,10 @@ class Verdict:
             raise ValueError("generic verdicts carry no certificate, violations must")
 
 
-def difference_system(config: Configuration, groups: PointGroups) -> list[Vector]:
-    """All in-group difference vectors, base point to every other member, as
-    rational vectors. Only the brute-force oracle uses it."""
+def is_degenerate_tuple(config: Configuration, groups: PointGroups, k: int) -> bool:
+    """True iff the grouped difference vectors span at most k dimensions."""
+    pattern = DegeneracyPattern(k, groups.sizes)
+    pattern.validate_for(config.dimension)
     n = len(config)
     for j, g in enumerate(groups.groups):
         for t, idx in enumerate(g):
@@ -154,19 +156,7 @@ def difference_system(config: Configuration, groups: PointGroups) -> list[Vector
                     f"groups[{j}][{t}]: index {idx} out of range for "
                     f"{n} points"
                 )
-    vectors: list[Vector] = []
-    for g in groups.groups:
-        base = config.points[g[0]]
-        for idx in g[1:]:
-            vectors.append(vector_sub(config.points[idx], base))
-    return vectors
-
-
-def is_degenerate_tuple(config: Configuration, groups: PointGroups, k: int) -> bool:
-    """True iff the grouped difference vectors span at most k dimensions."""
-    pattern = DegeneracyPattern(k, groups.sizes)
-    pattern.validate_for(config.dimension)
-    return rank(difference_system(config, groups)) <= k
+    return len(difference_basis(config.integer_points, groups.groups)) <= k
 
 
 def _partitions_desc(total: int, max_parts: int | None = None):
@@ -227,22 +217,16 @@ def _build_certificate(
 ) -> Certificate:
     """Certificate from a violating family: witness is the span of its vectors.
 
-    The witness generators are the greedy maximal independent subsequence of
-    the in-group differences, base point to every other member, so the span
-    is unchanged but redundant vectors are dropped. The differences are taken
+    The witness generators are the family's difference_basis, so the span is
+    unchanged but redundant vectors are dropped. The differences are taken
     on the integer lattice, and only the chosen ones become rational vectors.
     The recorded k is the actual span dimension.
     """
-    points, den = config.integer_points, config.denominator
-    span = IncrementalSpan(config.dimension)
-    basis = []
-    for g in groups:
-        base = points[g[0]]
-        for m in g[1:]:
-            row = [x - y for x, y in zip(points[m], base)]
-            if span.add_row(row):
-                basis.append(tuple(Fraction(x, den) for x in row))
-    witness = Subspace(config.dimension, tuple(basis))
+    den = config.denominator
+    basis = difference_basis(config.integer_points, groups)
+    witness = Subspace(
+        config.dimension, tuple(tuple(Fraction(x, den) for x in row) for row in basis)
+    )
     pattern = DegeneracyPattern(witness.dim, tuple(len(g) for g in groups))
     return Certificate(pattern, groups, witness)
 
@@ -258,17 +242,17 @@ class _DifferenceRows(dict):
     base the search does not reach costs nothing.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("integer_points",)
 
-    def __init__(self, points):
+    def __init__(self, integer_points):
         super().__init__()
-        self.points = points
+        self.integer_points = integer_points
 
     def __missing__(self, b: int) -> list[tuple[int, ...] | None]:
-        base = self.points[b]
+        base = self.integer_points[b]
         zeros = [0] * len(base)
         rows: list[tuple[int, ...] | None] = [None] * (b + 1)
-        for p in self.points[b + 1:]:
+        for p in self.integer_points[b + 1:]:
             row = [x - y for x, y in zip(p, base)]  # non-zero: points differ
             g = gcd(*row)
             if row < zeros:

@@ -8,7 +8,9 @@ that the fiber sizes do not overshoot k in total.
 
 A Configuration holds its points on the integer lattice, filled by
 linalg.lattice from JSON cells or by Configuration._on_lattice from the
-generators' integer rows. Its JSON and its Fraction points come from it.
+generators' integer rows, and a Subspace its generators, read by lattice.
+JSON and Fraction points come from those rows. difference_basis picks the
+independent in-group differences for the certificate, the oracle and check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .linalg import (
     integer,
     lattice,
     primitive_row,
-    rank,
     rational_rows,
     solve_linear_system,
     vector_sub,
@@ -63,7 +64,11 @@ class Configuration:
                 if j != i:
                     raise InputError(f"points: duplicate point at indices {j} and {i}")
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            if not isinstance(labels, (list, tuple)) or not all(
+                isinstance(x, str) for x in labels
+            ):
+                raise InputError("labels: expected a list of strings")
+            labels = tuple(labels)
             if len(labels) != len(rows):
                 raise InputError(
                     f"labels: expected {len(rows)} entries, got {len(labels)}"
@@ -133,18 +138,29 @@ class Configuration:
 class Subspace:
     """A proper non-zero linear subspace of Q^N given by rational generators.
 
-    Generators may be redundant; dim is always the computed rank.
+    Generators may be redundant; dim is always the computed rank. The cells
+    are read once, by lattice, into integer_generators over `denominator`;
+    dim and the Fraction generators come from those rows, and only the
+    latter, with the dimensions, are compared, hashed and shown.
     """
 
     ambient_dimension: int
     generators: tuple[Vector, ...]
     dim: int = field(init=False)
+    denominator: int = field(init=False, compare=False, repr=False)
+    integer_generators: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         integer(self.ambient_dimension, "ambient_dimension", 1)
-        gens = rational_rows(self.generators, "generators", self.ambient_dimension)
-        object.__setattr__(self, "generators", gens)
-        k = rank(gens)
+        den, rows = lattice(self.generators, "generators", self.ambient_dimension)
+        gens = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        init = object.__setattr__
+        init(self, "generators", gens)
+        init(self, "denominator", den)
+        init(self, "integer_generators", rows)
+        k = _kernel_span(self).rank
         if k == 0:
             raise InputError("generators: subspace must have positive dimension")
         if k >= self.ambient_dimension:
@@ -152,7 +168,7 @@ class Subspace:
                 f"generators: subspace of dimension {k} is not proper in "
                 f"dimension {self.ambient_dimension}"
             )
-        object.__setattr__(self, "dim", k)
+        init(self, "dim", k)
 
 
 @dataclass(frozen=True)
@@ -199,8 +215,7 @@ def project_onto_complement(point, kernel: Subspace) -> Point:
 
 def _kernel_span(kernel: Subspace) -> IncrementalSpan:
     span = IncrementalSpan(kernel.ambient_dimension)
-    _, rows = lattice(kernel.generators)
-    for row in rows:
+    for row in kernel.integer_generators:
         span.add_row(row)
     return span
 
@@ -213,16 +228,19 @@ def _integer_row(vector: Vector) -> list[int]:
     return primitive_row([c.numerator * (den // c.denominator) for c in vector])
 
 
-def difference_rank(points, indices) -> int:
-    """Rank of the differences from the first indexed point to the others.
-
-    The points are integer rows, such as Configuration.integer_points.
-    """
-    base = points[indices[0]]
-    span = IncrementalSpan(len(base))
-    for i in indices[1:]:
-        span.add_row([a - b for a, b in zip(points[i], base)])
-    return span.rank
+def difference_basis(points, groups) -> list[list[int]]:
+    """The in-group differences of integer points, base point to every other
+    member, that are independent of the differences before them: a basis of
+    their span, so its length is their rank."""
+    span = IncrementalSpan(len(points[0]))
+    basis = []
+    for g in groups:
+        base = points[g[0]]
+        for m in g[1:]:
+            row = [x - y for x, y in zip(points[m], base)]
+            if span.add_row(row):
+                basis.append(row)
+    return basis
 
 
 def fibers(config: Configuration, kernel: Subspace) -> FiberPartition:
@@ -269,7 +287,7 @@ def check_general_position(config: Configuration, kernel: Subspace) -> SubspaceC
             continue
         excess += size - 1
         size_ok = size <= k + 1
-        r = difference_rank(config.integer_points, cls)
+        r = len(difference_basis(config.integer_points, (cls,)))
         independent = r == size - 1
         reports.append(FiberReport(tuple(cls), size_ok, independent))
         if not size_ok:
@@ -304,17 +322,16 @@ def configuration_from_json(obj) -> Configuration:
     raw_points = obj.get("points")
     if not isinstance(raw_points, list):
         raise InputError("points: missing or not a list")
-    labels = obj.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise InputError("labels: expected a list of strings")
-        labels = tuple(labels)
-    return Configuration(obj["dimension"], raw_points, labels)
+    return Configuration(obj["dimension"], raw_points, obj.get("labels"))
+
+
+def _cells(denominator: int, rows) -> list[list[str]]:
+    """The JSON cells of integer rows over one denominator."""
+    return [[str(Fraction(x, denominator)) for x in row] for row in rows]
 
 
 def configuration_to_json(config: Configuration) -> dict:
-    den = config.denominator
-    points = [[str(Fraction(x, den)) for x in row] for row in config.integer_points]
+    points = _cells(config.denominator, config.integer_points)
     out = {"dimension": config.dimension, "points": points}
     if config.labels is not None:
         out["labels"] = list(config.labels)
@@ -336,7 +353,7 @@ def subspace_from_json(obj) -> Subspace:
 def subspace_to_json(kernel: Subspace) -> dict:
     return {
         "ambient_dimension": kernel.ambient_dimension,
-        "generators": [[str(c) for c in g] for g in kernel.generators],
+        "generators": _cells(kernel.denominator, kernel.integer_generators),
     }
 
 

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Nothing is ever rounded. rational_pair is the one definition of an input
-cell, read as a reduced (numerator, denominator) pair, _checked_rows the one
-check of a list of rows, naming the bad field, and integer the one check of
-an integer argument. Rows reach the program along one of two routes:
-rational_rows turns them into tuples of fractions.Fraction, and lattice
-scales them by the lcm of their denominators onto integer rows without
-building a Fraction, which is how a Configuration holds its points. Rank and
-span membership are computed by IncrementalSpan on integer rows only;
+cell, read as a reduced (numerator, denominator) pair, and integer the one
+check of an integer argument. Rows reach the program along one route:
+lattice checks a list of rows, naming the bad field, and scales them by the
+lcm of their denominators onto integer rows without building a Fraction:
+that is how a Configuration holds its points and a Subspace its generators.
+rational_rows divides the rows by that lcm into fractions.Fraction. Rank
+and span membership are computed by IncrementalSpan on integer rows only;
 rational vectors reach it through lattice. All elimination is there, in one
 method: image, fraction-free integer elimination without division, maps a
 row linearly onto the quotient by the span, so its kernel is exactly the
@@ -94,16 +94,28 @@ def as_rational(value) -> Fraction:
     return Fraction(*rational_pair(value))
 
 
-def _checked_rows(rows, name: str, dimension: int | None, cell) -> tuple:
-    """Rows of cell(c) for every cell c, with the checks of rational_rows."""
-    out = []
+def lattice(
+    rows, name: str = "vectors", dimension: int | None = None
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Check rows of rational-like cells, naming the bad field, and return
+    the lcm of all denominators with the rows scaled by it to integers.
+
+    Each row must be a list or tuple of dimension cells, each accepted by
+    rational_pair; without a dimension, the first row's length is the one
+    every row must have. Errors read name[i] or name[i][j]. No Fraction is
+    built: each cell is read once as a reduced pair. A common positive scale
+    changes no rank, no span membership and no determinant's sign, so rank
+    questions are answered on the integer rows, and the lcm of reduced
+    denominators makes the scaled rows unique to the rational ones.
+    """
+    pairs = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise InputError(f"{name}[{i}]: expected a list of rationals")
         vector = []
         for j, c in enumerate(row):
             try:
-                vector.append(cell(c))
+                vector.append(rational_pair(c))
             except InputError as exc:
                 raise InputError(f"{name}[{i}][{j}]: {exc}") from None
         if dimension is None:
@@ -114,34 +126,15 @@ def _checked_rows(rows, name: str, dimension: int | None, cell) -> tuple:
             raise InputError(
                 f"{name}[{i}]: expected {dimension} coordinates, got {len(vector)}"
             )
-        out.append(tuple(vector))
-    return tuple(out)
+        pairs.append(vector)
+    den = math.lcm(*{q for row in pairs for _, q in row})
+    return den, tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
 
 
 def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
-    """Check and convert rows of rational-like cells, naming the bad field.
-
-    Each row must be a list or tuple of dimension cells, each accepted by
-    rational_pair; without a dimension, the first row's length is the one
-    every row must have. Errors read name[i] or name[i][j].
-    """
-    return _checked_rows(rows, name, dimension, as_rational)
-
-
-def lattice(
-    rows, name: str = "vectors", dimension: int | None = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The lcm of all denominators, and the rows scaled by it to integers.
-
-    The rows are checked as rational_rows checks them, but no Fraction is
-    built: each cell is read once as a reduced pair. A common positive scale
-    changes no rank, no span membership and no determinant's sign, so rank
-    questions are answered on the integer rows, and the lcm of reduced
-    denominators makes the scaled rows unique to the rational ones.
-    """
-    pairs = _checked_rows(rows, name, dimension, rational_pair)
-    den = math.lcm(*{q for row in pairs for _, q in row})
-    return den, tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
+    """The rows as tuples of Fraction, read and checked by lattice."""
+    den, ints = lattice(rows, name, dimension)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
 
 
 def vector_sub(a: Vector, b: Vector) -> Vector:

@@ -109,20 +109,22 @@ class TestDecide:
             )
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """A list that grows by one on every read of Configuration.points."""
+    reads = []
+    points = Configuration.points
+    monkeypatch.setattr(
+        Configuration,
+        "points",
+        property(lambda self: reads.append(1) or points.fget(self)),
+    )
+    return reads
+
+
 class TestProducersStayOnTheLattice:
     """generate and perturb compute on the integer lattice and format their
     JSON from it: no run reads the rational points, whatever its exit."""
-
-    @pytest.fixture
-    def reads(self, monkeypatch):
-        reads = []
-        points = Configuration.points
-        monkeypatch.setattr(
-            Configuration,
-            "points",
-            property(lambda self: reads.append(1) or points.fget(self)),
-        )
-        return reads
 
     @pytest.mark.parametrize(
         "argv",
@@ -147,6 +149,36 @@ class TestProducersStayOnTheLattice:
             "genpos.generators.decide_all_projections", lambda c: degenerate
         )
         assert run(argv).exit_code == 1
+        assert not reads
+
+
+class TestOracleAndClassicalStayOnTheLattice:
+    """decide-oracle and classical count ranks on the integer points: no run
+    reads the rational points, on generic and on violating inputs."""
+
+    @pytest.mark.parametrize(
+        "command, codes",
+        [
+            ("decide-oracle", dict(generic=0, square=1, collinear=1, coplanar=1)),
+            # The square is in classical general position.
+            ("classical", dict(generic=0, square=0, collinear=1, coplanar=1)),
+        ],
+    )
+    def test_reads_no_points(self, reads, tmp_path, command, codes):
+        cases = {
+            "generic": random_configuration(8, 3, 10**6, 1),
+            "square": Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1))),
+            "collinear": Configuration(2, ((0, 0), ("1/3", "1/2"), ("2/3", 1))),
+            "coplanar": Configuration(
+                3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), ("1/2", "1/2", 0))
+            ),
+        }
+        got = {}
+        for name, config in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(configuration_to_json(config)))
+            got[name] = run([command, "-c", str(path)]).exit_code
+        assert got == codes
         assert not reads
 
 

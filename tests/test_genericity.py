@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     Configuration,
@@ -12,15 +16,21 @@ from genpos import (
     SplitMix64,
     Subspace,
     check_general_position,
+    cantor_graph_stage,
     classical_general_position,
     decide_all_projections,
     decide_all_projections_oracle,
-    difference_system,
     is_degenerate_tuple,
+    iterate_system,
     minimal_patterns,
+    product_cantor_system,
+    random_configuration,
     rank,
+    verdict_to_json,
 )
 from genpos.genericity import _engine_patterns
+from genpos.geometry import difference_basis, subspace_check_to_json
+from genpos.linalg import vector_sub
 from genpos.selftest import (
     check_certificate_soundness,
     check_generic_implies_classical,
@@ -34,45 +44,79 @@ from genpos.selftest import (
 F = Fraction
 
 
+def difference_system(config, groups):
+    """The in-group differences, base point to every other member, as
+    Fraction vectors: the oracle's input before difference_basis."""
+    vectors = []
+    for g in groups.groups:
+        base = config.points[g[0]]
+        for idx in g[1:]:
+            vectors.append(vector_sub(config.points[idx], base))
+    return vectors
+
+
+@st.composite
+def _grouped_points(draw):
+    """Distinct integer points and disjoint groups of at least two of them,
+    with at most six indices grouped and at most four in a group."""
+    dimension = draw(st.integers(1, 4))
+    coordinate = st.integers(-3, 3)
+    points = draw(
+        st.lists(
+            st.tuples(*[coordinate] * dimension), min_size=2, max_size=7, unique=True
+        )
+    )
+    indices = draw(st.permutations(range(len(points))))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    groups, start = [], 0
+    for size in sizes:
+        if start + size > min(len(points), 6):
+            break
+        groups.append(tuple(indices[start:start + size]))
+        start += size
+    if not groups:
+        groups = [tuple(indices[:2])]
+    return Configuration(dimension, points), tuple(groups)
+
+
+def _orderings(groups):
+    """The groups in every order, with every order of the members of each."""
+    if not groups:
+        yield ()
+        return
+    for i, group in enumerate(groups):
+        for rest in _orderings(groups[:i] + groups[i + 1:]):
+            for members in permutations(group):
+                yield (members,) + rest
+
+
 class TestDifferenceSystem:
     def test_single_pair(self):
-        config = Configuration(2, ((0, 0), (1, 0)))
-        assert difference_system(config, PointGroups(((0, 1),))) == [(F(1), F(0))]
+        assert difference_basis(((0, 0), (1, 0)), ((0, 1),)) == [[1, 0]]
 
     def test_base_point_differences(self):
-        config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
-        assert difference_system(config, PointGroups(((0, 1, 2),))) == [
-            (F(1), F(0)),
-            (F(2), F(0)),
-        ]
+        points = ((0, 0), (1, 0), (2, 0), (0, 1))
+        assert difference_basis(points, ((0, 1, 2, 3),)) == [[1, 0], [0, 1]]
+        assert difference_basis(points, ((2, 0, 1, 3),)) == [[-2, 0], [-2, 1]]
 
     def test_two_groups(self):
-        config = Configuration(2, ((0, 0), (1, 0), (0, 1), (1, 2)))
-        groups = PointGroups(((0, 1), (2, 3)))
-        assert difference_system(config, groups) == [(F(1), F(0)), (F(1), F(1))]
+        points = ((0, 0), (1, 0), (0, 1), (1, 2))
+        assert difference_basis(points, ((0, 1), (2, 3))) == [[1, 0], [1, 1]]
 
     def test_repeated_index_rejected(self):
         with pytest.raises(InputError, match="repeated"):
             PointGroups(((0, 1), (1, 2)))
 
-    def test_out_of_range_index(self):
-        config = Configuration(2, ((0, 0), (1, 0)))
-        with pytest.raises(InputError, match="out of range"):
-            difference_system(config, PointGroups(((0, 5),)))
-
-    def test_rank_invariant_under_group_and_base_permutations(self):
-        config = Configuration(2, ((0, 0), (1, 0), (0, 1), (1, 3), (2, 2)))
-        reference = rank(
-            difference_system(config, PointGroups(((0, 1, 4), (2, 3))))
-        )
-        for first in permutations((0, 1, 4)):
-            for second in permutations((2, 3)):
-                for ordering in (
-                    (first, second),
-                    (second, first),
-                ):
-                    got = rank(difference_system(config, PointGroups(ordering)))
-                    assert got == reference
+    @settings(max_examples=60, deadline=None)
+    @given(case=_grouped_points())
+    def test_basis_spans_the_reference_differences_in_every_order(self, case):
+        config, groups = case
+        for ordering in _orderings(groups):
+            basis = difference_basis(config.integer_points, ordering)
+            reference = difference_system(config, PointGroups(ordering))
+            assert len(basis) == rank(reference)
+            for vector in reference:
+                assert rank([*basis, vector]) == len(basis)
 
 
 class TestDegenerateTuple:
@@ -92,6 +136,15 @@ class TestDegenerateTuple:
         config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
         with pytest.raises(InputError):
             is_degenerate_tuple(config, PointGroups(((0, 1, 2),)), 2)
+
+    def test_out_of_range_index(self):
+        config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
+        with pytest.raises(
+            InputError, match=r"^groups\[0\]\[2\]: index 5 out of range for 3 points$"
+        ):
+            is_degenerate_tuple(config, PointGroups(((0, 1, 5),)), 1)
+        with pytest.raises(InputError, match=r"^groups\[1\]\[1\]: index 3 out of"):
+            is_degenerate_tuple(config, PointGroups(((0, 1), (2, 3))), 1)
 
     def test_rejects_undersized_groups(self):
         config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
@@ -320,3 +373,46 @@ class TestPatternValidation:
     def test_bool_group_index_rejected(self):
         with pytest.raises(InputError, match=r"groups\[1\]\[0\]: must be an integer"):
             PointGroups(((0, 1), (True, 2)))
+
+
+def _pinned_corpus():
+    """Grid sets, Cantor graph stages 1-4, product-Cantor stages and small
+    random sets, generic and degenerate."""
+    sets = grid_corpus(2024, 40, range(4, 8), ((2, 4), (3, 2), (3, 3)))
+    sets += [cantor_graph_stage(stage) for stage in range(1, 5)]
+    for dim, stages in ((2, (1, 2)), (3, (1,))):
+        start = Configuration(dim, ((0,) * dim,))
+        system = product_cantor_system(dim)
+        sets += [iterate_system(system, stage, start) for stage in stages]
+    shapes = (
+        (6, 2, 3), (7, 2, 5), (7, 3, 2), (8, 3, 3),
+        (7, 2, 1000), (7, 3, 1000), (7, 4, 100), (8, 3, 10**6),
+    )
+    sets += [
+        random_configuration(n, dim, den, seed)
+        for seed, (n, dim, den) in enumerate(shapes, 1)
+    ]
+    return sets
+
+
+def test_verdicts_witnesses_and_checks_are_pinned():
+    """One sha256 over the verdict JSON of decide and of the oracle, the
+    witness repr and the check report on the witness: a change to how
+    kernels or differences are read must leave every byte as it is."""
+    digest = hashlib.sha256()
+    generic = 0
+    for config in _pinned_corpus():
+        verdict = decide_all_projections(config)
+        oracle = decide_all_projections_oracle(config, max_points=len(config))
+        for v in (verdict, oracle):
+            digest.update(json.dumps(verdict_to_json(v)).encode())
+        generic += verdict.generic
+        if not verdict.generic:
+            witness = verdict.certificate.witness
+            digest.update(repr(witness).encode())
+            report = check_general_position(config, witness)
+            digest.update(json.dumps(subspace_check_to_json(report)).encode())
+    assert generic == 13
+    assert digest.hexdigest() == (
+        "e83c3862b320cfba26633c24e83f00f4d263b6c592cd00db00f2b34bbb699b9c"
+    )

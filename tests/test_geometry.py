@@ -24,7 +24,8 @@ from genpos import (
     subspace_to_json,
     vector_sub,
 )
-from genpos.linalg import _excerpt
+from genpos import geometry
+from genpos.linalg import _excerpt, lattice
 from genpos.selftest import grid_configuration, random_subspace
 
 F = Fraction
@@ -61,6 +62,31 @@ class TestConfiguration:
         with pytest.raises(InputError, match="labels"):
             Configuration(2, ((0, 0), (1, 1)), labels=("a",))
 
+    @pytest.mark.parametrize("labels", ["ab", (1, None), 5, ("a", b"b")])
+    def test_labels_must_be_strings(self, labels):
+        with pytest.raises(InputError, match="^labels: expected a list of strings$"):
+            Configuration(2, ((0, 0), (1, 1)), labels=labels)
+
+    def test_labels_list_kept_as_tuple(self):
+        config = Configuration(2, ((0, 0), (1, 1)), labels=["a", "b"])
+        assert config.labels == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "labels, points, message",
+        [
+            ("a", [[0, 0]], "labels: expected a list of strings"),
+            ([1], [[0, 0]], "labels: expected a list of strings"),
+            (["a", "b"], [[0, 0]], "labels: expected 1 entries, got 2"),
+            # The points are read before the labels.
+            (5, [[0, "x"]], "points[0][1]: not a rational: 'x'"),
+        ],
+    )
+    def test_json_labels_diagnostics(self, labels, points, message):
+        doc = {"dimension": 2, "points": points, "labels": labels}
+        with pytest.raises(InputError) as raised:
+            configuration_from_json(doc)
+        assert str(raised.value).startswith(message)
+
     def test_coordinates_normalized(self):
         config = Configuration(1, (("2/4",), (3,)))
         assert config.points == ((F(1, 2),), (F(3),))
@@ -82,6 +108,107 @@ class TestSubspace:
     def test_no_proper_subspace_in_dimension_one(self):
         with pytest.raises(InputError):
             Subspace(1, ((1,),))
+
+
+@st.composite
+def _generator_cells(draw):
+    """Rows of cells spelled non-reduced, negative, as ints or Fractions,
+    with redundant rows and rows sharing a factor."""
+    dimension = draw(st.integers(2, 4))
+    value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(value, min_size=dimension, max_size=dimension),
+            min_size=1,
+            max_size=dimension,
+        )
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        factor = draw(st.sampled_from([F(2), F(-3), F(1, 4), F(-6, 5)]))
+        rows.append([factor * c for c in draw(st.sampled_from(rows))])
+    spell = st.sampled_from(["fraction", "unreduced", "signed", "int"])
+    cells = []
+    for row in rows:
+        cells.append([])
+        for c in row:
+            form = draw(spell)
+            if form == "unreduced":
+                f = draw(st.integers(2, 5))
+                c = f"{c.numerator * f}/{c.denominator * f}"
+            elif form == "signed":
+                c = f"{'-' if c < 0 else '+'}{abs(c.numerator)}/{c.denominator}"
+            elif form == "int" and c.denominator == 1:
+                c = c.numerator
+            cells[-1].append(c)
+    return dimension, rows, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_generator_cells())
+def test_subspace_matches_fraction_reference(case):
+    dimension, rows, cells = case
+    reference = tuple(tuple(F(c) for c in row) for row in rows)
+    k = rank(reference)
+    if not 0 < k < dimension:
+        with pytest.raises(InputError, match="^generators: subspace"):
+            Subspace(dimension, cells)
+        return
+    kernel = Subspace(dimension, cells)
+    assert kernel.generators == reference and kernel.dim == k
+    assert repr(kernel) == (
+        f"Subspace(ambient_dimension={dimension!r}, generators={reference!r}, "
+        f"dim={k!r})"
+    )
+    twin = Subspace(dimension, reference)
+    assert kernel == twin and hash(kernel) == hash(twin)
+    assert (kernel.denominator, kernel.integer_generators) == lattice(reference)
+    assert subspace_to_json(kernel)["generators"] == [
+        [str(c) for c in row] for row in reference
+    ]
+    for copied in (
+        copy.copy(kernel),
+        copy.deepcopy(kernel),
+        pickle.loads(pickle.dumps(kernel)),
+    ):
+        assert copied == kernel and hash(copied) == hash(kernel)
+        assert copied.integer_generators == kernel.integer_generators
+
+
+def test_subspace_reads_its_cells_once_and_fibers_not_at_all(monkeypatch):
+    config = Configuration(3, ((0, 0, 0), (1, 0, -1), (0, 3, 0), (1, 1, 1)))
+    calls = []
+    read = geometry.lattice
+    monkeypatch.setattr(geometry, "lattice", lambda *a: calls.append(1) or read(*a))
+    kernel = Subspace(3, [["1/2", "0", "-2/4"], [1, 0, -1], ["0", "1/3", "0"]])
+    assert len(calls) == 1
+    assert fibers(config, kernel) == ((0, 1, 2), (3,))
+    check_general_position(config, kernel)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "dimension, generators, message",
+    [
+        (
+            2,
+            [["1", "x"]],
+            """generators[0][1]: not a rational: 'x' (expected "p/q" or "p")""",
+        ),
+        (3, ["100"], "generators[0]: expected a list of rationals"),
+        (3, [[1, 0, 0], [1, 0]], "generators[1]: expected 3 coordinates, got 2"),
+        (2, ((0, 0),), "generators: subspace must have positive dimension"),
+        (2, (), "generators: subspace must have positive dimension"),
+        (
+            2,
+            ((1, 0), (0, 1)),
+            "generators: subspace of dimension 2 is not proper in dimension 2",
+        ),
+    ],
+)
+def test_subspace_errors_name_the_field(dimension, generators, message):
+    with pytest.raises(InputError) as raised:
+        Subspace(dimension, generators)
+    assert str(raised.value) == message
 
 
 class TestProjection:
