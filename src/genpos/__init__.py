@@ -21,12 +21,10 @@ from .genericity import (
     Certificate,
     ClassicalReport,
     DegeneracyPattern,
-    PointGroups,
     Verdict,
     classical_general_position,
     decide_all_projections,
     decide_all_projections_oracle,
-    is_degenerate_tuple,
     minimal_patterns,
     verdict_to_json,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "Matrix",
     "OracleGuardError",
     "PerturbationError",
-    "PointGroups",
     "Rational",
     "SplitMix64",
     "Subspace",
@@ -95,7 +92,6 @@ __all__ = [
     "gram_determinant",
     "gram_matrix",
     "hausdorff_sq",
-    "is_degenerate_tuple",
     "iterate_system",
     "minimal_patterns",
     "perturb_to_generic",

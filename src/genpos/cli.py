@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, PerturbationError
 from .generators import (
+    PERTURB_DEFAULT_MAX_ATTEMPTS,
     cantor_graph_stage,
     iterate_system,
     perturb_to_generic,
@@ -258,7 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     perturb.add_argument("-c", "--config", required=True)
     perturb.add_argument("--epsilon", required=True, help='rational "p/q"')
     perturb.add_argument("--seed", type=_seed_int, required=True)
-    perturb.add_argument("--max-attempts", type=_positive_int, default=16)
+    perturb.add_argument(
+        "--max-attempts", type=_positive_int, default=PERTURB_DEFAULT_MAX_ATTEMPTS
+    )
     perturb.set_defaults(handler=_cmd_perturb)
 
     hausdorff = sub.add_parser("hausdorff", help="squared Hausdorff distance")

@@ -191,6 +191,7 @@ def random_configuration(
 
 
 _OFFSET_GRID = 1 << 16
+PERTURB_DEFAULT_MAX_ATTEMPTS = 16
 
 
 def _ball_offset(rng: SplitMix64, dimension: int) -> list[int]:
@@ -202,7 +203,10 @@ def _ball_offset(rng: SplitMix64, dimension: int) -> list[int]:
 
 
 def perturb_to_generic(
-    config: Configuration, epsilon, seed: int, max_attempts: int = 16
+    config: Configuration,
+    epsilon,
+    seed: int,
+    max_attempts: int = PERTURB_DEFAULT_MAX_ATTEMPTS,
 ) -> Configuration:
     """Move every point by at most epsilon until the result is generic.
 

@@ -62,19 +62,14 @@ from .linalg import IncrementalSpan, integer
 ORACLE_DEFAULT_MAX_POINTS = 12
 
 
-def _require_below(k: int, dimension: int) -> None:
-    """The one check that a span bound k is below the ambient dimension."""
-    if k >= dimension:
-        raise InputError(f"k: {k} is not below the ambient dimension {dimension}")
-
-
 @dataclass(frozen=True)
 class DegeneracyPattern:
     """Group sizes plus a span bound k describing a degeneracy to avoid.
 
     Sizes are kept as a descending multiset; validity requires every size to
-    be at least 2 and sum(size - 1) >= k + 1. The bound k must additionally
-    satisfy 0 < k < N for the ambient dimension N at the point of use.
+    be at least 2 and sum(size - 1) >= k + 1. A bound k means something only
+    below the ambient dimension N: minimal_patterns refuses k >= N, and every
+    pattern the engine, the oracle and the certificate build has k < N.
     """
 
     k: int
@@ -92,37 +87,6 @@ class DegeneracyPattern:
                 f"must be at least k+1 = {self.k + 1}"
             )
         object.__setattr__(self, "sizes", sizes)
-
-    def validate_for(self, dimension: int) -> None:
-        _require_below(self.k, dimension)
-
-
-@dataclass(frozen=True)
-class PointGroups:
-    """Disjoint groups of point indices; the first index of a group is its base."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(
-            tuple(integer(idx, f"groups[{j}][{i}]", 0) for i, idx in enumerate(g))
-            for j, g in enumerate(self.groups)
-        )
-        if not groups:
-            raise InputError("groups: at least one group is required")
-        seen: set[int] = set()
-        for j, g in enumerate(groups):
-            if not g:
-                raise InputError(f"groups[{j}]: group is empty")
-            for idx in g:
-                if idx in seen:
-                    raise InputError(f"groups: index {idx} is repeated")
-                seen.add(idx)
-        object.__setattr__(self, "groups", groups)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -142,21 +106,6 @@ class Verdict:
     def __post_init__(self):
         if self.generic != (self.certificate is None):
             raise ValueError("generic verdicts carry no certificate, violations must")
-
-
-def is_degenerate_tuple(config: Configuration, groups: PointGroups, k: int) -> bool:
-    """True iff the grouped difference vectors span at most k dimensions."""
-    pattern = DegeneracyPattern(k, groups.sizes)
-    pattern.validate_for(config.dimension)
-    n = len(config)
-    for j, g in enumerate(groups.groups):
-        for t, idx in enumerate(g):
-            if idx >= n:
-                raise InputError(
-                    f"groups[{j}][{t}]: index {idx} out of range for "
-                    f"{n} points"
-                )
-    return len(difference_basis(config.integer_points, groups.groups)) <= k
 
 
 def _partitions_desc(total: int, max_parts: int | None = None):
@@ -181,7 +130,8 @@ def _partitions_desc(total: int, max_parts: int | None = None):
 
 def minimal_patterns(k: int, dimension: int) -> list[DegeneracyPattern]:
     """All patterns with sum(size - 1) exactly k + 1, in canonical order."""
-    _require_below(integer(k, "k", 1), integer(dimension, "dimension", 1))
+    if integer(k, "k", 1) >= integer(dimension, "dimension", 1):
+        raise InputError(f"k: {k} is not below the ambient dimension {dimension}")
     return [
         DegeneracyPattern(k, tuple(part + 1 for part in partition))
         for partition in _partitions_desc(k + 1)
@@ -583,10 +533,10 @@ def decide_all_projections_oracle(
 ) -> Verdict:
     """Brute-force cross-check of decide_all_projections.
 
-    Enumerates every pattern and every family without pruning, testing each
-    with is_degenerate_tuple. With minimal_only=False the patterns cover all
-    sums up to the point count instead of just k + 1. Refuses configurations
-    above max_points.
+    Enumerates every pattern and every family without pruning; a family
+    violates its pattern when its difference_basis has at most k vectors.
+    With minimal_only=False the patterns cover all sums up to the point count
+    instead of just k + 1. Refuses configurations above max_points.
     """
     n = len(config)
     if n > integer(max_points, "max_points", 1):
@@ -597,9 +547,10 @@ def decide_all_projections_oracle(
         patterns = _engine_patterns(config)
     else:
         patterns = [p for p in _all_patterns(config.dimension, n) if sum(p.sizes) <= n]
+    points = config.integer_points
     for pattern in patterns:
         for groups in _canonical_families(n, pattern.sizes):
-            if is_degenerate_tuple(config, PointGroups(groups), pattern.k):
+            if len(difference_basis(points, groups)) <= pattern.k:
                 return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
 

@@ -319,10 +319,7 @@ def configuration_from_json(obj) -> Configuration:
         raise InputError("configuration: expected a JSON object")
     if "dimension" not in obj:
         raise InputError("dimension: missing")
-    raw_points = obj.get("points")
-    if not isinstance(raw_points, list):
-        raise InputError("points: missing or not a list")
-    return Configuration(obj["dimension"], raw_points, obj.get("labels"))
+    return Configuration(obj["dimension"], obj.get("points"), obj.get("labels"))
 
 
 def _cells(denominator: int, rows) -> list[list[str]]:
@@ -344,10 +341,7 @@ def subspace_from_json(obj) -> Subspace:
         raise InputError("subspace: expected a JSON object")
     if "ambient_dimension" not in obj:
         raise InputError("ambient_dimension: missing")
-    raw = obj.get("generators")
-    if not isinstance(raw, list):
-        raise InputError("generators: missing or not a list")
-    return Subspace(obj["ambient_dimension"], raw)
+    return Subspace(obj["ambient_dimension"], obj.get("generators"))
 
 
 def subspace_to_json(kernel: Subspace) -> dict:

@@ -74,17 +74,15 @@ def rational_pair(value) -> tuple[int, int]:
     raise InputError(f"not a rational: {value!r}")
 
 
-def integer(value, name: str, minimum: int | None = None) -> int:
+def integer(value, name: str, minimum: int) -> int:
     """The value if it is an int, not a bool, and at least minimum.
 
     This is the one check of an integer argument; anything else raises an
     InputError naming the argument.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        if minimum is None or value >= minimum:
-            return value
-    bound = "" if minimum is None else f" >= {minimum}"
-    raise InputError(f"{name}: must be an integer{bound}")
+    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return value
+    raise InputError(f"{name}: must be an integer >= {minimum}")
 
 
 def as_rational(value) -> Fraction:
@@ -100,14 +98,17 @@ def lattice(
     """Check rows of rational-like cells, naming the bad field, and return
     the lcm of all denominators with the rows scaled by it to integers.
 
-    Each row must be a list or tuple of dimension cells, each accepted by
-    rational_pair; without a dimension, the first row's length is the one
-    every row must have. Errors read name[i] or name[i][j]. No Fraction is
-    built: each cell is read once as a reduced pair. A common positive scale
-    changes no rank, no span membership and no determinant's sign, so rank
-    questions are answered on the integer rows, and the lcm of reduced
-    denominators makes the scaled rows unique to the rational ones.
+    The rows must be a list or tuple, and each row a list or tuple of
+    dimension cells, each accepted by rational_pair; without a dimension, the
+    first row's length is the one every row must have. Errors read name,
+    name[i] or name[i][j]. No Fraction is built: each cell is read once as a
+    reduced pair. A common positive scale changes no rank, no span membership
+    and no determinant's sign, so rank questions are answered on the integer
+    rows, and the lcm of reduced denominators makes the scaled rows unique to
+    the rational ones.
     """
+    if not isinstance(rows, (list, tuple)):
+        raise InputError(f"{name}: missing or not a list")
     pairs = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):

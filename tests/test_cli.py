@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from genpos import (
     Configuration,
+    PerturbationError,
     configuration_from_json,
     configuration_to_json,
     decide_all_projections,
+    perturb_to_generic,
     random_configuration,
 )
 from genpos import cli
 from genpos.cli import run
+from genpos.generators import PERTURB_DEFAULT_MAX_ATTEMPTS
 
 
 def payload_json(result):
@@ -347,6 +350,22 @@ class TestPerturb:
         out = configuration_from_json(payload_json(result))
         assert len(out) == 4
 
+    def test_default_attempts_shared_with_the_library(
+        self, square, fixture_files, monkeypatch
+    ):
+        # every candidate is judged non-generic, so the budget runs out
+        degenerate = decide_all_projections(square)
+        monkeypatch.setattr(
+            "genpos.generators.decide_all_projections", lambda c: degenerate
+        )
+        with pytest.raises(PerturbationError) as err:
+            perturb_to_generic(square, "1/100", seed=1)
+        argv = ["perturb", "-c", fixture_files["square"], "--epsilon", "1/100"]
+        result = run(argv + ["--seed", "1"])
+        assert result.exit_code == 1
+        attempts = payload_json(result)["attempts"]
+        assert attempts == err.value.attempts == PERTURB_DEFAULT_MAX_ATTEMPTS == 16
+
     def test_requires_seed(self, fixture_files):
         result = run(
             ["perturb", "-c", fixture_files["square"], "--epsilon", "1/100"]
@@ -407,6 +426,35 @@ class TestErrors:
         result = run(["decide", "-c", str(path)])
         assert result.exit_code == 2
         assert "points[0][1]" in result.diagnostics
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dimension": 2},
+            {"dimension": 2, "points": "ab"},
+            {"dimension": 2, "points": {}},
+            {"ambient_dimension": 2},
+            {"ambient_dimension": 2, "generators": 5},
+        ],
+    )
+    def test_rows_not_a_list_named(self, tmp_path, fixture_files, doc):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc))
+        if "dimension" in doc:
+            argv, field = ["decide", "-c", str(path)], "points"
+        else:
+            argv = ["check", "-c", fixture_files["square"], "-s", str(path)]
+            field = "generators"
+        result = run(argv)
+        assert (result.exit_code, result.payload) == (2, "")
+        assert result.diagnostics == f"error: {field}: missing or not a list"
+
+    def test_bad_dimension_named_before_rows(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"dimension": 0, "points": 5}))
+        result = run(["decide", "-c", str(path)])
+        assert result.exit_code == 2
+        assert result.diagnostics == "error: dimension: must be an integer >= 1"
 
     def test_duplicate_points_named(self, tmp_path):
         path = tmp_path / "dup.json"

@@ -12,7 +12,6 @@ from genpos import (
     DegeneracyPattern,
     InputError,
     OracleGuardError,
-    PointGroups,
     SplitMix64,
     Subspace,
     check_general_position,
@@ -20,7 +19,6 @@ from genpos import (
     classical_general_position,
     decide_all_projections,
     decide_all_projections_oracle,
-    is_degenerate_tuple,
     iterate_system,
     minimal_patterns,
     product_cantor_system,
@@ -46,9 +44,9 @@ F = Fraction
 
 def difference_system(config, groups):
     """The in-group differences, base point to every other member, as
-    Fraction vectors: the oracle's input before difference_basis."""
+    Fraction vectors: the reference that difference_basis must span."""
     vectors = []
-    for g in groups.groups:
+    for g in groups:
         base = config.points[g[0]]
         for idx in g[1:]:
             vectors.append(vector_sub(config.points[idx], base))
@@ -103,53 +101,33 @@ class TestDifferenceSystem:
         points = ((0, 0), (1, 0), (0, 1), (1, 2))
         assert difference_basis(points, ((0, 1), (2, 3))) == [[1, 0], [1, 1]]
 
-    def test_repeated_index_rejected(self):
-        with pytest.raises(InputError, match="repeated"):
-            PointGroups(((0, 1), (1, 2)))
-
     @settings(max_examples=60, deadline=None)
     @given(case=_grouped_points())
     def test_basis_spans_the_reference_differences_in_every_order(self, case):
         config, groups = case
         for ordering in _orderings(groups):
             basis = difference_basis(config.integer_points, ordering)
-            reference = difference_system(config, PointGroups(ordering))
+            reference = difference_system(config, ordering)
             assert len(basis) == rank(reference)
             for vector in reference:
                 assert rank([*basis, vector]) == len(basis)
 
 
 class TestDegenerateTuple:
+    """A family is degenerate for k when its difference_basis has at most k
+    vectors, the oracle's test of every family."""
+
     def test_collinear_triple(self):
-        config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
-        assert is_degenerate_tuple(config, PointGroups(((0, 1, 2),)), 1)
+        points = ((0, 0), (1, 0), (2, 0))
+        assert len(difference_basis(points, ((0, 1, 2),))) == 1
 
     def test_independent_chords(self):
-        config = Configuration(2, ((0, 0), (1, 0), (0, 1), (1, 2)))
-        assert not is_degenerate_tuple(config, PointGroups(((0, 1), (2, 3))), 1)
+        points = ((0, 0), (1, 0), (0, 1), (1, 2))
+        assert len(difference_basis(points, ((0, 1), (2, 3)))) == 2
 
     def test_parallel_chords(self):
-        config = Configuration(2, ((0, 0), (1, 1), (2, 0), (3, 1)))
-        assert is_degenerate_tuple(config, PointGroups(((0, 1), (2, 3))), 1)
-
-    def test_rejects_bad_bound(self):
-        config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
-        with pytest.raises(InputError):
-            is_degenerate_tuple(config, PointGroups(((0, 1, 2),)), 2)
-
-    def test_out_of_range_index(self):
-        config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
-        with pytest.raises(
-            InputError, match=r"^groups\[0\]\[2\]: index 5 out of range for 3 points$"
-        ):
-            is_degenerate_tuple(config, PointGroups(((0, 1, 5),)), 1)
-        with pytest.raises(InputError, match=r"^groups\[1\]\[1\]: index 3 out of"):
-            is_degenerate_tuple(config, PointGroups(((0, 1), (2, 3))), 1)
-
-    def test_rejects_undersized_groups(self):
-        config = Configuration(2, ((0, 0), (1, 0), (2, 0)))
-        with pytest.raises(InputError):
-            is_degenerate_tuple(config, PointGroups(((0,), (1, 2))), 1)
+        points = ((0, 0), (1, 1), (2, 0), (3, 1))
+        assert len(difference_basis(points, ((0, 1), (2, 3)))) == 1
 
 
 class TestMinimalPatterns:
@@ -366,14 +344,6 @@ class TestPatternValidation:
         with pytest.raises(InputError, match=r"sizes\[1\]: must be an integer"):
             DegeneracyPattern(1, (3, True))
 
-    def test_fractional_group_index_rejected_not_truncated(self):
-        with pytest.raises(InputError, match=r"groups\[0\]\[0\]: must be an integer"):
-            PointGroups(((0.5, 1.7), (2,)))
-
-    def test_bool_group_index_rejected(self):
-        with pytest.raises(InputError, match=r"groups\[1\]\[0\]: must be an integer"):
-            PointGroups(((0, 1), (True, 2)))
-
 
 def _pinned_corpus():
     """Grid sets, Cantor graph stages 1-4, product-Cantor stages and small
@@ -415,4 +385,19 @@ def test_verdicts_witnesses_and_checks_are_pinned():
     assert generic == 13
     assert digest.hexdigest() == (
         "e83c3862b320cfba26633c24e83f00f4d263b6c592cd00db00f2b34bbb699b9c"
+    )
+
+
+def test_exhaustive_oracle_is_pinned():
+    """One sha256 over the verdict JSON of the oracle over every pattern,
+    not only the minimal ones: how each family is tested must not change
+    which family it reports."""
+    digest = hashlib.sha256()
+    for config in _pinned_corpus():
+        verdict = decide_all_projections_oracle(
+            config, max_points=len(config), minimal_only=False
+        )
+        digest.update(json.dumps(verdict_to_json(verdict)).encode())
+    assert digest.hexdigest() == (
+        "7c28d3899c16ca28487f8466d3547d55b35cf87d26365b7efad6c94f1d235a50"
     )

@@ -92,6 +92,21 @@ class TestConfiguration:
         assert config.points == ((F(1, 2),), (F(3),))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Configuration(2, 5), "points: missing or not a list"),
+        (lambda: Configuration(2, None), "points: missing or not a list"),
+        (lambda: Subspace(2, None), "generators: missing or not a list"),
+        (lambda: rank(5), "vectors: missing or not a list"),
+    ],
+    ids=["config-int", "config-none", "subspace-none", "rank-int"],
+)
+def test_rows_not_a_list_are_input_errors(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 class TestSubspace:
     def test_dim_is_computed_rank(self):
         kernel = Subspace(3, ((1, 0, 0), (2, 0, 0), (0, 1, 0)))
