@@ -39,8 +39,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound < 1:
-            raise InputError("bound: must be >= 1")
+        integer(bound, "bound", 1)
         limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
         while True:
             draw = self.next_u64()
@@ -58,8 +57,11 @@ class AffineMap:
     denominator: int = field(init=False)
 
     def __post_init__(self):
-        # The translation is checked alone first, so that its errors name it.
+        # The translation is checked alone first, so that its errors name it,
+        # and the matrix is checked to be a list before it is unpacked.
         _, (t,) = lattice((self.translation,), "translation")
+        if not isinstance(self.matrix, (list, tuple)):
+            raise InputError("matrix: missing or not a list")
         n = len(t)
         den, (*rows, t) = lattice((*self.matrix, self.translation), "matrix", n)
         if len(rows) != n:
@@ -85,9 +87,13 @@ class IteratedFunctionSystem:
 
     def __post_init__(self):
         integer(self.dimension, "dimension", 1)
+        if not isinstance(self.maps, (list, tuple)):
+            raise InputError("maps: missing or not a list")
         if not self.maps:
             raise InputError("maps: at least one map is required")
         for i, m in enumerate(self.maps):
+            if not isinstance(m, AffineMap):
+                raise InputError(f"maps[{i}]: not an AffineMap")
             if len(m.translation) != self.dimension:
                 raise InputError(
                     f"maps[{i}]: dimension {len(m.translation)} does not match "

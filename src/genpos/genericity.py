@@ -30,7 +30,19 @@ span's quotient map, and keys the vector from point b to point m by
 image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
 of a stored row changes no key; a tail whose keys are all distinct is
 rejected by comparing the size of their set with their number, and only a
-repeat runs the ordered scan for the lexicographically first family. For
+repeat runs the ordered scan for the lexicographically first family. Before
+the tails of a prefix with at least one vector run, where one of them keys
+pairs of free points (a new triple or new chords), the prefix passes one
+exact shadow prefilter: its pool (the free points of its live tails and the
+first point of its last group) is mapped once, and every pair of the pool is
+keyed by the primitive, sign-normalised difference of the two points'
+shadows, the first two entries of their images, or (0, 0) where that
+difference is zero. Parallel image differences have parallel or zero
+shadows, so equal keys have equal shadow keys, and every vector a tail keys
+joins two points of the pool: a prefix whose shadow keys are all distinct
+has no tail hit and is skipped, and a repeat, true or false, runs the tails
+unchanged on the images already mapped. It is integer arithmetic
+throughout, so nothing rounds. For
 k = 1 the prefix is empty and the keys are the primitive, sign-normalised
 differences themselves, built per base on first use by the k = 1 walk
 alone (_DifferenceRows): a collinear triple (3,) or two disjoint parallel
@@ -307,6 +319,21 @@ def _two_members(group: tuple[int, ...], free: list[int], key):
     return group + _first_collision(zip(keys, members))
 
 
+def _shadow_key(head, tip) -> tuple[int, int]:
+    """The shadow key of the pair: the difference of its two shadows (the
+    first two entries of point images), divided by its gcd and signed so
+    that its first non-zero entry is positive, or (0, 0) where the shadows
+    are equal. If two image differences are parallel, v = c * w with c != 0,
+    their shadows are c times each other or both zero, so their shadow keys
+    are equal."""
+    (a, b), (c, d) = head, tip
+    x, y = c - a, d - b
+    g = gcd(x, y) or 1
+    if x < 0 or not x and y < 0:
+        g = -g
+    return x // g, y // g
+
+
 def _first_member_and_chord(members, chords):
     """(member, chord) with the smallest member sharing a key with a chord,
     and the first such chord, or None.
@@ -410,6 +437,23 @@ def _first_violation(
     canonical order, each on its own free indices when they can hold it;
     the walk skips prefixes that leave too few indices for the fewest tail
     points among its patterns (see _prefixes).
+    For k >= 2 the live tails of a prefix (the patterns whose free indices
+    can hold them) first pass the shadow prefilter, if some of them keys
+    pairs of free points (a new triple or new chords). Tails that only add
+    two members to the last group, such as the single-group walks of
+    classical_general_position, key at most one vector per free point,
+    fewer than the pool has pairs, and a prefix with no live tail is
+    skipped before any point is mapped. The pool is prefix[-1][0], whose
+    image is that of every point of its group, and the unused points from
+    the lowest free index of a live tail on: the union of their free
+    indices. Each tail keys only vectors between two pool points. Each pool
+    point is mapped once into the prefix's images, and each pair of the pool
+    is keyed once by _shadow_key on the first two image entries (k < N
+    leaves at least two). Equal keys give equal shadow keys, so when the
+    pool's shadow keys are all distinct no tail can hit and the prefix is
+    skipped; otherwise the live tails run as before, reusing the images,
+    and their exact keys decide. The prefilter changes no result, only
+    which prefixes reach the tails.
     A pattern that hits is dropped with every later one, while earlier ones
     walk on, so the earliest pattern with a violation wins with its first
     family.
@@ -468,8 +512,7 @@ def _first_violation(
         for prefix, used in _prefixes(points, counts, order, tail, span):
             if members[0][0] >= best:
                 return family
-            images = [None] * n  # point images under this prefix's span
-            keys = {}  # and its keys, for every pattern of the walk
+            runs = []  # the live patterns, each with its free indices
             for index, sizes, equal, above, joined, size in members:
                 if index >= best:
                     break
@@ -483,9 +526,30 @@ def _first_violation(
                 # last point of the group its members join.
                 if len(free) < size or joined and free[-joined] < prefix[-1][-1]:
                     continue
+                runs.append((index, sizes, free))
+            if not runs:
+                continue
+            images = [None] * n  # point images under this prefix's span
+            keys = {}  # and its keys, for every pattern of the walk
+            # The shadow prefilter, where a live tail keys pairs of free
+            # points: no shadow key repeats, no tail hits. The pool is the
+            # live tails' free points and the last group's first point.
+            if counts and any(sizes[-1] <= 3 for _, sizes, _ in runs):
+                base = prefix[-1][0]
+                low = min(free[0] for _, _, free in runs)
+                pool = [i for i in range(n) if i == base or i >= low and not used[i]]
+                shadows = []
+                for i in pool:
+                    images[i] = row = image(points[i])
+                    shadows.append((row[0], row[1]))
+                pairs = starmap(_shadow_key, combinations(shadows, 2))
+                if len(set(pairs)) * 2 == len(pool) * (len(pool) - 1):
+                    continue
+            for index, sizes, free in runs:
                 hit = _tail(sizes, prefix, free, key)
                 if hit is not None:
                     best, family = index, hit
+                    break
     return family
 
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations, count, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     Configuration,
@@ -28,6 +30,7 @@ from genpos import (
     cantor_graph_stage,
     classical_general_position,
     decide_all_projections,
+    decide_all_projections_oracle,
     iterate_system,
     minimal_patterns,
     perturb_to_generic,
@@ -40,7 +43,7 @@ from genpos import (
 from genpos import genericity
 from genpos.genericity import Verdict, _build_certificate, _engine_patterns
 from genpos.linalg import IncrementalSpan, primitive_row
-from genpos.selftest import grid_configuration
+from genpos.selftest import grid_configuration, grid_corpus
 from test_acceptance import _equivalence_corpus, _minimality_corpus
 from test_integer_core import corpus as integer_core_corpus
 
@@ -363,14 +366,18 @@ def _residual_map(dimension, spanned):
     ]
 
 
-def _residual_key(matrix, row):
-    """The direction of the row's image under the matrix, divided by its gcd
-    and signed so its first non-zero entry is positive."""
-    row = [sum(a * x for a, x in zip(line, row)) for line in matrix]
+def _direction(row):
+    """The non-zero row divided by its gcd and signed so its first non-zero
+    entry is positive."""
     g = math.gcd(*row)
     if next(x for x in row if x) < 0:
         g = -g
     return tuple(x // g for x in row)
+
+
+def _residual_key(matrix, row):
+    """The direction of the row's image under the matrix."""
+    return _direction([sum(a * x for a, x in zip(line, row)) for line in matrix])
 
 
 def _buckets(keyed):
@@ -389,39 +396,237 @@ SAME_BUCKET_CORPORA = {
 }
 
 
+def _pool(prefix, used, pairs):
+    """The points the shadow prefilter maps for a prefix, in index order,
+    given how many pairs it keyed: the first point of the prefix's last
+    group and the unused points from the lowest free index of a live tail
+    on, which are the highest unused points."""
+    size = math.isqrt(8 * pairs + 1) // 2 + 1
+    assert size * (size - 1) == 2 * pairs
+    unused = [i for i, u in enumerate(used) if not u]
+    return sorted({prefix[-1][0], *unused[len(unused) - size + 1:]})
+
+
+def _prefix_images(config, prefix, pool):
+    """The pool's images under the quotient map of the prefix span, built as
+    the search builds it: the groups' plain differences in placement order."""
+    points = config.integer_points
+    span = IncrementalSpan(config.dimension)
+    for group in prefix:
+        for m in group[1:]:
+            span.add_row([x - y for x, y in zip(points[m], points[group[0]])])
+    return {i: span.image(points[i]) for i in pool}
+
+
 @pytest.mark.parametrize("name", list(SAME_BUCKET_CORPORA))
 def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
-    """On every fifth tail the search runs, the chords among its free points
-    and the vectors from the last prefix group's base fall into the same
-    buckets under the search's key, the difference of point images, as
-    under the orthogonal residual of the difference modulo the prefix
-    span."""
-    tail, calls, checked = genericity._tail, count(), []
+    """On every fifth prefix the shadow prefilter keys, it keys each pair of
+    its pool once, on the first two entries of the pool's point images, and
+    the pool is the last group's first point and the top unused points. On
+    those slots the search's key, the difference of point images, falls
+    into the same buckets as the orthogonal residual of the difference
+    modulo the prefix span, and no bucket is split by the shadow keys."""
+    prefixes, shadow_key = genericity._prefixes, genericity._shadow_key
+    placed, keyed, checked = count(), [], []
 
-    def checking_tail(sizes, prefix, free, key):
-        if next(calls) % 5 == 0:
-            spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
-            matrix = _residual_map(config.dimension, spanned)
-            pairs = list(combinations(free, 2))
-            if prefix:
-                pairs += [(prefix[-1][0], m) for m in free if m > prefix[-1][0]]
-            engine = _buckets((key(i, j), (i, j)) for i, j in pairs)
-            reference = _buckets(
-                (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
-            )
-            assert engine == reference, (sizes, prefix, free)
-            checked.append(len(prefix))
-        return tail(sizes, prefix, free, key)
+    def recording_prefixes(points, counts, equal, tail, span):
+        for prefix, used in prefixes(points, counts, equal, tail, span):
+            keyed.clear()
+            flags = list(used)
+            yield prefix, used
+            if keyed and next(placed) % 5 == 0:
+                check(prefix, _pool(prefix, flags, len(keyed)))
+
+    def recording_shadow_key(head, tip):
+        keyed.append((head, tip))
+        return shadow_key(head, tip)
+
+    def check(prefix, pool):
+        images = _prefix_images(config, prefix, pool)
+        shadows = {i: tuple(row[:2]) for i, row in images.items()}
+        pairs = list(combinations(pool, 2))
+        assert sorted(keyed) == sorted((shadows[i], shadows[j]) for i, j in pairs)
+        spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
+        matrix = _residual_map(config.dimension, spanned)
+        image_keys = _buckets(
+            (_direction([x - y for x, y in zip(images[j], images[i])]), (i, j))
+            for i, j in pairs
+        )
+        reference = _buckets(
+            (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
+        )
+        assert image_keys == reference, (prefix, pool)
+        shadow_buckets = {
+            pair: shadow_key(shadows[pair[0]], shadows[pair[1]]) for pair in pairs
+        }
+        for bucket in reference:
+            assert len({shadow_buckets[pair] for pair in bucket}) == 1, (prefix, bucket)
+        checked.append(len(prefix))
 
     def _difference(b, m):
         points = config.integer_points
         return [x - y for x, y in zip(points[m], points[b])]
 
     corpus = SAME_BUCKET_CORPORA[name]()
-    monkeypatch.setattr(genericity, "_tail", checking_tail)
+    monkeypatch.setattr(genericity, "_prefixes", recording_prefixes)
+    monkeypatch.setattr(genericity, "_shadow_key", recording_shadow_key)
     for config in corpus:
         decide_all_projections(config)
     assert checked and max(checked) >= 1
+
+
+def _lifted(config):
+    """The set lifted by one more coordinate, (x . u)^2 with u = (1, 10,
+    100, ...). A chord translated by t gains 2 (t . u)(e . u) in height, so
+    parallel chords whose feet differ in x . u lift to chords that are not
+    parallel, and the lifted set reaches the k >= 2 patterns."""
+    u = [10**i for i in range(config.dimension)]
+    return Configuration(
+        config.dimension + 1,
+        tuple((*p, sum(a * x for a, x in zip(u, p)) ** 2) for p in config.points),
+    )
+
+
+def _cantor_corpus():
+    shapes = [cantor_graph_stage(stage) for stage in (1, 2, 3)]
+    return shapes + [_lifted(shape) for shape in shapes]
+
+
+def _product_cantor_corpus():
+    origin = Configuration(2, ((0, 0),))
+    seeds = Configuration(2, ((0, 0), (F(1, 5), F(1, 7))))
+    system = product_cantor_system(2)
+    planar = [iterate_system(system, stage, origin) for stage in (1, 2)]
+    planar.append(iterate_system(system, 1, seeds))
+    cube = iterate_system(product_cantor_system(3), 1, Configuration(3, ((0, 0, 0),)))
+    return [cube, _lifted(cube)] + [_lifted(shape) for shape in planar]
+
+
+PREFILTER_CORPORA = {
+    **SAME_BUCKET_CORPORA,
+    "cantor": _cantor_corpus,
+    "product-cantor": _product_cantor_corpus,
+    "grid": lambda: grid_corpus(77, 40, range(5, 9), ((3, 3), (4, 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(PREFILTER_CORPORA))
+def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
+    """A shadow key that always repeats sends every prefix on to its tails;
+    on every prefix whose real shadow keys are all distinct, so that the
+    search skips it, every live tail returns None. The verdicts equal the
+    search's byte for byte."""
+    shadow_key, tail = genericity._shadow_key, genericity._tail
+    prefixes, keys, skipped_tails = genericity._prefixes, [], count()
+
+    def recording_prefixes(points, counts, equal, tail_points, span):
+        for prefix, used in prefixes(points, counts, equal, tail_points, span):
+            keys.clear()
+            yield prefix, used
+
+    def repeating_shadow_key(head, tip):
+        keys.append(shadow_key(head, tip))
+        return ()
+
+    def checking_tail(sizes, prefix, free, key):
+        hit = tail(sizes, prefix, free, key)
+        if keys and len(set(keys)) == len(keys):
+            assert hit is None, (sizes, prefix, free)
+            next(skipped_tails)
+        return hit
+
+    corpus = PREFILTER_CORPORA[name]()
+    monkeypatch.setattr(genericity, "_prefixes", recording_prefixes)
+    monkeypatch.setattr(genericity, "_shadow_key", repeating_shadow_key)
+    monkeypatch.setattr(genericity, "_tail", checking_tail)
+    forced = [_verdict_json(decide_all_projections(config)) for config in corpus]
+    monkeypatch.undo()
+    assert forced == [_verdict_json(decide_all_projections(c)) for c in corpus]
+    assert next(skipped_tails) > 0
+
+
+_BIG = st.one_of(
+    st.integers(-(2**70), 2**70), st.sampled_from([2**53 + 1, -(2**53) - 3, 0])
+)
+_SHADOW = st.one_of(st.just((0, 0)), st.tuples(_BIG, _BIG))
+_FACTOR = st.one_of(st.integers(-(2**40), 2**40), st.sampled_from([-1, 2**60]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.tuples(_BIG, _BIG),
+    other=st.tuples(_BIG, _BIG),
+    v=_SHADOW,
+    c=_FACTOR.filter(bool),
+)
+def test_multiples_share_the_shadow_key(head, other, v, c):
+    """c * v gets v's shadow key for every non-zero integer c, negative c
+    and entries beyond 2^53 included, wherever the pair starts; the key is
+    (0, 0) for a zero shadow, else primitive with a positive first non-zero
+    entry."""
+    key = genericity._shadow_key
+    expected = key(other, (other[0] + v[0], other[1] + v[1]))
+    assert key(head, (head[0] + c * v[0], head[1] + c * v[1])) == expected
+    x, y = expected
+    if v == (0, 0):
+        assert expected == (0, 0)
+    else:
+        assert math.gcd(x, y) == 1 and (x > 0 or x == 0 and y > 0)
+        assert x * v[1] == y * v[0]
+
+
+def test_single_group_walks_run_no_prefilter(monkeypatch):
+    """classical_general_position walks one pattern (s,) at a time, whose
+    tail keys only the vectors from the last group's first point, so it
+    runs no prefilter. The engine's walks of the same generic set pass the
+    prefilter, which skips every k >= 2 prefix before its tails."""
+    config = random_configuration(9, 4, 10**6, 3)
+    shadow_key, tail = genericity._shadow_key, genericity._tail
+    calls, tails = count(), []
+
+    def counting_shadow_key(head, tip):
+        next(calls)
+        return shadow_key(head, tip)
+
+    def recording_tail(sizes, prefix, free, key):
+        tails.append(prefix)
+        return tail(sizes, prefix, free, key)
+
+    monkeypatch.setattr(genericity, "_shadow_key", counting_shadow_key)
+    monkeypatch.setattr(genericity, "_tail", recording_tail)
+    assert classical_general_position(config).in_general_position
+    assert next(calls) == 0
+    assert any(tails)
+    tails.clear()
+    assert decide_all_projections(config).generic
+    assert next(calls) > 1
+    assert not any(tails)
+
+
+# Generic in dimension 4, where a point's image modulo one chord has three
+# entries: some prefixes' shadow keys repeat though no two exact keys do.
+SHADOW_FALSE_REPEAT = (
+    (5, 1, 0, 5), (3, 2, 3, 3), (0, 4, 3, 4), (2, 4, 4, 5), (3, 5, 2, 0),
+    (4, 0, 3, 2),
+)
+
+
+def test_false_shadow_repeat_falls_back_to_the_exact_tails(monkeypatch):
+    config = Configuration(4, SHADOW_FALSE_REPEAT)
+    tail, hits = genericity._tail, []
+
+    def recording_tail(sizes, prefix, free, key):
+        hit = tail(sizes, prefix, free, key)
+        if prefix:
+            hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(genericity, "_tail", recording_tail)
+    verdict = decide_all_projections(config)
+    assert hits and all(hit is None for hit in hits)
+    assert verdict.generic
+    oracle = decide_all_projections_oracle(config)
+    assert _verdict_json(verdict) == _verdict_json(oracle)
 
 
 def test_corpora_reach_both_k1_patterns():

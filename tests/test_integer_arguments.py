@@ -59,6 +59,7 @@ SITES = {
         lambda v: decide_all_projections_oracle(SQUARE, max_points=v),
     ),
     20: ("dimension", lambda v: IncrementalSpan(v)),
+    21: ("bound", lambda v: SplitMix64(1).below(v)),
 }
 
 
@@ -71,6 +72,29 @@ SITES = {
 def test_non_int_argument_is_refused_by_name(name, call, value):
     with pytest.raises(InputError, match=rf"^{re.escape(name)}: must be an integer"):
         call(value)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_bound_below_one_is_refused(bound):
+    with pytest.raises(InputError, match=r"^bound: must be an integer >= 1$"):
+        SplitMix64(1).below(bound)
+
+
+# A field that the constructor unpacks or enumerates is checked first, so a
+# bare number is an input error naming the field, not a TypeError.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AffineMap(5, (0,)), "matrix: missing or not a list"),
+        (lambda: AffineMap(None, (0,)), "matrix: missing or not a list"),
+        (lambda: IteratedFunctionSystem(1, 5), "maps: missing or not a list"),
+        (lambda: IteratedFunctionSystem(1, None), "maps: missing or not a list"),
+        (lambda: IteratedFunctionSystem(1, (HALF, 5)), "maps[1]: not an AffineMap"),
+    ],
+)
+def test_unpacked_fields_are_refused_by_name(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize(
