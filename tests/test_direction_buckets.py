@@ -423,11 +423,18 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
     """On every fifth prefix the shadow prefilter keys, it keys each pair of
     its pool once, on the first two entries of the pool's point images, and
     the pool is the last group's first point and the top unused points. On
-    those slots the search's key, the difference of point images, falls
-    into the same buckets as the orthogonal residual of the difference
-    modulo the prefix span, and no bucket is split by the shadow keys."""
-    prefixes, shadow_key = genericity._prefixes, genericity._shadow_key
+    those slots the difference of point images falls into the same buckets
+    as the orthogonal residual of the difference modulo the prefix span,
+    and no bucket is split by the shadow keys. With every prefix forced
+    past the prefilter, on every fifth tail the search runs, the chords
+    among its free points and the vectors from the last prefix group's base
+    fall into the same buckets under the search's own key as under the
+    residual."""
+    prefixes, shadow_key, tail = (
+        genericity._prefixes, genericity._shadow_key, genericity._tail
+    )
     placed, keyed, checked = count(), [], []
+    calls, tail_checked = count(), []
 
     def recording_prefixes(points, counts, equal, tail, span):
         for prefix, used in prefixes(points, counts, equal, tail, span):
@@ -463,6 +470,21 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
             assert len({shadow_buckets[pair] for pair in bucket}) == 1, (prefix, bucket)
         checked.append(len(prefix))
 
+    def checking_tail(sizes, prefix, free, key):
+        if next(calls) % 5 == 0:
+            spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
+            matrix = _residual_map(config.dimension, spanned)
+            pairs = list(combinations(free, 2))
+            if prefix:
+                pairs += [(prefix[-1][0], m) for m in free if m > prefix[-1][0]]
+            engine = _buckets((key(i, j), (i, j)) for i, j in pairs)
+            reference = _buckets(
+                (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
+            )
+            assert engine == reference, (sizes, prefix, free)
+            tail_checked.append(len(prefix))
+        return tail(sizes, prefix, free, key)
+
     def _difference(b, m):
         points = config.integer_points
         return [x - y for x, y in zip(points[m], points[b])]
@@ -473,6 +495,12 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
     for config in corpus:
         decide_all_projections(config)
     assert checked and max(checked) >= 1
+    monkeypatch.undo()
+    monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
+    monkeypatch.setattr(genericity, "_tail", checking_tail)
+    for config in corpus:
+        decide_all_projections(config)
+    assert tail_checked and max(tail_checked) >= 1
 
 
 def _lifted(config):
