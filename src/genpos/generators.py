@@ -38,11 +38,19 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
+        """Uniform integer in [0, bound), unbiased via rejection.
+
+        A draw joins as many 64-bit words as bound - 1 needs (at least one,
+        so a bound up to 2^64 draws single words as it always has) and is
+        rejected at or above the largest multiple of bound it can reach."""
         integer(bound, "bound", 1)
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
+        words = (max(bound - 1, 1).bit_length() + 63) // 64
+        limit = 1 << 64 * words
+        limit -= limit % bound
         while True:
             draw = self.next_u64()
+            for _ in range(1, words):
+                draw = draw << 64 | self.next_u64()
             if draw < limit:
                 return draw % bound
 

@@ -33,16 +33,18 @@ rejected by comparing the size of their set with their number, and only a
 repeat runs the ordered scan for the lexicographically first family. Before
 the tails of a prefix with at least one vector run, where one of them keys
 pairs of free points (a new triple or new chords), the prefix passes one
-exact shadow prefilter: its pool (the free points of its live tails and the
-first point of its last group) is mapped once, and every pair of the pool is
-keyed by the primitive, sign-normalised difference of the two points'
-shadows, the first two entries of their images, or (0, 0) where that
-difference is zero. Parallel image differences have parallel or zero
-shadows, so equal keys have equal shadow keys, and every vector a tail keys
-joins two points of the pool: a prefix whose shadow keys are all distinct
-has no tail hit and is skipped, and a repeat, true or false, runs the tails
-unchanged on the images already mapped. It is integer arithmetic
-throughout, so nothing rounds. For
+shadow prefilter: its pool (the free points of its live tails and the first
+point of its last group) is mapped once, and every pair of the pool is keyed
+by the correctly rounded ratio of the two entries of the difference of the
+two points' shadows, the first two entries of their images (smaller over
+larger, see _shadow_key), or None where that difference is zero. Parallel
+image differences have parallel or zero shadows, so equal keys have equal
+shadow keys, and every vector a tail keys joins two points of the pool: a
+prefix whose shadow keys are all distinct has no tail hit and is skipped,
+and a repeat, true or false, runs the tails unchanged on the images already
+mapped. Only the prefilter's key rounds, and its rounding is a function of
+an exact ratio of integers; everything else is integer arithmetic, and the
+verdict reads only exact integer keys. For
 k = 1 the prefix is empty and the keys are the primitive, sign-normalised
 differences themselves, built per base on first use by the k = 1 walk
 alone (_DifferenceRows): a collinear triple (3,) or two disjoint parallel
@@ -319,19 +321,22 @@ def _two_members(group: tuple[int, ...], free: list[int], key):
     return group + _first_collision(zip(keys, members))
 
 
-def _shadow_key(head, tip) -> tuple[int, int]:
-    """The shadow key of the pair: the difference of its two shadows (the
-    first two entries of point images), divided by its gcd and signed so
-    that its first non-zero entry is positive, or (0, 0) where the shadows
-    are equal. If two image differences are parallel, v = c * w with c != 0,
-    their shadows are c times each other or both zero, so their shadow keys
-    are equal."""
+def _shadow_key(head, tip) -> float | None:
+    """The shadow key of the pair, from the difference (x, y) of its two
+    shadows (the first two entries of point images): y / x in [-1, 1] where
+    |y| <= |x|, 3 + x / y in [2, 4] where |y| > |x|, or None where the
+    shadows are equal. int / int is correctly rounded, so the key is a
+    function of the exact ratio alone, and a ratio of magnitude at most 1
+    never overflows. If two image differences are parallel, v = c * w with
+    c != 0, their shadows are c times each other or both zero, so their
+    shadow keys are equal. Shadows that are not parallel may round to one
+    key; that repeat only sends the prefix on to its tails, whose exact
+    integer keys decide."""
     (a, b), (c, d) = head, tip
     x, y = c - a, d - b
-    g = gcd(x, y) or 1
-    if x < 0 or not x and y < 0:
-        g = -g
-    return x // g, y // g
+    if abs(y) <= abs(x):
+        return y / x if x else None
+    return 3.0 + x / y
 
 
 def _first_member_and_chord(members, chords):

@@ -323,8 +323,15 @@ def configuration_from_json(obj) -> Configuration:
 
 
 def _cells(denominator: int, rows) -> list[list[str]]:
-    """The JSON cells of integer rows over one denominator."""
-    return [[str(Fraction(x, denominator)) for x in row] for row in rows]
+    """The JSON cells of integer rows over one positive denominator, each
+    x / denominator in lowest terms with one gcd, as str(Fraction(x,
+    denominator)) writes it: "p/q", or "p" where q is 1."""
+
+    def cell(x: int) -> str:
+        g = math.gcd(x, denominator)
+        return str(x // g) if g == denominator else f"{x // g}/{denominator // g}"
+
+    return [[cell(x) for x in row] for row in rows]
 
 
 def configuration_to_json(config: Configuration) -> dict:

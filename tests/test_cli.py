@@ -112,6 +112,23 @@ class TestDecide:
             )
 
 
+@pytest.mark.parametrize("count, dimension", [(8, 4), (9, 3)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decide_is_the_oracle_on_entries_beyond_a_float(
+    tmp_path, count, dimension, seed
+):
+    """Coordinates over 10^300 give shadow entries of 2000 bits and more,
+    beyond a float's range, which the k >= 2 walks key by correctly rounded
+    ratios. decide still prints the brute-force oracle's bytes."""
+    config = random_configuration(count, dimension, 10**300, seed)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(configuration_to_json(config)))
+    decide = run(["decide", "-c", str(path)])
+    oracle = run(["decide-oracle", "-c", str(path)])
+    assert decide.exit_code == oracle.exit_code == 0
+    assert decide.payload == oracle.payload
+
+
 @pytest.fixture
 def reads(monkeypatch):
     """A list that grows by one on every read of Configuration.points."""

@@ -590,17 +590,52 @@ _FACTOR = st.one_of(st.integers(-(2**40), 2**40), st.sampled_from([-1, 2**60]))
 def test_multiples_share_the_shadow_key(head, other, v, c):
     """c * v gets v's shadow key for every non-zero integer c, negative c
     and entries beyond 2^53 included, wherever the pair starts; the key is
-    (0, 0) for a zero shadow, else primitive with a positive first non-zero
-    entry."""
+    None exactly for a zero shadow, else a float, in [-1, 1] where the
+    shadow's second entry is at most its first in magnitude and in [2, 4]
+    where it is larger."""
     key = genericity._shadow_key
     expected = key(other, (other[0] + v[0], other[1] + v[1]))
     assert key(head, (head[0] + c * v[0], head[1] + c * v[1])) == expected
-    x, y = expected
     if v == (0, 0):
-        assert expected == (0, 0)
+        assert expected is None
     else:
-        assert math.gcd(x, y) == 1 and (x > 0 or x == 0 and y > 0)
-        assert x * v[1] == y * v[0]
+        assert type(expected) is float
+        if abs(v[1]) <= abs(v[0]):
+            assert -1 <= expected <= 1
+        else:
+            assert 2 <= expected <= 4
+
+
+_SMALL = st.integers(-(2**20) + 1, 2**20 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.tuples(_BIG, _BIG),
+    u=st.tuples(_SMALL, _SMALL),
+    w=st.tuples(_SMALL, _SMALL),
+)
+def test_small_shadows_share_a_key_only_when_parallel(head, u, w):
+    """Below 2^20 two distinct ratios differ by more than 2^-40, far above
+    a float's spacing in [-1, 4], so shadows get one key exactly when they
+    are parallel and both zero or both not; a constant key fails."""
+    key = genericity._shadow_key
+    parallel = u[0] * w[1] == u[1] * w[0] and (u == (0, 0)) == (w == (0, 0))
+    ku = key(head, (head[0] + u[0], head[1] + u[1]))
+    assert (ku == key((0, 0), w)) == parallel
+
+
+@pytest.mark.parametrize("shadow, expected", [((1, 10**400), 3.0), ((10**400, 1), 0.0)])
+def test_shadow_key_of_entries_beyond_a_float(shadow, expected):
+    """The larger entry of these shadows over the smaller overflows a float
+    (y / x on the first, x / y on the second); the key divides the smaller
+    by the larger, so it is finite, and the shadow's multiples share it."""
+    with pytest.raises(OverflowError):
+        max(shadow) / min(shadow)
+    x, y = shadow
+    key = genericity._shadow_key
+    assert key((0, 0), shadow) == expected
+    assert key((5, -3), (5 - 7 * x, -3 - 7 * y)) == expected
 
 
 def test_single_group_walks_run_no_prefilter(monkeypatch):

@@ -359,6 +359,34 @@ class TestSplitMix64:
         with pytest.raises(InputError):
             SplitMix64(-1)
 
+    @pytest.mark.parametrize("bound", [1, 7, 10**6, 2**63 + 5, 2**64])
+    def test_one_word_bounds_keep_their_sequence(self, bound):
+        """Up to 2^64 a draw is one word, rejected at or above the largest
+        multiple of bound below 2^64, as it always was."""
+        rng, words = SplitMix64(3), SplitMix64(3)
+        limit = 2**64 - 2**64 % bound
+        for _ in range(20):
+            word = words.next_u64()
+            while word >= limit:
+                word = words.next_u64()
+            assert rng.below(bound) == word % bound
+
+    @pytest.mark.parametrize("bound", [2**64 + 1, 3 * 2**64, 10**300])
+    def test_bounds_beyond_one_word_return(self, bound):
+        """Above 2^64 a draw joins as many words as bound - 1 needs, high
+        word first. Once the one-word limit here was 0 and below never
+        returned."""
+        rng, words = SplitMix64(7), SplitMix64(7)
+        count = -(-(bound - 1).bit_length() // 64)
+        draws = [rng.below(bound) for _ in range(50)]
+        assert all(0 <= d < bound for d in draws) and len(set(draws)) == 50
+        assert max(draws) > bound // 2
+        joined = 0
+        for _ in range(count):
+            joined = joined << 64 | words.next_u64()
+        assert joined < 2 ** (64 * count) - 2 ** (64 * count) % bound
+        assert draws[0] == joined % bound
+
 
 class TestPerturb:
     def test_square_becomes_generic(self, square):
@@ -426,6 +454,13 @@ def _pinned_outputs():
     for config in sources:
         for seed, epsilon in enumerate((F(1, 64), F(1, 100), F(3, 7))):
             yield perturb_to_generic(config, epsilon, seed)
+
+
+def test_random_configuration_takes_huge_denominators():
+    config = random_configuration(8, 4, 10**300, 7)
+    assert len(config) == 8 and config.dimension == 4
+    assert 10**300 % config.denominator == 0
+    assert max(max(row) for row in config.integer_points) > 10**290
 
 
 def test_producer_outputs_are_pinned():

@@ -359,6 +359,22 @@ class TestJson:
         }
         assert configuration_from_json(doc) == config
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)), max_size=4),
+            max_size=4,
+        ),
+        denominator=st.one_of(st.just(1), st.integers(1, 10**30)),
+    )
+    def test_cells_are_written_as_fraction_writes_them(self, rows, denominator):
+        """The JSON cells, formatted with one gcd each, are byte for byte
+        str(Fraction(x, denominator)): zero, negative cells and a
+        denominator of 1 included."""
+        assert geometry._cells(denominator, rows) == [
+            [str(F(x, denominator)) for x in row] for row in rows
+        ]
+
     def test_subspace_round_trip(self):
         kernel = Subspace(2, ((F(1, 2), 1),))
         doc = subspace_to_json(kernel)
