@@ -25,41 +25,41 @@ degeneracy-testing view of Gajentaan and Overmars. The search reads one
 input, the configuration's integer points. A prefix adds the plain
 differences p_m - p_b of its groups to an IncrementalSpan, which stores each
 as its primitive image (IncrementalSpan.image, the program's one
-elimination). Each prefix maps the points its tails reach once, by the
+elimination); for k = 1 the prefix and its span are empty, and a point is
+its own image. Each prefix maps the points its tails reach once, by the
 span's quotient map, and keys the vector from point b to point m by
 image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
 of a stored row changes no key; a tail whose keys are all distinct is
 rejected by comparing the size of their set with their number, and only a
 repeat runs the ordered scan for the lexicographically first family. Before
-the tails of a prefix with at least one vector run, where one of them keys
-pairs of free points (a new triple or new chords), the prefix passes one
-shadow prefilter: its pool (the free points of its live tails and the first
-point of its last group) is mapped once, and every pair of the pool is keyed
-by the correctly rounded ratio of the two entries of the difference of the
-two points' shadows, the first two entries of their images (smaller over
-larger, see _shadow_key), or None where that difference is zero. Parallel
-image differences have parallel or zero shadows, so equal keys have equal
-shadow keys, and every vector a tail keys joins two points of the pool: a
-prefix whose shadow keys are all distinct has no tail hit and is skipped,
-and a repeat, true or false, runs the tails unchanged on the images already
-mapped. Only the prefilter's key rounds, and its rounding is a function of
+the tails of a prefix run, where one of them keys pairs of free points (a
+collinear triple, a new triple or new chords), the prefix passes one shadow
+prefilter: its pool (the free points of its live tails, and the first point
+of its last group if it has one) is mapped one point at a time, and each
+pair of the pool is keyed by the correctly rounded ratio of the two entries
+of the difference of the two points' shadows, the first two entries of
+their images (smaller over larger, see _shadow_key), or None where that
+difference is zero. Parallel image differences have parallel or zero
+shadows, so equal keys have equal shadow keys, and every vector a tail keys
+joins two points of the pool: a prefix whose shadow keys are all distinct
+has no tail hit and is skipped, and at the first repeat, true or false, the
+prefilter stops and the tails run unchanged, mapping the points it did not
+reach. Only the prefilter's key rounds, and its rounding is a function of
 an exact ratio of integers; everything else is integer arithmetic, and the
-verdict reads only exact integer keys. For
-k = 1 the prefix is empty and the keys are the primitive, sign-normalised
-differences themselves, built per base on first use by the k = 1 walk
-alone (_DifferenceRows): a collinear triple (3,) or two disjoint parallel
-chords (2, 2), in O(n^2) expected time. The patterns of one k are searched
-together: those that place the same prefixes share one walk over them, and
-each prefix's keys are computed once for all of them, on every walk, and
-dropped with the prefix. A walk places only prefixes that a tail can
-complete: the first point of each prefix group leaves room above it for the
-family points that must lie there (its own later points, the groups ordered
-above it, and the fewest tail points that any of the walk's patterns puts
-above the last group), and a pattern's tail runs only when its free points
-can hold it. A pruned prefix has no tail, so the same search, one path for
-every k, returns the lexicographically first family that a depth-first
-search over all k + 1 vectors would find. The oracle tests each family, and
-the certificate picks its witness, by geometry.difference_basis.
+verdict reads only exact integer keys. For k = 1 the tails find a collinear
+triple (3,) or two disjoint parallel chords (2, 2). The patterns of one k
+are searched together: those that place the same prefixes share one walk
+over them, and each prefix's keys are computed once for all of them, on
+every walk, and dropped with the prefix. A walk places only prefixes that
+a tail can complete: the first point of each prefix group leaves room above
+it for the family points that must lie there (its own later points, the
+groups ordered above it, and the fewest tail points that any of the walk's
+patterns puts above the last group), and a pattern's tail runs only when
+its free points can hold it. A pruned prefix has no tail, so the same
+search, one path for every k, returns the lexicographically first family
+that a depth-first search over all k + 1 vectors would find. The oracle
+tests each family, and the certificate picks its witness, by
+geometry.difference_basis.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, repeat, starmap
 from math import gcd
+from operator import sub
 
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, difference_basis, subspace_to_json
@@ -193,37 +194,6 @@ def _build_certificate(
     )
     pattern = DegeneracyPattern(witness.dim, tuple(len(g) for g in groups))
     return Certificate(pattern, groups, witness)
-
-
-class _DifferenceRows(dict):
-    """Directions of p_m - p_b for m > b, on the integer lattice: the k = 1
-    keys.
-
-    table[b][m] is the difference row divided by the gcd of its entries and
-    signed so that its first non-zero entry is positive, as a tuple; it is
-    defined for m > b (entries up to b are None). The rows for a base are
-    built together on first use and then shared by both k = 1 patterns; a
-    base the search does not reach costs nothing.
-    """
-
-    __slots__ = ("integer_points",)
-
-    def __init__(self, integer_points):
-        super().__init__()
-        self.integer_points = integer_points
-
-    def __missing__(self, b: int) -> list[tuple[int, ...] | None]:
-        base = self.integer_points[b]
-        zeros = [0] * len(base)
-        rows: list[tuple[int, ...] | None] = [None] * (b + 1)
-        for p in self.integer_points[b + 1:]:
-            row = [x - y for x, y in zip(p, base)]  # non-zero: points differ
-            g = gcd(*row)
-            if row < zeros:
-                g = -g
-            rows.append(tuple(row) if g == 1 else tuple([y // g for y in row]))
-        self[b] = rows
-        return rows
 
 
 def _prefixes(
@@ -428,8 +398,8 @@ def _first_violation(
 
     A family is its prefix followed by its tail, so the first prefix that has
     a tail, with its first tail, is the first family. k = 1 is the empty
-    prefix: a collinear triple (3,) or two parallel chords (2, 2), keyed on
-    the difference table (_DifferenceRows), which only that walk builds.
+    prefix: a collinear triple (3,) or two parallel chords (2, 2), keyed by
+    the same key on the empty span, under which a point is its own image.
 
     `points` are the configuration's integer points, the search's one input.
     Patterns whose prefixes place the same number of points in each group
@@ -442,23 +412,26 @@ def _first_violation(
     canonical order, each on its own free indices when they can hold it;
     the walk skips prefixes that leave too few indices for the fewest tail
     points among its patterns (see _prefixes).
-    For k >= 2 the live tails of a prefix (the patterns whose free indices
-    can hold them) first pass the shadow prefilter, if some of them keys
-    pairs of free points (a new triple or new chords). Tails that only add
-    two members to the last group, such as the single-group walks of
-    classical_general_position, key at most one vector per free point,
-    fewer than the pool has pairs, and a prefix with no live tail is
-    skipped before any point is mapped. The pool is prefix[-1][0], whose
-    image is that of every point of its group, and the unused points from
-    the lowest free index of a live tail on: the union of their free
-    indices. Each tail keys only vectors between two pool points. Each pool
-    point is mapped once into the prefix's images, and each pair of the pool
-    is keyed once by _shadow_key on the first two image entries (k < N
-    leaves at least two). Equal keys give equal shadow keys, so when the
-    pool's shadow keys are all distinct no tail can hit and the prefix is
-    skipped; otherwise the live tails run as before, reusing the images,
-    and their exact keys decide. The prefilter changes no result, only
-    which prefixes reach the tails.
+    The live tails of a prefix (the patterns whose free indices can hold
+    them) first pass the shadow prefilter, if some of them keys pairs of
+    free points (a triple or new chords). Tails that only add two members
+    to the last group, such as the walks of classical_general_position for
+    s >= 4, key at most one vector per free point, fewer than the pool has
+    pairs, and a prefix with no live tail is skipped before any point is
+    mapped. The pool is the first point of the prefix's last group, if the
+    prefix has one (its image is that of every point of its group), and the
+    unused points from the lowest free index of a live tail on: the union of
+    their free indices. Each tail keys only vectors between two pool points.
+    The prefilter maps the pool one point at a time into the prefix's
+    images, keys the new point's shadow (the first two image entries; k < N
+    leaves at least two) against each shadow mapped before it by
+    _shadow_key, and stops at the first repeat (shadow_keys_repeat). Equal
+    keys give equal shadow keys, so when the pool's shadow keys are all
+    distinct no tail can hit and the prefix is skipped; otherwise the live
+    tails run as before, reusing the images mapped and mapping the rest on
+    first use, and their exact keys decide. The prefilter changes no result,
+    only which prefixes reach the tails; stopping at the first repeat keeps
+    it from keying every pair of the pool where the tails hit early.
     A pattern that hits is dropped with every later one, while earlier ones
     walk on, so the earliest pattern with a violation wins with its first
     family.
@@ -478,7 +451,26 @@ def _first_violation(
     best, family = len(patterns), None
     span = IncrementalSpan(len(points[0]))
     image = span.image
-    zeros = [0] * span.dimension
+    zeros = (0,) * span.dimension
+
+    def shadow_keys_repeat(pool: list[int]) -> bool:
+        """Whether two pairs of the pool share a shadow key. The pool is
+        mapped into the prefix's images one point at a time, each new
+        shadow (the first two image entries) is keyed against every shadow
+        mapped before it, and the loop stops at the first repeat, so a pool
+        whose early points already repeat costs a few keys, not one per
+        pair."""
+        seen, shadows = set(), []
+        for i in pool:
+            images[i] = row = image(points[i])
+            shadow = row[0], row[1]
+            for other in shadows:
+                key = _shadow_key(other, shadow)
+                if key in seen:
+                    return True
+                seen.add(key)
+            shadows.append(shadow)
+        return False
 
     def reduced(b: int, m: int) -> tuple[int, ...]:
         """The direction of p_m - p_b modulo the prefix span: the difference
@@ -490,30 +482,24 @@ def _first_violation(
         slot = b * n + m
         direction = keys.get(slot)
         if direction is None:
-            head, tip = images[b] or point_image(b), images[m] or point_image(m)
-            row = [x - y for x, y in zip(tip, head)]
+            head, tip = images[b], images[m]
+            if head is None:
+                head = images[b] = image(points[b])
+            if tip is None:
+                tip = images[m] = image(points[m])
+            row = tuple(map(sub, tip, head))
             g = gcd(*row)
             if row < zeros:
                 g = -g
-            direction = tuple(row) if g == 1 else tuple([x // g for x in row])
+            direction = row if g == 1 else tuple([x // g for x in row])
             keys[slot] = direction
         return direction
-
-    def point_image(i: int) -> list[int]:
-        images[i] = row = image(points[i])
-        return row
-
-    def entry(b: int, m: int) -> tuple[int, ...]:
-        return table[b][m]
 
     for counts, members in walks.items():
         order = tuple(map(all, zip(*(member[2] for member in members))))
         # Tail points above the first point of the prefix's last group: all
         # of them where the tail starts above it, else those that join it.
         tail = min(size if above else joined for *_, above, joined, size in members)
-        if not counts:  # the empty prefix (k = 1) keys on the table
-            table = _DifferenceRows(points)
-        key = reduced if counts else entry
         for prefix, used in _prefixes(points, counts, order, tail, span):
             if members[0][0] >= best:
                 return family
@@ -538,20 +524,16 @@ def _first_violation(
             keys = {}  # and its keys, for every pattern of the walk
             # The shadow prefilter, where a live tail keys pairs of free
             # points: no shadow key repeats, no tail hits. The pool is the
-            # live tails' free points and the last group's first point.
-            if counts and any(sizes[-1] <= 3 for _, sizes, _ in runs):
-                base = prefix[-1][0]
+            # last group's first point, if any, and the live tails' free
+            # points.
+            if any(sizes[-1] <= 3 for _, sizes, _ in runs):
                 low = min(free[0] for _, _, free in runs)
-                pool = [i for i in range(n) if i == base or i >= low and not used[i]]
-                shadows = []
-                for i in pool:
-                    images[i] = row = image(points[i])
-                    shadows.append((row[0], row[1]))
-                pairs = starmap(_shadow_key, combinations(shadows, 2))
-                if len(set(pairs)) * 2 == len(pool) * (len(pool) - 1):
+                pool = [group[0] for group in prefix[-1:]]
+                pool += [i for i in range(low, n) if not used[i]]
+                if not shadow_keys_repeat(pool):
                     continue
             for index, sizes, free in runs:
-                hit = _tail(sizes, prefix, free, key)
+                hit = _tail(sizes, prefix, free, reduced)
                 if hit is not None:
                     best, family = index, hit
                     break

@@ -396,17 +396,6 @@ SAME_BUCKET_CORPORA = {
 }
 
 
-def _pool(prefix, used, pairs):
-    """The points the shadow prefilter maps for a prefix, in index order,
-    given how many pairs it keyed: the first point of the prefix's last
-    group and the unused points from the lowest free index of a live tail
-    on, which are the highest unused points."""
-    size = math.isqrt(8 * pairs + 1) // 2 + 1
-    assert size * (size - 1) == 2 * pairs
-    unused = [i for i, u in enumerate(used) if not u]
-    return sorted({prefix[-1][0], *unused[len(unused) - size + 1:]})
-
-
 def _prefix_images(config, prefix, pool):
     """The pool's images under the quotient map of the prefix span, built as
     the search builds it: the groups' plain differences in placement order."""
@@ -420,39 +409,77 @@ def _prefix_images(config, prefix, pool):
 
 @pytest.mark.parametrize("name", list(SAME_BUCKET_CORPORA))
 def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
-    """On every fifth prefix the shadow prefilter keys, it keys each pair of
-    its pool once, on the first two entries of the pool's point images, and
-    the pool is the last group's first point and the top unused points. On
-    those slots the difference of point images falls into the same buckets
-    as the orthogonal residual of the difference modulo the prefix span,
-    and no bucket is split by the shadow keys. With every prefix forced
-    past the prefilter, on every fifth tail the search runs, the chords
-    among its free points and the vectors from the last prefix group's base
-    fall into the same buckets under the search's own key as under the
-    residual."""
+    """On every empty prefix and every fifth other prefix the shadow
+    prefilter keys, it maps its pool one point at a time: the last group's
+    first point, if the prefix has one, then consecutive unused points. It
+    keys each new point's shadow, the first two entries of its image,
+    against each shadow mapped before it, in order, and stops at the first
+    key that repeats: where none does it has keyed every pair of the pool,
+    up to the highest unused point, and no tail runs, and where one does,
+    it is the last key and the tails run. On the pairs of mapped
+    points the difference of point images falls into the same buckets as
+    the orthogonal residual of the difference modulo the prefix span, and
+    no bucket is split by the shadow keys. With every prefix forced past the
+    prefilter, on every fifth tail the search runs, the chords among its
+    free points and the vectors from the last prefix group's base fall into
+    the same buckets under the search's own key as under the residual."""
     prefixes, shadow_key, tail = (
         genericity._prefixes, genericity._shadow_key, genericity._tail
     )
-    placed, keyed, checked = count(), [], []
+    placed, events, checked = count(), [], []
     calls, tail_checked = count(), []
+
+    class RecordingSpan(IncrementalSpan):
+        __slots__ = ()
+
+        def image(self, row):
+            events.append(("image", row))
+            return super().image(row)
 
     def recording_prefixes(points, counts, equal, tail, span):
         for prefix, used in prefixes(points, counts, equal, tail, span):
-            keyed.clear()
+            events.clear()
             flags = list(used)
             yield prefix, used
-            if keyed and next(placed) % 5 == 0:
-                check(prefix, _pool(prefix, flags, len(keyed)))
+            keyed = [event[1:] for event in events if event[0] == "key"]
+            if keyed and (not prefix or next(placed) % 5 == 0):
+                check(prefix, flags, keyed)
 
     def recording_shadow_key(head, tip):
-        keyed.append((head, tip))
+        events.append(("key", head, tip))
         return shadow_key(head, tip)
 
-    def check(prefix, pool):
-        images = _prefix_images(config, prefix, pool)
+    def recording_tail(sizes, prefix, free, key):
+        events.append(("tail",))
+        return tail(sizes, prefix, free, key)
+
+    def check(prefix, used, keyed):
+        index = {p: i for i, p in enumerate(config.integer_points)}
+        last_key = max(j for j, event in enumerate(events) if event[0] == "key")
+        mapped = [index[e[1]] for e in events[:last_key] if e[0] == "image"]
+        base = [group[0] for group in prefix[-1:]]
+        unused = [i for i, u in enumerate(used) if not u]
+        rest = mapped[len(base):]
+        start = unused.index(rest[0])
+        assert mapped[:len(base)] == base and rest == unused[start:start + len(rest)]
+        images = _prefix_images(config, prefix, mapped)
         shadows = {i: tuple(row[:2]) for i, row in images.items()}
-        pairs = list(combinations(pool, 2))
-        assert sorted(keyed) == sorted((shadows[i], shadows[j]) for i, j in pairs)
+        ordered = [
+            (shadows[mapped[j]], shadows[mapped[t]])
+            for t in range(len(mapped))
+            for j in range(t)
+        ]
+        assert keyed == ordered[:len(keyed)], (prefix, mapped)
+        assert len(keyed) > len(ordered) - len(mapped) + 1, (prefix, mapped)
+        keys = [shadow_key(head, tip) for head, tip in keyed]
+        assert len(set(keys[:-1])) == len(keys) - 1, (prefix, mapped)
+        ran = ("tail",) in events
+        if keys[-1] in keys[:-1]:
+            assert ran, (prefix, mapped)
+        else:
+            assert keyed == ordered and rest[-1] == unused[-1], (prefix, mapped)
+            assert not ran, (prefix, mapped)
+        pairs = list(combinations(mapped, 2))
         spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
         matrix = _residual_map(config.dimension, spanned)
         image_keys = _buckets(
@@ -462,7 +489,7 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
         reference = _buckets(
             (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
         )
-        assert image_keys == reference, (prefix, pool)
+        assert image_keys == reference, (prefix, mapped)
         shadow_buckets = {
             pair: shadow_key(shadows[pair[0]], shadows[pair[1]]) for pair in pairs
         }
@@ -490,11 +517,13 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
         return [x - y for x, y in zip(points[m], points[b])]
 
     corpus = SAME_BUCKET_CORPORA[name]()
+    monkeypatch.setattr(genericity, "IncrementalSpan", RecordingSpan)
     monkeypatch.setattr(genericity, "_prefixes", recording_prefixes)
     monkeypatch.setattr(genericity, "_shadow_key", recording_shadow_key)
+    monkeypatch.setattr(genericity, "_tail", recording_tail)
     for config in corpus:
         decide_all_projections(config)
-    assert checked and max(checked) >= 1
+    assert checked and min(checked) == 0 and max(checked) >= 1
     monkeypatch.undo()
     monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
     monkeypatch.setattr(genericity, "_tail", checking_tail)
@@ -540,34 +569,35 @@ PREFILTER_CORPORA = {
 
 @pytest.mark.parametrize("name", list(PREFILTER_CORPORA))
 def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
-    """A shadow key that always repeats sends every prefix on to its tails;
-    on every prefix whose real shadow keys are all distinct, so that the
-    search skips it, every live tail returns None. The verdicts equal the
-    search's byte for byte."""
-    shadow_key, tail = genericity._shadow_key, genericity._tail
-    prefixes, keys, skipped_tails = genericity._prefixes, [], count()
-
-    def recording_prefixes(points, counts, equal, tail_points, span):
-        for prefix, used in prefixes(points, counts, equal, tail_points, span):
-            keys.clear()
-            yield prefix, used
-
-    def repeating_shadow_key(head, tip):
-        keys.append(shadow_key(head, tip))
-        return ()
+    """A shadow key that always repeats sends every prefix whose pool has
+    three points or more on to its tails. A tail that keys pairs of free
+    points keys only pairs of its own pool, the first point of the prefix's
+    last group, if any, and its free points, which lie in the prefilter's
+    pool; where the real shadow keys of that pool, on the prefix's images,
+    are all distinct, as they are on every prefix the search skips, the
+    tail returns None. The verdicts equal the search's byte for byte."""
+    shadow_key, tail, skipped_tails = genericity._shadow_key, genericity._tail, count()
 
     def checking_tail(sizes, prefix, free, key):
         hit = tail(sizes, prefix, free, key)
-        if keys and len(set(keys)) == len(keys):
-            assert hit is None, (sizes, prefix, free)
-            next(skipped_tails)
+        if sizes[-1] <= 3:
+            pool = [group[0] for group in prefix[-1:]] + free
+            images = _prefix_images(config, prefix, pool)
+            keys = [
+                shadow_key(images[i][:2], images[j][:2])
+                for i, j in combinations(pool, 2)
+            ]
+            if len(set(keys)) == len(keys):
+                assert hit is None, (sizes, prefix, free)
+                next(skipped_tails)
         return hit
 
     corpus = PREFILTER_CORPORA[name]()
-    monkeypatch.setattr(genericity, "_prefixes", recording_prefixes)
-    monkeypatch.setattr(genericity, "_shadow_key", repeating_shadow_key)
+    monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
     monkeypatch.setattr(genericity, "_tail", checking_tail)
-    forced = [_verdict_json(decide_all_projections(config)) for config in corpus]
+    forced = []
+    for config in corpus:
+        forced.append(_verdict_json(decide_all_projections(config)))
     monkeypatch.undo()
     assert forced == [_verdict_json(decide_all_projections(c)) for c in corpus]
     assert next(skipped_tails) > 0
@@ -639,31 +669,52 @@ def test_shadow_key_of_entries_beyond_a_float(shadow, expected):
 
 
 def test_single_group_walks_run_no_prefilter(monkeypatch):
-    """classical_general_position walks one pattern (s,) at a time, whose
-    tail keys only the vectors from the last group's first point, so it
-    runs no prefilter. The engine's walks of the same generic set pass the
-    prefilter, which skips every k >= 2 prefix before its tails."""
+    """classical_general_position walks one pattern (s,) at a time. For
+    s >= 4 the tail keys only the vectors from the last group's first
+    point, so those walks run no prefilter; the (3,) walk, a triple on the
+    empty prefix, keys every pair of this generic set's shadows once and
+    skips its tail, and one repeated shadow key sends it on to its tail.
+    The engine's walks of the same set pass the prefilter, which skips every
+    prefix, the empty one included, before its tails."""
     config = random_configuration(9, 4, 10**6, 3)
-    shadow_key, tail = genericity._shadow_key, genericity._tail
-    calls, tails = count(), []
+    first_violation, shadow_key, tail = (
+        genericity._first_violation, genericity._shadow_key, genericity._tail
+    )
+    walks, keyed, tails = [], [], []
 
-    def counting_shadow_key(head, tip):
-        next(calls)
+    def recording_first_violation(patterns, points):
+        walks.append(patterns[0].sizes)
+        return first_violation(patterns, points)
+
+    def recording_shadow_key(head, tip):
+        keyed.append(walks[-1])
         return shadow_key(head, tip)
 
     def recording_tail(sizes, prefix, free, key):
         tails.append(prefix)
         return tail(sizes, prefix, free, key)
 
-    monkeypatch.setattr(genericity, "_shadow_key", counting_shadow_key)
+    monkeypatch.setattr(genericity, "_first_violation", recording_first_violation)
+    monkeypatch.setattr(genericity, "_shadow_key", recording_shadow_key)
     monkeypatch.setattr(genericity, "_tail", recording_tail)
     assert classical_general_position(config).in_general_position
-    assert next(calls) == 0
-    assert any(tails)
+    assert walks == [(3,), (4,), (5,)]
+    assert keyed == [(3,)] * 36
+    assert tails and all(tails)
+    keyed.clear()
     tails.clear()
     assert decide_all_projections(config).generic
-    assert next(calls) > 1
-    assert not any(tails)
+    assert len(keyed) > 36
+    assert not tails
+    real = []
+
+    def once_repeating_shadow_key(head, tip):
+        real.append(shadow_key(head, tip))
+        return real[0] if len(real) == 2 else real[-1]
+
+    monkeypatch.setattr(genericity, "_shadow_key", once_repeating_shadow_key)
+    assert classical_general_position(config).in_general_position
+    assert () in tails
 
 
 # Generic in dimension 4, where a point's image modulo one chord has three
@@ -690,6 +741,74 @@ def test_false_shadow_repeat_falls_back_to_the_exact_tails(monkeypatch):
     assert verdict.generic
     oracle = decide_all_projections_oracle(config)
     assert _verdict_json(verdict) == _verdict_json(oracle)
+
+
+def _k1_planted_corpus():
+    """Random sets in dimensions 2, 3 and 4 with one k = 1 shape planted
+    on points a, b, c, d: a collinear triple (c on line ab), parallel chords
+    (cd parallel to ab), none, and in dimension 3 or more, chords ab and cd
+    whose endpoints share their first two coordinates (zero shadows, key
+    None), or whose shadows are parallel while the chords are not."""
+    rng = SplitMix64(21)
+    out = []
+    for dim in (2, 3, 4):
+        for i in range(15):
+            config = random_configuration(7 + rng.below(2), dim, 1000, 500 + i)
+            points = [list(p) for p in config.points]
+            a, b, c, d = (points[j] for j in (0, 2, 3, 5))
+            t = F(rng.below(5) + 2, rng.below(3) + 1) * (-1) ** rng.below(2)
+            shape = i % 5 if dim > 2 else i % 3
+            if shape == 0:
+                c[:] = [x + t * (y - x) for x, y in zip(a, b)]
+            elif shape == 1:
+                d[:] = [z + t * (y - x) for x, y, z in zip(a, b, c)]
+            elif shape == 3:
+                b[:2], d[:2] = a[:2], c[:2]
+            elif shape == 4:
+                d[:2] = [z + t * (y - x) for x, y, z in zip(a[:2], b[:2], c[:2])]
+            out.append(Configuration(dim, tuple(map(tuple, points))))
+    return out
+
+
+def test_k1_prefilter_agrees_with_the_oracle():
+    """The empty prefix passes the shadow prefilter like any other: on sets
+    with a planted collinear triple, parallel chords, chords with zero
+    shadows (key None) or chords with parallel shadows only, the engine's
+    verdicts equal the brute-force oracle's byte for byte. The corpus hits
+    (3,), (2, 2) and generic verdicts, a repeated key None, and a generic
+    set whose shadow keys repeat though no two chords are parallel."""
+    key = genericity._shadow_key
+    seen, none_repeats, false_repeats = set(), 0, 0
+    for config in _k1_planted_corpus():
+        verdict = decide_all_projections(config)
+        oracle = decide_all_projections_oracle(config)
+        assert _verdict_json(verdict) == _verdict_json(oracle), config
+        seen.add(None if verdict.generic else verdict.certificate.pattern.sizes)
+        keys = [key(p[:2], q[:2]) for p, q in combinations(config.integer_points, 2)]
+        none_repeats += keys.count(None) > 1
+        false_repeats += verdict.generic and len(set(keys)) < len(keys)
+    assert {None, (3,), (2, 2)} <= seen
+    assert none_repeats and false_repeats
+
+
+def test_prefilter_stops_at_the_first_repeat(monkeypatch):
+    """Where the k = 1 walk hits early, the prefilter stops at the first
+    repeated shadow key: on a Cantor graph stage and on a grid it keys at
+    most n of the n(n - 1) / 2 pairs before the exact walk finds the
+    family."""
+    shadow_key, keyed = genericity._shadow_key, count()
+
+    def counting_shadow_key(head, tip):
+        next(keyed)
+        return shadow_key(head, tip)
+
+    monkeypatch.setattr(genericity, "_shadow_key", counting_shadow_key)
+    grid = grid_configuration(SplitMix64(5), 60, 2, 9)
+    for config in (cantor_graph_stage(5), grid):
+        keyed = count()
+        verdict = decide_all_projections(config)
+        assert verdict.certificate.pattern.k == 1
+        assert next(keyed) <= len(config)
 
 
 def test_corpora_reach_both_k1_patterns():
