@@ -27,43 +27,45 @@ differences p_m - p_b of its groups to an IncrementalSpan, which stores each
 as its primitive image (IncrementalSpan.image, the program's one
 elimination); for k = 1 the prefix and its span are empty, and a point is
 its own image. Each prefix maps the points its tails reach once, by the
-span's quotient map, and keys the vector from point b to point m by
+span's quotient map, and keys the vector from point b to point m exactly by
 image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
-of a stored row changes no key; a tail whose keys are all distinct is
-rejected by comparing the size of their set with their number, and only a
-repeat runs the ordered scan for the lexicographically first family. Before
-the tails of a prefix run, where one of them keys pairs of free points (a
-collinear triple, a new triple or new chords), the prefix passes one shadow
-prefilter: its pool (the free points of its live tails, and the first point
-of its last group if it has one) is mapped one point at a time, and each
-pair of the pool is keyed by the correctly rounded ratio of the two entries
-of the difference of the two points' shadows, the first two entries of
-their images (smaller over larger, see _shadow_key), or None where that
-difference is zero. Parallel image differences have parallel or zero
-shadows, so equal keys have equal shadow keys, and every vector a tail keys
-joins two points of the pool: a prefix whose shadow keys are all distinct
-has no tail hit and is skipped, and at the first repeat, true or false, the
-prefilter stops and the tails run unchanged, mapping the points it did not
-reach. Only the prefilter's key rounds, and its rounding is a function of
-an exact ratio of integers; everything else is integer arithmetic, and the
-verdict reads only exact integer keys. For k = 1 the tails find a collinear
-triple (3,) or two disjoint parallel chords (2, 2). The patterns of one k
-are searched together: those that place the same prefixes share one walk
-over them, and each prefix's keys are computed once for all of them, on
-every walk, and dropped with the prefix. A walk places only prefixes that
-a tail can complete: the first point of each prefix group leaves room above
-it for the family points that must lie there (its own later points, the
-groups ordered above it, and the fewest tail points that any of the walk's
-patterns puts above the last group), and a pattern's tail runs only when
-its free points can hold it. A pruned prefix has no tail, so the same
-search, one path for every k, returns the lexicographically first family
-that a depth-first search over all k + 1 vectors would find. The oracle
-tests each family, and the certificate picks its witness, by
-geometry.difference_basis.
+of a stored row changes no key, and by its shadow key: the correctly rounded
+ratio of the two entries of the difference of the two points' shadows, the
+first two entries of their images (smaller over larger, see _shadow_key), or
+None where that difference is zero. Parallel image differences have parallel
+or zero shadows, so equal keys have equal shadow keys. Before the tails of a
+prefix run, where one of them keys pairs of free points (a collinear triple,
+a new triple or new chords), the prefix passes one shadow prefilter: its
+pool (the free points of its live tails, and the first point of its last
+group if it has one) is mapped one point at a time, and its pairs are keyed
+by shadow. Every vector a tail keys joins two pool points, so a prefix whose
+shadow keys are all distinct has no tail hit and is skipped; at the first
+repeat, true or false, the prefilter stops and the tails run, mapping the
+points it did not reach. Each tail keys its items (the members of a group,
+or chords) by shadow first, and exactly only those whose shadow key another
+item shares; a tail whose exact keys are all distinct is rejected by
+comparing the size of their set with their number, and only a repeat runs
+the ordered scan for the lexicographically first family. Only the shadow key
+rounds, and its rounding is a function of an exact ratio of integers;
+everything else is integer arithmetic, and the verdict reads only exact
+integer keys. For k = 1 the tails find a collinear triple (3,) or two
+disjoint parallel chords (2, 2). The patterns of one k are searched
+together: those that place the same prefixes share one walk over them, and
+each prefix's exact keys are computed once for all of them, on every walk,
+and dropped with the prefix. A walk places only prefixes that a tail can
+complete: the first point of each prefix group leaves room above it for the
+family points that must lie there (its own later points, the groups ordered
+above it, and the fewest tail points that any of the walk's patterns puts
+above the last group), and a pattern's tail runs only when its free points
+can hold it. A pruned prefix has no tail, so the same search, one path for
+every k, returns the lexicographically first family that a depth-first
+search over all k + 1 vectors would find. The oracle tests each family, and
+the certificate picks its witness, by geometry.difference_basis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, repeat, starmap
@@ -280,11 +282,19 @@ def _first_collision(keyed):
     return best
 
 
-def _two_members(group: tuple[int, ...], free: list[int], key):
+def _shared(items, keys) -> list:
+    """The items, in their order, whose key another item shares."""
+    counts = Counter(keys)
+    return [item for item, key in zip(items, keys) if counts[key] > 1]
+
+
+def _two_members(group: tuple[int, ...], free: list[int], key, shadow):
     """The group extended by its first two later members whose vectors are
-    parallel modulo the span, or None."""
+    parallel modulo the span, or None. Only the members whose shadow key
+    another member shares are keyed exactly."""
     base, after = group[0], group[-1]
     members = [m for m in free if m > after]
+    members = _shared(members, list(map(shadow, repeat(base), members)))
     keys = list(map(key, repeat(base, len(members)), members))
     if len(set(keys)) == len(keys):  # no key repeats: no scan
         return None
@@ -293,17 +303,16 @@ def _two_members(group: tuple[int, ...], free: list[int], key):
 
 def _shadow_key(head, tip) -> float | None:
     """The shadow key of the pair, from the difference (x, y) of its two
-    shadows (the first two entries of point images): y / x in [-1, 1] where
-    |y| <= |x|, 3 + x / y in [2, 4] where |y| > |x|, or None where the
-    shadows are equal. int / int is correctly rounded, so the key is a
-    function of the exact ratio alone, and a ratio of magnitude at most 1
-    never overflows. If two image differences are parallel, v = c * w with
-    c != 0, their shadows are c times each other or both zero, so their
-    shadow keys are equal. Shadows that are not parallel may round to one
-    key; that repeat only sends the prefix on to its tails, whose exact
-    integer keys decide."""
-    (a, b), (c, d) = head, tip
-    x, y = c - a, d - b
+    shadows, the first two entries of head and tip (point images, or just
+    those entries): y / x in [-1, 1] where |y| <= |x|, 3 + x / y in [2, 4]
+    where |y| > |x|, or None where the shadows are equal. int / int is
+    correctly rounded, so the key is a function of the exact ratio alone,
+    and a ratio of magnitude at most 1 never overflows. If two image
+    differences are parallel, v = c * w with c != 0, their shadows are c
+    times each other or both zero, so their shadow keys are equal. Shadows
+    that are not parallel may round to one key; that repeat only sends a
+    prefix on to its tails, or an item on to its exact key, which decides."""
+    x, y = tip[0] - head[0], tip[1] - head[1]
     if abs(y) <= abs(x):
         return y / x if x else None
     return 3.0 + x / y
@@ -348,32 +357,46 @@ def _plan(sizes: tuple[int, ...]):
     return tuple(counts), equal, above, joined
 
 
-def _tail(sizes: tuple[int, ...], prefix, free: list[int], key):
+def _tail(sizes: tuple[int, ...], prefix, free: list[int], key, shadow):
     """The first family of the pattern that extends the prefix with two
     vectors parallel modulo its span, drawing new points from `free`, or
-    None."""
+    None.
+
+    Equal keys have equal shadow keys, so every item is keyed by `shadow`
+    first, and only the items whose shadow key another item shares (for a
+    member and a chord, an item of the other kind) are keyed exactly by
+    `key`. The items dropped share no key, so the family is unchanged."""
     *head, last = sizes
     if last > 3:
-        group = _two_members(prefix[-1], free, key)
+        group = _two_members(prefix[-1], free, key, shadow)
         return None if group is None else prefix[:-1] + (group,)
     if last == 3:
         for base in free[:-2]:
-            group = _two_members((base,), free, key)
+            group = _two_members((base,), free, key, shadow)
             if group is not None:
                 return prefix + (group,)
         return None
-    keys = list(starmap(key, combinations(free, 2)))
+    chord_shadows = list(starmap(shadow, combinations(free, 2)))
     if head[-1] == 2:
+        chords = _shared(combinations(free, 2), chord_shadows)
+        keys = list(starmap(key, chords))
         if len(set(keys)) == len(keys):
             return None
-        return prefix + _first_collision(zip(keys, combinations(free, 2)))
+        return prefix + _first_collision(zip(keys, chords))
     *groups, group = prefix
     members = [m for m in free if m > group[-1]]
+    member_shadows = list(map(shadow, repeat(group[0]), members))
+    common = set(member_shadows).intersection(chord_shadows)
+    if not common:
+        return None
+    members = [m for m, s in zip(members, member_shadows) if s in common]
+    chords = [c for c, s in zip(combinations(free, 2), chord_shadows) if s in common]
     member_keys = list(map(key, repeat(group[0], len(members)), members))
+    keys = list(starmap(key, chords))
     if set(member_keys).isdisjoint(keys):
         return None
     member, chord = _first_member_and_chord(
-        zip(member_keys, members), zip(keys, combinations(free, 2))
+        zip(member_keys, members), zip(keys, chords)
     )
     return (*groups, group + (member,), chord)
 
@@ -407,7 +430,7 @@ def _first_violation(
     so they share one walk. It orders only the groups that every one of
     them orders, and a pattern skips the prefixes out of its own order. Each
     prefix maps each point its tails reach once (into a list dropped with
-    the prefix), computes each key once (into a dict dropped with the
+    the prefix), computes each exact key once (into a dict dropped with the
     prefix, on every walk) and runs the tail of every live pattern in
     canonical order, each on its own free indices when they can hold it;
     the walk skips prefixes that leave too few indices for the fewest tail
@@ -428,8 +451,10 @@ def _first_violation(
     _shadow_key, and stops at the first repeat (shadow_keys_repeat). Equal
     keys give equal shadow keys, so when the pool's shadow keys are all
     distinct no tail can hit and the prefix is skipped; otherwise the live
-    tails run as before, reusing the images mapped and mapping the rest on
-    first use, and their exact keys decide. The prefilter changes no result,
+    tails run, reusing the images mapped and mapping the rest on first use.
+    Each tail keys its items by shadow (the closure shadow, on the same
+    images) and exactly (reduced) only those whose shadow key another item
+    shares, and the exact keys decide. The prefilter changes no result,
     only which prefixes reach the tails; stopping at the first repeat keeps
     it from keying every pair of the pool where the tails hit early.
     A pattern that hits is dropped with every later one, while earlier ones
@@ -471,6 +496,17 @@ def _first_violation(
                 seen.add(key)
             shadows.append(shadow)
         return False
+
+    def shadow(b: int, m: int) -> float | None:
+        """The shadow key of p_m - p_b modulo the prefix span: _shadow_key of
+        the first two entries of the two points' images, mapped on first use
+        into the images reduced reads."""
+        head, tip = images[b], images[m]
+        if head is None:
+            head = images[b] = image(points[b])
+        if tip is None:
+            tip = images[m] = image(points[m])
+        return _shadow_key(head, tip)
 
     def reduced(b: int, m: int) -> tuple[int, ...]:
         """The direction of p_m - p_b modulo the prefix span: the difference
@@ -533,7 +569,7 @@ def _first_violation(
                 if not shadow_keys_repeat(pool):
                     continue
             for index, sizes, free in runs:
-                hit = _tail(sizes, prefix, free, reduced)
+                hit = _tail(sizes, prefix, free, reduced, shadow)
                 if hit is not None:
                     best, family = index, hit
                     break

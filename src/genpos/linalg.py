@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Nothing is ever rounded. rational_pair is the one definition of an input
-cell, read as a reduced (numerator, denominator) pair, and integer the one
-check of an integer argument. Rows reach the program along one route:
+cell, read as a reduced (numerator, denominator) pair (a string by one
+fullmatch of _RATIONAL_RE, whose groups are the two integers), and integer
+the one check of an integer argument. Rows reach the program along one route:
 lattice checks a list of rows, naming the bad field, and scales them by the
 lcm of their denominators onto integer rows without building a Fraction:
 that is how a Configuration holds its points and a Subspace its generators.
@@ -29,7 +30,8 @@ Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+# A whole cell string; \s is exactly what str.isspace holds and strip removes.
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([1-9][0-9]*))?\s*")
 
 
 def _excerpt(text: str, limit: int = 40) -> str:
@@ -45,21 +47,16 @@ def rational_pair(value) -> tuple[int, int]:
     This is the one definition of the accepted cells: an int (not a bool), a
     Fraction, or a "p" or "p/q" string with an optional sign and surrounding
     whitespace. Floats are refused as inexact, and so is a string of more
-    digits than Python converts to an int.
+    digits than Python converts to an int. Strings, the JSON cells, are
+    tested first, as isinstance against Fraction goes through ABCMeta.
     """
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return value, 1
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.fullmatch(text):
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is None:
             raise InputError(
                 f'not a rational: {_excerpt(value)} (expected "p/q" or "p")'
             )
-        num, _, den = text.partition("/")
+        num, den = match.groups()
         try:
             p = int(num)
             q = int(den) if den else 1
@@ -67,6 +64,12 @@ def rational_pair(value) -> tuple[int, int]:
             raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
         g = math.gcd(p, q)
         return (p, q) if g == 1 else (p // g, q // g)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool):
+        raise InputError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return value, 1
     if isinstance(value, float):
         raise InputError(
             f'floating point value {value!r} is not exact; pass "p/q" strings'

@@ -13,6 +13,7 @@ takes its witnesses from the same search and is compared with a brute-force
 subset scan.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -419,10 +420,12 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
     it is the last key and the tails run. On the pairs of mapped
     points the difference of point images falls into the same buckets as
     the orthogonal residual of the difference modulo the prefix span, and
-    no bucket is split by the shadow keys. With every prefix forced past the
-    prefilter, on every fifth tail the search runs, the chords among its
-    free points and the vectors from the last prefix group's base fall into
-    the same buckets under the search's own key as under the residual."""
+    no bucket is split by the shadow keys. The tails key shadows too, after
+    the prefilter; only the keys before the first tail are the prefilter's.
+    With every prefix forced past the prefilter, on every fifth tail the
+    search runs, the chords among its free points and the vectors from the
+    last prefix group's base fall into the same buckets under the search's
+    own key as under the residual."""
     prefixes, shadow_key, tail = (
         genericity._prefixes, genericity._shadow_key, genericity._tail
     )
@@ -441,6 +444,8 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
             events.clear()
             flags = list(used)
             yield prefix, used
+            if ("tail",) in events:
+                del events[events.index(("tail",)) + 1:]
             keyed = [event[1:] for event in events if event[0] == "key"]
             if keyed and (not prefix or next(placed) % 5 == 0):
                 check(prefix, flags, keyed)
@@ -449,9 +454,9 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
         events.append(("key", head, tip))
         return shadow_key(head, tip)
 
-    def recording_tail(sizes, prefix, free, key):
+    def recording_tail(*args):
         events.append(("tail",))
-        return tail(sizes, prefix, free, key)
+        return tail(*args)
 
     def check(prefix, used, keyed):
         index = {p: i for i, p in enumerate(config.integer_points)}
@@ -497,7 +502,7 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
             assert len({shadow_buckets[pair] for pair in bucket}) == 1, (prefix, bucket)
         checked.append(len(prefix))
 
-    def checking_tail(sizes, prefix, free, key):
+    def checking_tail(sizes, prefix, free, key, shadow):
         if next(calls) % 5 == 0:
             spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
             matrix = _residual_map(config.dimension, spanned)
@@ -510,7 +515,7 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
             )
             assert engine == reference, (sizes, prefix, free)
             tail_checked.append(len(prefix))
-        return tail(sizes, prefix, free, key)
+        return tail(sizes, prefix, free, key, shadow)
 
     def _difference(b, m):
         points = config.integer_points
@@ -578,8 +583,8 @@ def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
     tail returns None. The verdicts equal the search's byte for byte."""
     shadow_key, tail, skipped_tails = genericity._shadow_key, genericity._tail, count()
 
-    def checking_tail(sizes, prefix, free, key):
-        hit = tail(sizes, prefix, free, key)
+    def checking_tail(sizes, prefix, free, *args):
+        hit = tail(sizes, prefix, free, *args)
         if sizes[-1] <= 3:
             pool = [group[0] for group in prefix[-1:]] + free
             images = _prefix_images(config, prefix, pool)
@@ -671,28 +676,34 @@ def test_shadow_key_of_entries_beyond_a_float(shadow, expected):
 def test_single_group_walks_run_no_prefilter(monkeypatch):
     """classical_general_position walks one pattern (s,) at a time. For
     s >= 4 the tail keys only the vectors from the last group's first
-    point, so those walks run no prefilter; the (3,) walk, a triple on the
-    empty prefix, keys every pair of this generic set's shadows once and
-    skips its tail, and one repeated shadow key sends it on to its tail.
-    The engine's walks of the same set pass the prefilter, which skips every
+    point, so those walks run no prefilter, and every shadow key they
+    compute is their tails' own; the (3,) walk, a triple on the empty
+    prefix, keys every pair of this generic set's shadows once and skips
+    its tail, and one repeated shadow key sends it on to its tail. The
+    engine's walks of the same set pass the prefilter, which skips every
     prefix, the empty one included, before its tails."""
     config = random_configuration(9, 4, 10**6, 3)
     first_violation, shadow_key, tail = (
         genericity._first_violation, genericity._shadow_key, genericity._tail
     )
-    walks, keyed, tails = [], [], []
+    walks, keyed, tails, inside = [], [], [], []
 
     def recording_first_violation(patterns, points):
         walks.append(patterns[0].sizes)
         return first_violation(patterns, points)
 
     def recording_shadow_key(head, tip):
-        keyed.append(walks[-1])
+        if not inside:
+            keyed.append(walks[-1])
         return shadow_key(head, tip)
 
-    def recording_tail(sizes, prefix, free, key):
+    def recording_tail(sizes, prefix, *args):
         tails.append(prefix)
-        return tail(sizes, prefix, free, key)
+        inside.append(sizes)
+        try:
+            return tail(sizes, prefix, *args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(genericity, "_first_violation", recording_first_violation)
     monkeypatch.setattr(genericity, "_shadow_key", recording_shadow_key)
@@ -729,8 +740,8 @@ def test_false_shadow_repeat_falls_back_to_the_exact_tails(monkeypatch):
     config = Configuration(4, SHADOW_FALSE_REPEAT)
     tail, hits = genericity._tail, []
 
-    def recording_tail(sizes, prefix, free, key):
-        hit = tail(sizes, prefix, free, key)
+    def recording_tail(sizes, prefix, *args):
+        hit = tail(sizes, prefix, *args)
         if prefix:
             hits.append(hit)
         return hit
@@ -795,20 +806,135 @@ def test_prefilter_stops_at_the_first_repeat(monkeypatch):
     """Where the k = 1 walk hits early, the prefilter stops at the first
     repeated shadow key: on a Cantor graph stage and on a grid it keys at
     most n of the n(n - 1) / 2 pairs before the exact walk finds the
-    family."""
-    shadow_key, keyed = genericity._shadow_key, count()
+    family. The k = 1 walk has one prefix, so every key before its first
+    tail is the prefilter's; the tails' own shadow keys are not counted."""
+    shadow_key, tail = genericity._shadow_key, genericity._tail
+    keyed, tails = count(), []
 
     def counting_shadow_key(head, tip):
-        next(keyed)
+        if not tails:
+            next(keyed)
         return shadow_key(head, tip)
 
+    def recording_tail(*args):
+        tails.append(args[0])
+        return tail(*args)
+
     monkeypatch.setattr(genericity, "_shadow_key", counting_shadow_key)
+    monkeypatch.setattr(genericity, "_tail", recording_tail)
     grid = grid_configuration(SplitMix64(5), 60, 2, 9)
     for config in (cantor_graph_stage(5), grid):
         keyed = count()
+        tails.clear()
         verdict = decide_all_projections(config)
         assert verdict.certificate.pattern.k == 1
         assert next(keyed) <= len(config)
+
+
+def test_late_hit_keys_few_pairs_exactly(monkeypatch):
+    """This planar set's first family, two parallel chords, comes late, so
+    its prefilter keys most pairs before the first repeat. Each k = 1 tail
+    keys its items by shadow first, so the exact keys (one gcd each) stay
+    far below the n(n - 1) / 2 = 19 900 of keying every pair exactly."""
+    real_gcd, exact = genericity.gcd, count()
+
+    def counting_gcd(*row):
+        next(exact)
+        return real_gcd(*row)
+
+    monkeypatch.setattr(genericity, "gcd", counting_gcd)
+    config = random_configuration(200, 2, 10**4, 1)
+    verdict = decide_all_projections(config)
+    assert verdict.certificate.pattern == DegeneracyPattern(1, (2, 2))
+    assert next(exact) <= len(config)
+
+
+def _tail_corpus():
+    """Grids, Cantor graph stages 1-5, product-Cantor stages, the k = 1
+    planted sets and random sets with denominators 2-7 in N = 2-5: their
+    tails hit through every shape, most on repeated exact keys."""
+    sets = grid_corpus(2022, 60, range(4, 10), ((2, 4), (3, 3), (4, 2), (2, 5)))
+    sets += [cantor_graph_stage(stage) for stage in range(1, 6)]
+    sets += _product_cantor_corpus() + _k1_planted_corpus()
+    rng = SplitMix64(2023)
+    for i in range(240):
+        dim, den = 2 + i % 4, 2 + rng.below(6)
+        count = min(4 + rng.below(6), (den + 1) ** dim)
+        sets.append(random_configuration(count, dim, den, 3000 + i))
+    return sets
+
+
+def _tail_outputs(corpus):
+    """The decide verdict JSON and the classical report of every set."""
+    return [
+        json.dumps(verdict_to_json(decide_all_projections(config)))
+        + repr(classical_general_position(config))
+        for config in corpus
+    ]
+
+
+# sha256 of _tail_outputs over _tail_corpus, computed before the tails keyed
+# shadows first, when every tail keyed every item exactly.
+TAIL_OUTPUTS_SHA256 = (
+    "77d7aa76f938cfa34fd277618ad12af22c885af129d60a4cc10ede9eb96839a4"
+)
+
+
+@pytest.mark.parametrize("shadow", ["real", "constant"])
+def test_shadow_first_tails_keep_every_output(monkeypatch, shadow):
+    """The tails key exactly only the items whose shadow key another item
+    shares; the items they drop share no exact key, so decide and classical
+    print the same bytes as when every item was keyed exactly. A constant
+    shadow key keeps every item, and the exact keys decide alone. The
+    corpus hits every tail shape: (3,) and (2, 2) at k = 1, (4,), (3, 2) and
+    (2, 2, 2) at k = 2, and a new triple after a prefix, (3, 3), at k = 3."""
+    if shadow == "constant":
+        monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
+    corpus = _tail_corpus()
+    outputs = _tail_outputs(corpus)
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == TAIL_OUTPUTS_SHA256
+    verdicts = [json.loads(out.partition("ClassicalReport")[0]) for out in outputs]
+    assert any(verdict["generic"] for verdict in verdicts)
+    sizes = {
+        tuple(map(len, verdict["certificate"]["groups"]))
+        for verdict in verdicts
+        if not verdict["generic"]
+    }
+    assert {(3,), (2, 2), (4,), (3, 2), (2, 2, 2), (3, 3)} <= sizes
+
+
+def _mismatches_oracle(corpus):
+    """The sets whose decide verdict JSON differs from the oracle's."""
+    return [
+        config
+        for config in corpus
+        if _verdict_json(decide_all_projections(config))
+        != _verdict_json(decide_all_projections_oracle(config))
+    ]
+
+
+def test_shadow_first_tails_agree_with_the_oracle():
+    """On the sets of the tail corpus with at most 9 points, decide prints
+    the brute-force oracle's verdict byte for byte."""
+    small = [config for config in _tail_corpus() if len(config) <= 9]
+    assert len(small) > 250
+    assert _mismatches_oracle(small) == []
+
+
+def test_a_tail_that_drops_a_repeated_item_is_caught(monkeypatch):
+    """A tail that also drops the last item whose shadow key repeats loses
+    exact repeats: the pinned outputs and the oracle both catch it."""
+    shared = genericity._shared
+
+    def dropping_shared(items, keys):
+        return shared(items, keys)[:-1]
+
+    monkeypatch.setattr(genericity, "_shared", dropping_shared)
+    corpus = _tail_corpus()
+    digest = hashlib.sha256("\n".join(_tail_outputs(corpus)).encode()).hexdigest()
+    assert digest != TAIL_OUTPUTS_SHA256
+    assert _mismatches_oracle([config for config in corpus if len(config) <= 9])
 
 
 def test_corpora_reach_both_k1_patterns():

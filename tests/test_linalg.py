@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from genpos import (
     rank,
     solve_linear_system,
 )
-from genpos.linalg import lattice, rational_rows
+from genpos.linalg import _excerpt, lattice, rational_pair, rational_rows
 
 F = Fraction
 
@@ -400,3 +402,110 @@ def test_image_scales_rows_with_a_zero_pivot_entry():
     assert span.image([2, 1, 0]) == [0, 0]
     assert span.image([0, 1, 1]) == [2, 2]
     assert span.image([2, 2, 1]) == [2, 2]
+
+
+_OLD_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _old_rational_pair(value):
+    """rational_pair as it read cells before it matched them with one
+    grouped regex: strip, fullmatch, then partition at the slash. The
+    reference for the cells the reader accepts and the messages it gives."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool):
+        raise InputError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, str):
+        text = value.strip()
+        if not _OLD_RATIONAL_RE.fullmatch(text):
+            raise InputError(
+                f'not a rational: {_excerpt(value)} (expected "p/q" or "p")'
+            )
+        num, _, den = text.partition("/")
+        try:
+            p = int(num)
+            q = int(den) if den else 1
+        except ValueError as exc:
+            raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
+        g = math.gcd(p, q)
+        return (p, q) if g == 1 else (p // g, q // g)
+    if isinstance(value, float):
+        raise InputError(
+            f'floating point value {value!r} is not exact; pass "p/q" strings'
+        )
+    raise InputError(f"not a rational: {value!r}")
+
+
+def _read(reader, value):
+    """The pair a reader returns, or the message of its InputError."""
+    try:
+        return reader(value)
+    except InputError as exc:
+        return "error: " + str(exc)
+
+
+_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+# Every character str.isspace holds, the ones str.strip removes.
+_SPACES = [c for c in _CODE_POINTS if c.isspace()]
+
+
+def test_regex_space_is_str_isspace():
+    """The reader strips a cell by \\s* in its regex: on this Python, \\s
+    matches exactly the code points that str.isspace holds."""
+    assert re.findall(r"\s", _CODE_POINTS) == _SPACES
+
+_CELLS = [
+    "0", "-0", "+0", "0/1", "-0/7", "+3", "-3/6", "007/014", "00", "12/4",
+    "5/0", "5/05", "/5", "5/", "1_000", "1_0/3", "+-1", "--1", "1/+2", "1/-2",
+    "1//2", "1/2/3", "1.5", "1e3", "0x1", "", "٣", "1/٣", "²", "1²", "\x00",
+    "1\x00", "\x001", "1/2\x00", "1 / 2", "1 2", "x", "1" * 4301,
+    "-" + "1" * 4301 + "/3", "1/" + "3" * 4301, "9" * 4300,
+    3, -4, 0, True, False, Fraction(6, 4), 0.5, 2.0, None, [], {},
+]
+
+
+@pytest.mark.parametrize("space", _SPACES, ids=lambda c: f"U+{ord(c):04X}")
+def test_cell_reader_strips_every_space_and_refuses_it_inside(space):
+    for cell in (
+        space + "3/6", "-3/6" + space, space * 2 + "+7" + space, space,
+        "3" + space + "/6", "3/" + space + "6", "-" + space + "3", "1" + space + "2",
+    ):
+        assert _read(rational_pair, cell) == _read(_old_rational_pair, cell), cell
+
+
+@pytest.mark.parametrize("cell", _CELLS, ids=repr)
+def test_cell_reader_matches_the_strip_and_partition_reader(cell):
+    """The grouped regex accepts and refuses the cells the old reader did,
+    with the same pair or the same message: signs, leading zeros and 0/1;
+    zero, zero-led and missing denominators, underscores and doubled signs;
+    non-ASCII digits and NUL; and a part over Python's int digit limit, on
+    Python versions that have one."""
+    assert _read(rational_pair, cell) == _read(_old_rational_pair, cell)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789+-/_ \t\n\x0b\x1c\x85　\x00٣²xe.", max_size=8))
+def test_cell_reader_matches_the_old_reader_on_short_strings(cell):
+    assert _read(rational_pair, cell) == _read(_old_rational_pair, cell)
+
+
+@pytest.mark.parametrize(
+    "rows, field",
+    [
+        ([["1", "2"], ["3", " 4 /5"]], r"^points\[1\]\[1\]: "),
+        ([["1", "x"], ["٣", "2"]], r"^points\[0\]\[1\]: "),
+        (
+            [["1/2", "3"], ["4", "5"], ["6", "1" * 4301], ["7/0", "0"]],
+            # Without a digit limit (before 3.10.7), the long cell is read.
+            r"^points\[2\]\[1\]: "
+            if hasattr(sys, "get_int_max_str_digits")
+            else r"^points\[3\]\[0\]: ",
+        ),
+        ([["\x00", "1"]], r"^points\[0\]\[0\]: "),
+    ],
+)
+def test_first_bad_cell_is_named(rows, field):
+    with pytest.raises(InputError, match=field + "not a rational: "):
+        lattice(rows, "points")

@@ -156,9 +156,9 @@ def test_two_chord_walk_places_fifty_five_prefixes(monkeypatch):
                 placed.append(prefix)
             yield prefix, used
 
-    def record_tail(sizes, prefix, free, key):
+    def record_tail(sizes, prefix, free, *args):
         tails.append((sizes, prefix, list(free)))
-        return tail(sizes, prefix, free, key)
+        return tail(sizes, prefix, free, *args)
 
     monkeypatch.setattr(genericity, "_prefixes", record_prefixes)
     monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
