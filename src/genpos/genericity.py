@@ -40,27 +40,26 @@ pool (the free points of its live tails, and the first point of its last
 group if it has one) is mapped one point at a time, and its pairs are keyed
 by shadow. Every vector a tail keys joins two pool points, so a prefix whose
 shadow keys are all distinct has no tail hit and is skipped; at the first
-repeat, true or false, the prefilter stops and the tails run, mapping the
-points it did not reach. Each tail keys its items (the members of a group,
-or chords) by shadow first, and exactly only those whose shadow key another
-item shares; a tail whose exact keys are all distinct is rejected by
-comparing the size of their set with their number, and only a repeat runs
-the ordered scan for the lexicographically first family. Only the shadow key
+repeat, true or false, the prefilter stops and the tails run. Each tail
+keys its items (the members of a group, or chords) by shadow first, which
+maps the points the prefilter did not reach, and exactly only those whose
+shadow key another item shares; one scan of those exact keys (_first_pair)
+finds the lexicographically first family, or none. Only the shadow key
 rounds, and its rounding is a function of an exact ratio of integers;
 everything else is integer arithmetic, and the verdict reads only exact
 integer keys. For k = 1 the tails find a collinear triple (3,) or two
 disjoint parallel chords (2, 2). The patterns of one k are searched
 together: those that place the same prefixes share one walk over them, and
-each prefix's exact keys are computed once for all of them, on every walk,
-and dropped with the prefix. A walk places only prefixes that a tail can
-complete: the first point of each prefix group leaves room above it for the
-family points that must lie there (its own later points, the groups ordered
-above it, and the fewest tail points that any of the walk's patterns puts
-above the last group), and a pattern's tail runs only when its free points
-can hold it. A pruned prefix has no tail, so the same search, one path for
-every k, returns the lexicographically first family that a depth-first
-search over all k + 1 vectors would find. The oracle tests each family, and
-the certificate picks its witness, by geometry.difference_basis.
+each prefix maps its points once for all of them and drops the images
+with the prefix. A walk places only prefixes that a tail can complete: the
+first point of each prefix group leaves room above it for the family points
+that must lie there (its own later points, the groups ordered above it, and
+the fewest tail points that any of the walk's patterns puts above the last
+group), and a pattern's tail runs only when its free points can hold it. A
+pruned prefix has no tail, so the same search, one path for every k,
+returns the lexicographically first family that a depth-first search over
+all k + 1 vectors would find. The oracle tests each family, and the
+certificate picks its witness, by geometry.difference_basis.
 """
 
 from __future__ import annotations
@@ -264,19 +263,22 @@ def _prefixes(
     yield from place(0, 0)
 
 
-def _first_collision(keyed):
-    """(earliest, next) for the bucket whose smallest item is smallest.
+def _first_pair(firsts, seconds):
+    """(a, b) for the smallest item a of `firsts` that shares a key with an
+    item b != a of `seconds`, with the first such b, or None.
 
-    `keyed` yields (key, item) with items increasing; a bucket is the items
-    sharing a key, and only buckets of two or more items count. The answer is
-    the smallest bucket minimum paired with the second item of its bucket,
-    or None when no key repeats. The scan runs to the end, since a bucket
-    with a smaller minimum may collide after another bucket has.
+    Both iterables yield (key, item) with items increasing. Passed one keyed
+    list twice, the answer is the bucket whose smallest item is smallest,
+    with the second item of that bucket; passed members and chords, it is
+    the smallest member that shares a key with a chord, with the first such
+    chord, and two members or two chords sharing a key count for nothing.
     """
     first: dict = {}
+    for key, item in firsts:
+        first.setdefault(key, item)
     best = None
-    for key, item in keyed:
-        earlier = first.setdefault(key, item)
+    for key, item in seconds:
+        earlier = first.get(key, item)
         if earlier != item and (best is None or earlier < best[0]):
             best = (earlier, item)
     return best
@@ -295,10 +297,9 @@ def _two_members(group: tuple[int, ...], free: list[int], key, shadow):
     base, after = group[0], group[-1]
     members = [m for m in free if m > after]
     members = _shared(members, list(map(shadow, repeat(base), members)))
-    keys = list(map(key, repeat(base, len(members)), members))
-    if len(set(keys)) == len(keys):  # no key repeats: no scan
-        return None
-    return group + _first_collision(zip(keys, members))
+    keyed = list(zip(map(key, repeat(base), members), members))
+    pair = _first_pair(keyed, keyed)
+    return None if pair is None else group + pair
 
 
 def _shadow_key(head, tip) -> float | None:
@@ -316,24 +317,6 @@ def _shadow_key(head, tip) -> float | None:
     if abs(y) <= abs(x):
         return y / x if x else None
     return 3.0 + x / y
-
-
-def _first_member_and_chord(members, chords):
-    """(member, chord) with the smallest member sharing a key with a chord,
-    and the first such chord, or None.
-
-    Both iterables yield (key, item) with items increasing. Two members or
-    two chords sharing a key form no family of the shape and are ignored.
-    """
-    first_member: dict = {}
-    for key, member in members:
-        first_member.setdefault(key, member)
-    best = None
-    for key, chord in chords:
-        member = first_member.get(key)
-        if member is not None and (best is None or member < best[0]):
-            best = (member, chord)
-    return best
 
 
 def _plan(sizes: tuple[int, ...]):
@@ -379,10 +362,9 @@ def _tail(sizes: tuple[int, ...], prefix, free: list[int], key, shadow):
     chord_shadows = list(starmap(shadow, combinations(free, 2)))
     if head[-1] == 2:
         chords = _shared(combinations(free, 2), chord_shadows)
-        keys = list(starmap(key, chords))
-        if len(set(keys)) == len(keys):
-            return None
-        return prefix + _first_collision(zip(keys, chords))
+        keyed = list(zip(starmap(key, chords), chords))
+        pair = _first_pair(keyed, keyed)
+        return None if pair is None else prefix + pair
     *groups, group = prefix
     members = [m for m in free if m > group[-1]]
     member_shadows = list(map(shadow, repeat(group[0]), members))
@@ -391,14 +373,11 @@ def _tail(sizes: tuple[int, ...], prefix, free: list[int], key, shadow):
         return None
     members = [m for m, s in zip(members, member_shadows) if s in common]
     chords = [c for c, s in zip(combinations(free, 2), chord_shadows) if s in common]
-    member_keys = list(map(key, repeat(group[0], len(members)), members))
-    keys = list(starmap(key, chords))
-    if set(member_keys).isdisjoint(keys):
-        return None
-    member, chord = _first_member_and_chord(
-        zip(member_keys, members), zip(keys, chords)
+    pair = _first_pair(
+        zip(map(key, repeat(group[0]), members), members),
+        zip(starmap(key, chords), chords),
     )
-    return (*groups, group + (member,), chord)
+    return None if pair is None else (*groups, group + (pair[0],), pair[1])
 
 
 def _first_violation(
@@ -430,9 +409,8 @@ def _first_violation(
     so they share one walk. It orders only the groups that every one of
     them orders, and a pattern skips the prefixes out of its own order. Each
     prefix maps each point its tails reach once (into a list dropped with
-    the prefix), computes each exact key once (into a dict dropped with the
-    prefix, on every walk) and runs the tail of every live pattern in
-    canonical order, each on its own free indices when they can hold it;
+    the prefix) and runs the tail of every live pattern in canonical order,
+    each on its own free indices when they can hold it;
     the walk skips prefixes that leave too few indices for the fewest tail
     points among its patterns (see _prefixes).
     The live tails of a prefix (the patterns whose free indices can hold
@@ -451,12 +429,12 @@ def _first_violation(
     _shadow_key, and stops at the first repeat (shadow_keys_repeat). Equal
     keys give equal shadow keys, so when the pool's shadow keys are all
     distinct no tail can hit and the prefix is skipped; otherwise the live
-    tails run, reusing the images mapped and mapping the rest on first use.
-    Each tail keys its items by shadow (the closure shadow, on the same
-    images) and exactly (reduced) only those whose shadow key another item
-    shares, and the exact keys decide. The prefilter changes no result,
-    only which prefixes reach the tails; stopping at the first repeat keeps
-    it from keying every pair of the pool where the tails hit early.
+    tails run, reusing the images mapped. Each tail keys its items by
+    shadow (the closure shadow, which maps the rest on first use) and
+    exactly (reduced) only those whose shadow key another item shares, and
+    the exact keys decide. The prefilter changes no result, only which
+    prefixes reach the tails; stopping at the first repeat keeps it from
+    keying every pair of the pool where the tails hit early.
     A pattern that hits is dropped with every later one, while earlier ones
     walk on, so the earliest pattern with a violation wins with its first
     family.
@@ -499,8 +477,8 @@ def _first_violation(
 
     def shadow(b: int, m: int) -> float | None:
         """The shadow key of p_m - p_b modulo the prefix span: _shadow_key of
-        the first two entries of the two points' images, mapped on first use
-        into the images reduced reads."""
+        the first two entries of the two points' images. It is the one place
+        a tail maps a point, on first use, into the images reduced reads."""
         head, tip = images[b], images[m]
         if head is None:
             head = images[b] = image(points[b])
@@ -514,22 +492,14 @@ def _first_violation(
         the gcd of its entries and signed so that its first non-zero entry
         is positive. The map is linear with the span as its kernel, so the
         key is unique to the direction modulo the span. The search keys
-        only vectors independent of the prefix span, so it is never zero."""
-        slot = b * n + m
-        direction = keys.get(slot)
-        if direction is None:
-            head, tip = images[b], images[m]
-            if head is None:
-                head = images[b] = image(points[b])
-            if tip is None:
-                tip = images[m] = image(points[m])
-            row = tuple(map(sub, tip, head))
-            g = gcd(*row)
-            if row < zeros:
-                g = -g
-            direction = row if g == 1 else tuple([x // g for x in row])
-            keys[slot] = direction
-        return direction
+        only vectors independent of the prefix span, so it is never zero.
+        Every tail keys a pair by shadow before it keys it here, so both
+        images are already mapped."""
+        row = tuple(map(sub, images[m], images[b]))
+        g = gcd(*row)
+        if row < zeros:
+            g = -g
+        return row if g == 1 else tuple([x // g for x in row])
 
     for counts, members in walks.items():
         order = tuple(map(all, zip(*(member[2] for member in members))))
@@ -557,7 +527,6 @@ def _first_violation(
             if not runs:
                 continue
             images = [None] * n  # point images under this prefix's span
-            keys = {}  # and its keys, for every pattern of the walk
             # The shadow prefilter, where a live tail keys pairs of free
             # points: no shadow key repeats, no tail hits. The pool is the
             # last group's first point, if any, and the live tails' free

@@ -425,7 +425,8 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
     With every prefix forced past the prefilter, on every fifth tail the
     search runs, the chords among its free points and the vectors from the
     last prefix group's base fall into the same buckets under the search's
-    own key as under the residual."""
+    own key, taken after the pair's shadow key as a tail takes it, as under
+    the residual."""
     prefixes, shadow_key, tail = (
         genericity._prefixes, genericity._shadow_key, genericity._tail
     )
@@ -509,7 +510,11 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
             pairs = list(combinations(free, 2))
             if prefix:
                 pairs += [(prefix[-1][0], m) for m in free if m > prefix[-1][0]]
-            engine = _buckets((key(i, j), (i, j)) for i, j in pairs)
+            # Every tail keys a pair by shadow before it keys it exactly,
+            # and the shadow key is forced to the falsy (), hence a tuple.
+            engine = _buckets(
+                ((shadow(i, j), key(i, j))[1], (i, j)) for i, j in pairs
+            )
             reference = _buckets(
                 (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
             )
@@ -1027,10 +1032,67 @@ def test_tail_is_lex_first_not_first_collision(shape):
     assert collision > first
 
 
+def _first_collision(keyed):
+    """Reference: the earlier finder of a bucket collision. (earliest, next)
+    for the bucket whose smallest item is smallest, or None."""
+    first = {}
+    best = None
+    for key, item in keyed:
+        earlier = first.setdefault(key, item)
+        if earlier != item and (best is None or earlier < best[0]):
+            best = (earlier, item)
+    return best
+
+
+def _first_member_and_chord(members, chords):
+    """Reference: the earlier finder of a member and a chord. (member,
+    chord) with the smallest member sharing a key with a chord, and the
+    first such chord, or None."""
+    first_member = {}
+    for key, member in members:
+        first_member.setdefault(key, member)
+    best = None
+    for key, chord in chords:
+        member = first_member.get(key)
+        if member is not None and (best is None or member < best[0]):
+            best = (member, chord)
+    return best
+
+
+def _keyed(items):
+    """Increasing items, each with a key from a small alphabet."""
+    return items.flatmap(
+        lambda xs: st.lists(
+            st.integers(0, 3), min_size=len(xs), max_size=len(xs)
+        ).map(lambda keys: list(zip(keys, xs)))
+    )
+
+
+_MEMBERS = _keyed(st.lists(st.integers(0, 20), unique=True, max_size=12).map(sorted))
+_CHORDS = _keyed(
+    st.lists(
+        st.sampled_from(list(combinations(range(10), 2))), unique=True, max_size=12
+    ).map(sorted)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(members=_MEMBERS, chords=_CHORDS)
+def test_first_pair_is_both_earlier_finders(members, chords):
+    """Passed one keyed list twice, the one finder is the bucket-minimum
+    rule; passed members and chords, it is the member-and-chord rule. The
+    streams may be empty."""
+    find = genericity._first_pair
+    assert find(members, members) == _first_collision(members)
+    assert find(chords, chords) == _first_collision(chords)
+    assert find(members, chords) == _first_member_and_chord(members, chords)
+
+
 def test_exhaustive_search_keeps_only_one_prefix_of_keys():
-    """A generic N = 3 set is searched through every k = 2 pattern; the keys
-    of a prefix are dropped with it, so memory stays far below the ~2 MB
-    that keeping every prefix's keys for the later patterns takes."""
+    """A generic N = 3 set is searched through every k = 2 pattern; the point
+    images of a prefix are dropped with it, and no key outlives the tail
+    that computed it, so memory stays far below the ~2 MB that keeping
+    every prefix's keys for the later patterns takes."""
     config = random_configuration(16, 3, 10**6, 1)
     tracemalloc.start()
     try:
