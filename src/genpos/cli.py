@@ -289,6 +289,10 @@ def run(argv) -> CommandResult:
         code, payload, diagnostics = args.handler(args)
     except InputError as exc:
         return CommandResult(2, "", f"error: {exc}")
+    except (MemoryError, OverflowError) as exc:  # a size too large to build
+        return CommandResult(
+            2, "", f"error: {type(exc).__name__}: a requested size is too large"
+        )
     except ValueError as exc:  # str() of a result rational over the digit limit
         if "integer string conversion" not in str(exc):
             raise

@@ -14,52 +14,70 @@ therefore enumerates, for each k from 1 to N-1, the group-size patterns with
 sum(size - 1) = k + 1 in a fixed canonical order (sizes as descending
 partitions, largest first), and returns the lexicographically first violating
 point assignment of the first pattern that has one, as a reproducible
-certificate.
+certificate. The oracle's exhaustive mode draws every larger sum from the
+same generator, _engine_patterns.
 
 Pattern k is searched only after every smaller k came back empty, so any k
 vectors of a family are independent, and a family violates iff its last two
 vectors are parallel modulo the span of the other k - 1. The search places
 those k - 1 vectors (the prefix) in lexicographic order and decides the last
-two by hashing their directions modulo the prefix span into buckets, the
-degeneracy-testing view of Gajentaan and Overmars. The search reads one
-input, the configuration's integer points. A prefix adds the plain
-differences p_m - p_b of its groups to an IncrementalSpan, which stores each
-as its primitive image (IncrementalSpan.image, the program's one
-elimination); for k = 1 the prefix and its span are empty, and a point is
-its own image. Each prefix maps the points its tails reach once, by the
-span's quotient map, and keys the vector from point b to point m exactly by
-image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
-of a stored row changes no key, and by its shadow key: the correctly rounded
-ratio of the two entries of the difference of the two points' shadows, the
-first two entries of their images (smaller over larger, see _shadow_key), or
-None where that difference is zero. Parallel image differences have parallel
-or zero shadows, so equal keys have equal shadow keys. Before the tails of a
-prefix run, where one of them keys pairs of free points (a collinear triple,
-a new triple or new chords), the prefix passes one shadow prefilter: its
-pool (the free points of its live tails, and the first point of its last
-group if it has one) is mapped one point at a time, and its pairs are keyed
-by shadow. Every vector a tail keys joins two pool points, so a prefix whose
-shadow keys are all distinct has no tail hit and is skipped; at the first
-repeat, true or false, the prefilter stops and the tails run. Each tail
-keys its items (the members of a group, or chords) by shadow first, which
-maps the points the prefilter did not reach, and exactly only those whose
-shadow key another item shares; one scan of those exact keys (_first_pair)
-finds the lexicographically first family, or none. Only the shadow key
-rounds, and its rounding is a function of an exact ratio of integers;
-everything else is integer arithmetic, and the verdict reads only exact
-integer keys. For k = 1 the tails find a collinear triple (3,) or two
-disjoint parallel chords (2, 2). The patterns of one k are searched
-together: those that place the same prefixes share one walk over them, and
-each prefix maps its points once for all of them and drops the images
-with the prefix. A walk places only prefixes that a tail can complete: the
-first point of each prefix group leaves room above it for the family points
-that must lie there (its own later points, the groups ordered above it, and
-the fewest tail points that any of the walk's patterns puts above the last
-group), and a pattern's tail runs only when its free points can hold it. A
-pruned prefix has no tail, so the same search, one path for every k,
-returns the lexicographically first family that a depth-first search over
-all k + 1 vectors would find. The oracle tests each family, and the
-certificate picks its witness, by geometry.difference_basis.
+two (the tail: two more members of a group, a new triple, a group's last
+member and a new chord, or two new chords) by hashing their directions
+modulo the prefix span into buckets, the degeneracy-testing view of
+Gajentaan and Overmars. The search reads one input, the configuration's
+integer points. A prefix adds the plain differences p_m - p_b of its groups
+to an IncrementalSpan, which stores each as its primitive image
+(IncrementalSpan.image, the program's one elimination, a linear map whose
+kernel is the span); for k = 1 the prefix and its span are empty, and a
+point is its own image. Each prefix maps the points its tails reach once,
+and keys the vector from point b to point m exactly by image(p_m) -
+image(p_b), divided by its gcd and sign-normalised, so the sign of a stored
+row changes no key, and by its shadow key: the correctly rounded ratio of
+the two entries of the difference of the two points' shadows, the first two
+entries of their images (k < N leaves at least two), smaller over larger so
+that it never overflows (see _shadow_key), or None where that difference is
+zero. Parallel image differences have parallel or zero shadows, so equal
+keys have equal shadow keys.
+
+Before the tails of a prefix run, where one of them keys pairs of free
+points (a collinear triple, a new triple or new chords), the prefix passes
+one shadow prefilter. A tail that only adds two members to a group keys at
+most one vector per free point, fewer than the prefilter would, and a
+prefix with no live tail is skipped before any point is mapped. The pool
+(the free points of the live tails, and the first point of the prefix's
+last group, whose image every point of the group shares) is mapped one
+point at a time, and each new shadow is keyed against those before it.
+Every vector a tail keys joins two pool points, so a prefix whose shadow
+keys are all distinct has no tail hit and is skipped; at the first repeat,
+true or false, the prefilter stops and the tails run. On a generic input
+this puts one cheap key per pool pair in place of the tails' keys, and
+where a violation comes early it stops after a few keys. Each tail keys
+its items (the members of a group, or chords) by shadow first, which maps
+the points the prefilter did not reach, and exactly only those whose shadow
+key another item shares (for a member and a chord, an item of the other
+kind): on a Cantor graph stage of 128 points the (3,) tail keys 10 of its
+127 members exactly. One scan of those exact keys (_first_pair) finds the
+lexicographically first family, or none. Only the shadow key rounds, and
+its rounding is a function of an exact ratio of integers; everything else
+is integer arithmetic, and the verdict reads only exact integer keys. For
+k = 1 the tails find a collinear triple (3,) or two disjoint parallel
+chords (2, 2), in O(n^2) expected time.
+
+The patterns of one k are searched together: those that place the same
+prefixes share one walk over them, and each prefix maps its points once for
+all of them and drops the images with the prefix. A walk places only
+prefixes that a tail can complete: the first point of each prefix group
+leaves room above it for the family points that must lie there (its own
+later points, the groups ordered above it, and the fewest tail points that
+any of the walk's patterns puts above the last group: 2 for a last group of
+4 or more, 3 for a new triple and 4 for two chords that start above it, 1
+for a group's last member, else 0), and a pattern's tail runs only when its
+free points can hold it; on 8 points in dimension 4 the walk of (2, 2, 2, 2)
+places 55 prefixes instead of 210. A pruned prefix has no tail, so the same
+search, one path for every k, returns the lexicographically first family
+that a depth-first search over all k + 1 vectors would find. The oracle
+tests each family, and the certificate picks its witness, by
+geometry.difference_basis.
 """
 
 from __future__ import annotations
@@ -154,28 +172,22 @@ def minimal_patterns(k: int, dimension: int) -> list[DegeneracyPattern]:
     ]
 
 
-def _all_patterns(dimension: int, max_vectors: int) -> list[DegeneracyPattern]:
-    """Every admissible pattern with sum(size - 1) up to max_vectors."""
-    out: list[DegeneracyPattern] = []
-    for k in range(1, dimension):
-        for total in range(k + 1, max_vectors + 1):
-            for partition in _partitions_desc(total):
-                out.append(DegeneracyPattern(k, tuple(p + 1 for p in partition)))
-    return out
+def _engine_patterns(config: Configuration, minimal_only: bool = True):
+    """The patterns that fit the point count, for k <= min(N - 1, n - 2):
+    the minimal ones, sum(size - 1) = k + 1, or with minimal_only=False
+    every one with that sum from k + 1 up, yielded in canonical order so a
+    search that stops builds no more.
 
-
-def _engine_patterns(config: Configuration):
-    """Minimal patterns that fit the point count, for k <= min(N - 1, n - 2),
-    yielded in canonical order so a search that stops builds no more.
-
-    The sizes of a pattern for k sum to k + 1 plus its number of groups, so
-    it fits n points iff it has at most n - k - 1 groups; none fits once
-    k > n - 2. Only fitting partitions are built.
+    The sizes of a pattern of `total` vectors sum to total plus its number
+    of groups, so it fits n points iff it has at most n - total groups; none
+    fits once total >= n, so none for k > n - 2. Only fitting partitions
+    are built.
     """
     n = len(config)
     for k in range(1, min(config.dimension, n - 1)):
-        for partition in _partitions_desc(k + 1, n - k - 1):
-            yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
+        for total in range(k + 1, k + 2 if minimal_only else n):
+            for partition in _partitions_desc(total, n - total):
+                yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
 
 
 def _build_certificate(
@@ -414,27 +426,11 @@ def _first_violation(
     the walk skips prefixes that leave too few indices for the fewest tail
     points among its patterns (see _prefixes).
     The live tails of a prefix (the patterns whose free indices can hold
-    them) first pass the shadow prefilter, if some of them keys pairs of
-    free points (a triple or new chords). Tails that only add two members
-    to the last group, such as the walks of classical_general_position for
-    s >= 4, key at most one vector per free point, fewer than the pool has
-    pairs, and a prefix with no live tail is skipped before any point is
-    mapped. The pool is the first point of the prefix's last group, if the
-    prefix has one (its image is that of every point of its group), and the
-    unused points from the lowest free index of a live tail on: the union of
-    their free indices. Each tail keys only vectors between two pool points.
-    The prefilter maps the pool one point at a time into the prefix's
-    images, keys the new point's shadow (the first two image entries; k < N
-    leaves at least two) against each shadow mapped before it by
-    _shadow_key, and stops at the first repeat (shadow_keys_repeat). Equal
-    keys give equal shadow keys, so when the pool's shadow keys are all
-    distinct no tail can hit and the prefix is skipped; otherwise the live
-    tails run, reusing the images mapped. Each tail keys its items by
-    shadow (the closure shadow, which maps the rest on first use) and
-    exactly (reduced) only those whose shadow key another item shares, and
-    the exact keys decide. The prefilter changes no result, only which
-    prefixes reach the tails; stopping at the first repeat keeps it from
-    keying every pair of the pool where the tails hit early.
+    them) first pass the shadow prefilter (shadow_keys_repeat) where one of
+    them keys pairs of free points, as the module docstring sets out, and
+    then run on the images it mapped. Each tail keys its items by the
+    closure shadow, which maps the rest on first use, and exactly (reduced)
+    only those whose shadow key another item shares; the exact keys decide.
     A pattern that hits is dropped with every later one, while earlier ones
     walk on, so the earliest pattern with a violation wins with its first
     family.
@@ -591,20 +587,17 @@ def decide_all_projections_oracle(
 
     Enumerates every pattern and every family without pruning; a family
     violates its pattern when its difference_basis has at most k vectors.
-    With minimal_only=False the patterns cover all sums up to the point count
-    instead of just k + 1. Refuses configurations above max_points.
+    The patterns are the engine's (_engine_patterns): with
+    minimal_only=False every sum(size - 1) from k + 1 up that fits the
+    point count, not just k + 1. Refuses configurations above max_points.
     """
     n = len(config)
     if n > integer(max_points, "max_points", 1):
         raise OracleGuardError(
             f"brute force refused: {n} points exceeds the guard of {max_points}"
         )
-    if minimal_only:
-        patterns = _engine_patterns(config)
-    else:
-        patterns = [p for p in _all_patterns(config.dimension, n) if sum(p.sizes) <= n]
     points = config.integer_points
-    for pattern in patterns:
+    for pattern in _engine_patterns(config, minimal_only):
         for groups in _canonical_families(n, pattern.sizes):
             if len(difference_basis(points, groups)) <= pattern.k:
                 return Verdict(False, _build_certificate(config, groups))

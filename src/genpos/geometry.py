@@ -99,7 +99,9 @@ class Configuration:
         raise AttributeError(f"Configuration is immutable: cannot set {name!r}")
 
     def __reduce__(self):
-        return Configuration, (self.dimension, self.points, self.labels)
+        # _key is (dimension, denominator, integer_points, labels): a copy
+        # is built on the lattice, without the Fraction points.
+        return Configuration._on_lattice, self._key()
 
     @property
     def points(self) -> tuple[Point, ...]:

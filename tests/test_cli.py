@@ -536,6 +536,18 @@ class TestHostileInput:
         assert result.diagnostics.startswith("error: ")
         assert len(result.diagnostics) < 400
 
+    # 2^62 fails CPython's tuple-size check with MemoryError, 10^19 the
+    # index conversion with OverflowError; both before any allocation.
+    @pytest.mark.parametrize(
+        "dim, name",
+        [("4611686018427387904", "MemoryError"), ("10000000000000000000", "OverflowError")],
+    )
+    def test_unbuildable_dimension_is_an_input_error(self, dim, name):
+        result = run(["generate", "product-cantor", "--stage", "0", "--dim", dim])
+        assert result.exit_code == 2
+        assert result.diagnostics.startswith(f"error: {name}")
+        assert "\n" not in result.diagnostics
+
     # The fixture files are only read, so examples may share them.
     @settings(
         max_examples=300,

@@ -26,7 +26,7 @@ from genpos import (
     rank,
     verdict_to_json,
 )
-from genpos.genericity import _engine_patterns
+from genpos.genericity import _engine_patterns, _partitions_desc
 from genpos.geometry import difference_basis, subspace_check_to_json
 from genpos.linalg import vector_sub
 from genpos.selftest import (
@@ -51,6 +51,27 @@ def difference_system(config, groups):
         for idx in g[1:]:
             vectors.append(vector_sub(config.points[idx], base))
     return vectors
+
+
+def _reference_all_patterns(dimension, max_vectors):
+    """Every pattern with sum(size - 1) up to max_vectors, each partition
+    built before any is dropped: the exhaustive enumeration the oracle used
+    before it shared _engine_patterns."""
+    out = []
+    for k in range(1, dimension):
+        for total in range(k + 1, max_vectors + 1):
+            for partition in _partitions_desc(total):
+                out.append(DegeneracyPattern(k, tuple(p + 1 for p in partition)))
+    return out
+
+
+def _reference_engine_patterns(config):
+    """The minimal patterns that fit, as built before the exhaustive mode
+    joined the engine's generator."""
+    n = len(config)
+    for k in range(1, min(config.dimension, n - 1)):
+        for partition in _partitions_desc(k + 1, n - k - 1):
+            yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
 
 
 @st.composite
@@ -219,6 +240,21 @@ class TestDecide:
                     if sum(p.sizes) <= n
                 ]
                 assert list(_engine_patterns(Configuration(dim, points))) == unbounded
+
+    def test_engine_patterns_match_references(self):
+        # One generator for both modes: the exhaustive list equals the old
+        # build-then-filter one, every pattern whose sizes fit n points, and
+        # the minimal list is unchanged.
+        for dim in range(1, 9):
+            for n in range(1, 13):
+                points = tuple((i,) + (0,) * (dim - 1) for i in range(n))
+                config = Configuration(dim, points)
+                exhaustive = [
+                    p for p in _reference_all_patterns(dim, n) if sum(p.sizes) <= n
+                ]
+                assert list(_engine_patterns(config, False)) == exhaustive
+                minimal = list(_reference_engine_patterns(config))
+                assert list(_engine_patterns(config)) == minimal
 
     def test_matches_oracle_on_random_configurations(self):
         corpus = grid_corpus(9001, 80, range(4, 7), ((2, 3), (3, 3)))

@@ -598,10 +598,11 @@ def test_configuration_is_immutable_and_copies():
         config.points = ((F(3),),)
     with pytest.raises(AttributeError):
         config.integer_points = ((3,),)
-    assert config.points == ((F(1, 2),), (F(2),))
     for copied in (
         copy.copy(config),
         copy.deepcopy(config),
         pickle.loads(pickle.dumps(config)),
     ):
         assert copied == config and copied.integer_points == ((1,), (4,))
+        assert config._points is None  # copied on the lattice
+    assert config.points == ((F(1, 2),), (F(2),))
