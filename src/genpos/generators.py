@@ -1,5 +1,7 @@
 """Deterministic producers of instructive configurations, each computed as
 integer rows over one denominator and handed to Configuration._on_lattice.
+An AffineMap is a lattice record too: product_cantor_system builds its maps
+with AffineMap._on_lattice, and no producer builds a Fraction.
 
 Randomness comes from SplitMix64 (Steele, Lea and Flood's 64-bit mixer) with
 unbiased bounded sampling by rejection. The algorithm is part of the external
@@ -10,14 +12,13 @@ every release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, PerturbationError
 from .genericity import decide_all_projections
 from .geometry import Configuration
-from .linalg import integer, lattice, rational_pair
+from .linalg import _LatticeRecord, integer, lattice, rational_pair
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,28 +56,35 @@ class SplitMix64:
                 return draw % bound
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_LatticeRecord):
     """x -> (Ax + c) / D with integer A and c, built from a rational matrix
-    and translation: D is the lcm of all their denominators."""
+    and translation: D is the lcm of all their denominators. Its lattice
+    rows are the rows of A and then c, so a producer that holds them over
+    one denominator builds the map with _on_lattice."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...]
-    denominator: int = field(init=False)
+    __slots__ = ("matrix", "translation", "denominator")
+    _shown = __slots__
 
-    def __post_init__(self):
+    def __init__(self, matrix, translation):
         # The translation is checked alone first, so that its errors name it,
         # and the matrix is checked to be a list before it is unpacked.
-        _, (t,) = lattice((self.translation,), "translation")
-        if not isinstance(self.matrix, (list, tuple)):
+        _, (t,) = lattice((translation,), "translation")
+        if not isinstance(matrix, (list, tuple)):
             raise InputError("matrix: missing or not a list")
         n = len(t)
-        den, (*rows, t) = lattice((*self.matrix, self.translation), "matrix", n)
-        if len(rows) != n:
+        den, rows = lattice((*matrix, translation), "matrix", n)
+        if len(rows) != n + 1:
             raise InputError(f"matrix: expected {n}x{n} to match the translation")
-        object.__setattr__(self, "matrix", tuple(rows))
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "denominator", den)
+        self._fill(n, den, rows)
+
+    def _fill(self, dimension, denominator, rows):
+        init = object.__setattr__
+        init(self, "matrix", rows[:-1])
+        init(self, "translation", rows[-1])
+        init(self, "denominator", denominator)
+
+    def _key(self):
+        return len(self.translation), self.denominator, (*self.matrix, self.translation)
 
     def apply(self, row, scale: int) -> tuple[int, ...]:
         """The image of the point row / scale, as a row over D * scale."""
@@ -110,16 +118,13 @@ class IteratedFunctionSystem:
 
 
 def product_cantor_system(dimension: int) -> IteratedFunctionSystem:
-    """The 2^N contractions x -> x/3 + t, t in {0, 2/3}^N."""
+    """The 2^N contractions x -> x/3 + t, t in {0, 2/3}^N, each built on
+    the lattice as the identity and 3t over 3."""
     integer(dimension, "dimension", 1)
-    third = Fraction(1, 3)
-    identity_third = tuple(
-        tuple(third if i == j else Fraction(0) for j in range(dimension))
-        for i in range(dimension)
-    )
+    identity = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
     maps = tuple(
-        AffineMap(identity_third, t)
-        for t in product((Fraction(0), Fraction(2, 3)), repeat=dimension)
+        AffineMap._on_lattice(dimension, 3, (*identity, t))
+        for t in product((0, 2), repeat=dimension)
     )
     return IteratedFunctionSystem(dimension, maps)
 

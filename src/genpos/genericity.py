@@ -84,7 +84,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby, repeat, starmap
 from math import gcd
 from operator import sub
@@ -197,14 +196,11 @@ def _build_certificate(
 
     The witness generators are the family's difference_basis, so the span is
     unchanged but redundant vectors are dropped. The differences are taken
-    on the integer lattice, and only the chosen ones become rational vectors.
-    The recorded k is the actual span dimension.
+    on the integer lattice and the witness is built on it, over the
+    configuration's denominator. The recorded k is the actual span dimension.
     """
-    den = config.denominator
     basis = difference_basis(config.integer_points, groups)
-    witness = Subspace(
-        config.dimension, tuple(tuple(Fraction(x, den) for x in row) for row in basis)
-    )
+    witness = Subspace._on_lattice(config.dimension, config.denominator, basis)
     pattern = DegeneracyPattern(witness.dim, tuple(len(g) for g in groups))
     return Certificate(pattern, groups, witness)
 

@@ -6,24 +6,27 @@ their difference lies in H. The per-kernel check asks, with k = dim H, that
 every non-degenerate fiber has at most k+1 affinely independent points and
 that the fiber sizes do not overshoot k in total.
 
-A Configuration holds its points on the integer lattice, filled by
-linalg.lattice from JSON cells or by Configuration._on_lattice from the
-generators' integer rows, and a Subspace its generators, read by lattice.
-JSON and Fraction points come from those rows. difference_basis picks the
-independent in-group differences for the certificate, the oracle and check.
+A Configuration holds its points and a Subspace its generators on the
+integer lattice, as linalg._LatticeRecord subclasses: read by linalg.lattice
+from cells, or built by _on_lattice from integer rows, the generators' points
+and a certificate's difference_basis. JSON and Fraction rows come from those
+rows. difference_basis picks the independent in-group differences for the
+certificate, the oracle and check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .linalg import (
     IncrementalSpan,
     Vector,
+    _LatticeRecord,
     dot,
+    fractions,
     gram_matrix,
     integer,
     lattice,
@@ -37,7 +40,7 @@ Point = Vector
 FiberPartition = tuple[tuple[int, ...], ...]
 
 
-class Configuration:
+class Configuration(_LatticeRecord):
     """A finite list of pairwise-distinct labeled points in Q^N.
 
     The points are held on the integer lattice: integer_points are the
@@ -51,6 +54,7 @@ class Configuration:
     """
 
     __slots__ = ("dimension", "denominator", "integer_points", "labels", "_points")
+    _shown = ("dimension", "points", "labels")
 
     def __init__(self, dimension: int, points, labels=None):
         integer(dimension, "dimension", 1)
@@ -75,19 +79,7 @@ class Configuration:
                 )
         self._fill(dimension, den, rows, labels)
 
-    @classmethod
-    def _on_lattice(cls, dimension: int, denominator: int, rows, labels=None):
-        """The points row / denominator, unchecked, for producers that hold
-        distinct integer rows over one positive denominator. Dividing all of
-        them by their gcd leaves the lcm of the reduced denominators."""
-        g = math.gcd(denominator, *(x for row in rows for x in row))
-        if g > 1:
-            rows = [tuple(x // g for x in row) for row in rows]
-        self = object.__new__(cls)
-        self._fill(dimension, denominator // g, tuple(rows), labels)
-        return self
-
-    def _fill(self, dimension, denominator, rows, labels):
+    def _fill(self, dimension, denominator, rows, labels=None):
         init = object.__setattr__
         init(self, "dimension", dimension)
         init(self, "denominator", denominator)
@@ -95,82 +87,61 @@ class Configuration:
         init(self, "labels", labels)
         init(self, "_points", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Configuration is immutable: cannot set {name!r}")
-
-    def __reduce__(self):
-        # _key is (dimension, denominator, integer_points, labels): a copy
-        # is built on the lattice, without the Fraction points.
-        return Configuration._on_lattice, self._key()
+    def _key(self):
+        return self.dimension, self.denominator, self.integer_points, self.labels
 
     @property
     def points(self) -> tuple[Point, ...]:
         """The points as tuples of Fraction, built from the lattice once."""
-        pts = self._points
-        if pts is None:
-            den = self.denominator
-            pts = tuple(
-                tuple(Fraction(x, den) for x in row) for row in self.integer_points
+        if self._points is None:
+            object.__setattr__(
+                self, "_points", fractions(self.denominator, self.integer_points)
             )
-            object.__setattr__(self, "_points", pts)
-        return pts
-
-    def _key(self):
-        return self.dimension, self.denominator, self.integer_points, self.labels
-
-    def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Configuration(dimension={self.dimension!r}, points={self.points!r}, "
-            f"labels={self.labels!r})"
-        )
+        return self._points
 
     def __len__(self) -> int:
         return len(self.integer_points)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_LatticeRecord):
     """A proper non-zero linear subspace of Q^N given by rational generators.
 
     Generators may be redundant; dim is always the computed rank. The cells
-    are read once, by lattice, into integer_generators over `denominator`;
-    dim and the Fraction generators come from those rows, and only the
-    latter, with the dimensions, are compared, hashed and shown.
+    are read once, by lattice, into integer_generators over `denominator`,
+    and dim comes from those rows; `generators`, the rational rows, are
+    built from them on each read. Two subspaces are equal iff their ambient
+    dimensions and generators are. A certificate builds its witness with
+    _on_lattice from the configuration's denominator and integer rows.
     """
 
-    ambient_dimension: int
-    generators: tuple[Vector, ...]
-    dim: int = field(init=False)
-    denominator: int = field(init=False, compare=False, repr=False)
-    integer_generators: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("ambient_dimension", "denominator", "integer_generators", "dim")
+    _shown = ("ambient_dimension", "generators", "dim")
 
-    def __post_init__(self):
-        integer(self.ambient_dimension, "ambient_dimension", 1)
-        den, rows = lattice(self.generators, "generators", self.ambient_dimension)
-        gens = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-        init = object.__setattr__
-        init(self, "generators", gens)
-        init(self, "denominator", den)
-        init(self, "integer_generators", rows)
-        k = _kernel_span(self).rank
-        if k == 0:
+    def __init__(self, ambient_dimension: int, generators):
+        integer(ambient_dimension, "ambient_dimension", 1)
+        den, rows = lattice(generators, "generators", ambient_dimension)
+        self._fill(ambient_dimension, den, rows)
+        if self.dim == 0:
             raise InputError("generators: subspace must have positive dimension")
-        if k >= self.ambient_dimension:
+        if self.dim >= ambient_dimension:
             raise InputError(
-                f"generators: subspace of dimension {k} is not proper in "
-                f"dimension {self.ambient_dimension}"
+                f"generators: subspace of dimension {self.dim} is not proper in "
+                f"dimension {ambient_dimension}"
             )
-        init(self, "dim", k)
+
+    def _fill(self, ambient_dimension, denominator, rows):
+        init = object.__setattr__
+        init(self, "ambient_dimension", ambient_dimension)
+        init(self, "denominator", denominator)
+        init(self, "integer_generators", rows)
+        init(self, "dim", _kernel_span(self).rank)
+
+    def _key(self):
+        return self.ambient_dimension, self.denominator, self.integer_generators
+
+    @property
+    def generators(self) -> tuple[Vector, ...]:
+        return fractions(self.denominator, self.integer_generators)
 
 
 @dataclass(frozen=True)

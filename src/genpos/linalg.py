@@ -5,10 +5,14 @@ cell, read as a reduced (numerator, denominator) pair (a string by one
 fullmatch of _RATIONAL_RE, whose groups are the two integers), and integer
 the one check of an integer argument. Rows reach the program along one route:
 lattice checks a list of rows, naming the bad field, and scales them by the
-lcm of their denominators onto integer rows without building a Fraction:
-that is how a Configuration holds its points and a Subspace its generators.
-rational_rows divides the rows by that lcm into fractions.Fraction. Rank
-and span membership are computed by IncrementalSpan on integer rows only;
+lcm of their denominators onto integer rows without building a Fraction.
+Those rows and that lcm are what a _LatticeRecord holds: a Configuration its
+points, a Subspace its generators, an AffineMap its matrix and translation.
+The base class makes records immutable, compares, hashes, copies and shows
+them, and _on_lattice builds one unchecked from integer rows that a
+certificate or a producer already holds. fractions is the one place integer
+rows become fractions.Fraction rows; rational_rows is fractions of lattice.
+Rank and span membership are computed by IncrementalSpan on integer rows only;
 rational vectors reach it through lattice. All elimination is there, in one
 method: image, fraction-free integer elimination without division, maps a
 row linearly onto the quotient by the span, so its kernel is exactly the
@@ -135,10 +139,62 @@ def lattice(
     return den, tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
 
 
+def fractions(denominator: int, rows) -> Matrix:
+    """Integer rows over one positive denominator as tuples of Fraction."""
+    return tuple(tuple(Fraction(x, denominator) for x in row) for row in rows)
+
+
 def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
     """The rows as tuples of Fraction, read and checked by lattice."""
-    den, ints = lattice(rows, name, dimension)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
+    return fractions(*lattice(rows, name, dimension))
+
+
+class _LatticeRecord:
+    """An immutable record held as integer rows over one positive
+    denominator, the lcm of the reduced denominators of its rational rows.
+
+    A subclass's __init__ checks outside input, reads it with lattice and
+    hands the result to _fill(dimension, denominator, rows, *rest), which
+    sets the slots; _key() returns those arguments again, and _shown names
+    what repr lists. Two records are equal iff they are of one class and
+    their keys are equal.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _on_lattice(cls, dimension: int, denominator: int, rows, *rest):
+        """The record of the rows / denominator, unchecked, for callers that
+        hold integer rows over one positive denominator. Dividing all of
+        them by their gcd leaves the lcm of the reduced denominators, so the
+        key is the one the checked constructor gives; rows are stored as
+        tuples."""
+        g = math.gcd(denominator, *(x for row in rows for x in row))
+        if g > 1:
+            rows = [[x // g for x in row] for row in rows]
+        self = object.__new__(cls)
+        self._fill(dimension, denominator // g, tuple(map(tuple, rows)), *rest)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        # _key() is the arguments of _on_lattice: a copy is built on the
+        # lattice, with no rational rows.
+        return self._on_lattice, self._key()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
 
 
 def vector_sub(a: Vector, b: Vector) -> Vector:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genpos import (
     AffineMap,
@@ -25,7 +27,9 @@ from genpos import (
     random_configuration,
 )
 from genpos.generators import _distinct_draws
+from genpos.linalg import fractions
 from genpos.selftest import grid_configuration
+from test_geometry import _assert_lattice_record_behaves
 
 F = Fraction
 
@@ -162,6 +166,62 @@ class TestAffineMap:
     def test_bad_cells_are_named(self, matrix, translation, message):
         with pytest.raises(InputError, match=message):
             AffineMap(matrix, translation)
+
+
+def _product_cantor_by_fractions(dimension):
+    """The product-Cantor system built from Fraction(1, 3) cells through
+    the checked AffineMap constructor, as it was before its maps were built
+    on the lattice."""
+    third = F(1, 3)
+    identity_third = tuple(
+        tuple(third if i == j else F(0) for j in range(dimension))
+        for i in range(dimension)
+    )
+    maps = tuple(
+        AffineMap(identity_third, t)
+        for t in product((F(0), F(2, 3)), repeat=dimension)
+    )
+    return IteratedFunctionSystem(dimension, maps)
+
+
+@pytest.mark.parametrize("dimension", range(1, 7))
+def test_product_cantor_system_matches_the_fraction_construction(dimension):
+    built = product_cantor_system(dimension)
+    reference = _product_cantor_by_fractions(dimension)
+    assert built == reference
+    assert [repr(m) for m in built.maps] == [repr(m) for m in reference.maps]
+    assert [hash(m) for m in built.maps] == [hash(m) for m in reference.maps]
+
+
+@st.composite
+def _affine_rows(draw):
+    """(dimension, denominator, rows): a matrix's integer rows and then a
+    translation, as lists, over a denominator they often share a factor
+    with."""
+    dimension = draw(st.integers(1, 3))
+    least, factor = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    cell = st.integers(-9, 9).map(lambda x: x * factor)
+    row = st.lists(cell, min_size=dimension, max_size=dimension)
+    rows = draw(st.lists(row, min_size=dimension + 1, max_size=dimension + 1))
+    return dimension, least * factor, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_affine_rows())
+@example(case=(1, 6, [[2], [4]]))
+@example(case=(2, 3, [[1, 0], [0, 1], [0, 0]]))
+def test_affine_map_on_lattice_is_the_constructor_on_the_rational_rows(case):
+    dimension, den, rows = case
+    *matrix, translation = fractions(den, rows)
+    built = AffineMap._on_lattice(dimension, den, rows)
+    reference = AffineMap(matrix, translation)
+    _assert_lattice_record_behaves(built, reference)
+    assert (built.matrix, built.translation, built.denominator) == (
+        reference.matrix, reference.translation, reference.denominator
+    )
+    assert all(type(r) is tuple for r in (*built.matrix, built.translation))
+    point = tuple(range(1, dimension + 1))
+    assert built.apply(point, 5) == reference.apply(point, 5)
 
 
 class TestIteratedSystem:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from genpos import (
     OracleGuardError,
     SplitMix64,
     Subspace,
+    Verdict,
     check_general_position,
     cantor_graph_stage,
     classical_general_position,
@@ -24,6 +26,7 @@ from genpos import (
     product_cantor_system,
     random_configuration,
     rank,
+    subspace_from_json,
     verdict_to_json,
 )
 from genpos.genericity import _engine_patterns, _partitions_desc
@@ -422,6 +425,44 @@ def test_verdicts_witnesses_and_checks_are_pinned():
     assert digest.hexdigest() == (
         "e83c3862b320cfba26633c24e83f00f4d263b6c592cd00db00f2b34bbb699b9c"
     )
+
+
+# The violating sets of generate random in the command-line CI step:
+# (points, dimension, denominator, seed).
+_CI_VIOLATING = (
+    (8, 3, 3, 0), (8, 3, 4, 0), (8, 3, 3, 57), (8, 4, 7, 1), (8, 3, 7, 24),
+    (8, 4, 4, 35), (8, 4, 3, 49), (8, 4, 3, 2), (8, 4, 8, 142), (8, 5, 4, 75),
+    (9, 6, 2, 1),
+)
+_FIXTURE_VIOLATING = {
+    "square": ((0, 0), (0, 1), (1, 0), (1, 1)),
+    "collinear3": ((0, 0), (1, 0), (2, 0)),
+    "other": (("1/3", 0), ("1/3", 1), ("4/3", 0), ("4/3", 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(Configuration(2, points) for points in _FIXTURE_VIOLATING.values()),
+        *(random_configuration(*case) for case in _CI_VIOLATING),
+    ],
+    ids=[*_FIXTURE_VIOLATING, *("random-%d-%d-%d-%d" % c for c in _CI_VIOLATING)],
+)
+def test_witness_equals_its_json_reading(config):
+    """A witness is built on the lattice from the difference basis's list
+    rows; it must hold tuples, so that it hashes, and be the kernel that its
+    witness_H reads back as."""
+    oracle = decide_all_projections_oracle(config)
+    for verdict in (decide_all_projections(config), oracle):
+        assert not verdict.generic
+        witness = verdict.certificate.witness
+        document = json.loads(json.dumps(verdict_to_json(verdict)))
+        read = subspace_from_json(document["certificate"]["witness_H"])
+        assert witness == read and hash(witness) == hash(read)
+        assert repr(witness) == repr(read)
+        rebuilt = Verdict(False, replace(verdict.certificate, witness=read))
+        assert rebuilt == verdict and hash(rebuilt) == hash(verdict)
 
 
 def test_exhaustive_oracle_is_pinned():

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genpos import (
@@ -25,7 +25,7 @@ from genpos import (
     vector_sub,
 )
 from genpos import geometry
-from genpos.linalg import _excerpt, lattice
+from genpos.linalg import _excerpt, fractions, lattice
 from genpos.selftest import grid_configuration, random_subspace
 
 F = Fraction
@@ -517,6 +517,65 @@ def test_on_lattice_is_the_constructor_on_the_rational_points(case):
     assert built.integer_points == reference.integer_points
     assert built.points == reference.points
     assert built.labels == reference.labels
+
+
+@st.composite
+def _subspace_rows(draw):
+    """(dimension, denominator, rows): integer rows as lists, as
+    difference_basis returns them, whose span is proper and non-zero, over
+    a denominator that the rows often share a factor with."""
+    dimension = draw(st.integers(2, 4))
+    least, factor = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    cell = st.integers(-9, 9).map(lambda x: x * factor)
+    rows = draw(
+        st.lists(st.lists(cell, min_size=dimension, max_size=dimension),
+                 min_size=1, max_size=dimension)
+    )
+    assume(0 < rank(rows) < dimension)
+    return dimension, least * factor, rows
+
+
+def _assert_lattice_record_behaves(record, reference):
+    """Equal to the reference in ==, hash and repr; copies are equal; no
+    field can be set."""
+    assert record == reference and hash(record) == hash(reference)
+    assert repr(record) == repr(reference)
+    for copied in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert copied == record and hash(copied) == hash(record)
+        assert repr(copied) == repr(record)
+    for name in (*type(record).__slots__, *type(record)._shown):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(record, name, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_subspace_rows())
+@example(case=(2, 6, [[2, 4]]))
+@example(case=(3, 4, [[0, 8, -4], [4, 0, 0], [4, 8, -4]]))
+def test_subspace_on_lattice_is_the_constructor_on_the_rational_rows(case):
+    dimension, den, rows = case
+    built = Subspace._on_lattice(dimension, den, rows)
+    reference = Subspace(dimension, fractions(den, rows))
+    _assert_lattice_record_behaves(built, reference)
+    assert (built.denominator, built.integer_generators, built.dim) == (
+        reference.denominator, reference.integer_generators, reference.dim
+    )
+    assert all(type(row) is tuple for row in built.integer_generators)
+    assert subspace_to_json(built) == subspace_to_json(reference)
+
+
+def test_configuration_is_a_lattice_record():
+    config = Configuration._on_lattice(2, 4, [[2, 0], [0, 6]], ("a", "b"))
+    reference = Configuration(2, (("1/2", 0), (0, "3/2")), ["a", "b"])
+    _assert_lattice_record_behaves(config, reference)
+    assert repr(config) == (
+        "Configuration(dimension=2, points=((Fraction(1, 2), Fraction(0, 1)), "
+        "(Fraction(0, 1), Fraction(3, 2))), labels=('a', 'b'))"
+    )
 
 
 LOADER_DOCUMENTS = {
