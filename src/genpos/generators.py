@@ -1,7 +1,7 @@
 """Deterministic producers of instructive configurations, each computed as
 integer rows over one denominator and handed to Configuration._on_lattice.
 An AffineMap is a lattice record too: product_cantor_system builds its maps
-with AffineMap._on_lattice, and no producer builds a Fraction.
+with AffineMap._on_lattice, and no producer builds a rational row.
 
 Randomness comes from SplitMix64 (Steele, Lea and Flood's 64-bit mixer) with
 unbiased bounded sampling by rejection. The algorithm is part of the external
@@ -77,7 +77,8 @@ class AffineMap(_LatticeRecord):
             raise InputError(f"matrix: expected {n}x{n} to match the translation")
         self._fill(n, den, rows)
 
-    def _fill(self, dimension, denominator, rows):
+    def _fill(self, _, denominator, rows):
+        # The dimension is len(translation), so it is not stored twice.
         init = object.__setattr__
         init(self, "matrix", rows[:-1])
         init(self, "translation", rows[-1])
