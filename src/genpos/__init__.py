@@ -37,25 +37,20 @@ from .geometry import (
     configuration_from_json,
     configuration_to_json,
     fibers,
-    project_onto_complement,
     subspace_from_json,
     subspace_to_json,
 )
 from .linalg import (
     IncrementalSpan,
     Matrix,
-    Rational,
     Vector,
     as_rational,
     distance_sq,
     dot,
-    gram_determinant,
-    gram_matrix,
     rank,
-    solve_linear_system,
     vector_sub,
 )
-from .metric import hausdorff_sq, squared_triangle_inequality
+from .metric import hausdorff_sq
 
 __version__ = "0.1.0"
 
@@ -72,7 +67,6 @@ __all__ = [
     "Matrix",
     "OracleGuardError",
     "PerturbationError",
-    "Rational",
     "SplitMix64",
     "Subspace",
     "SubspaceCheck",
@@ -89,18 +83,13 @@ __all__ = [
     "distance_sq",
     "dot",
     "fibers",
-    "gram_determinant",
-    "gram_matrix",
     "hausdorff_sq",
     "iterate_system",
     "minimal_patterns",
     "perturb_to_generic",
     "product_cantor_system",
-    "project_onto_complement",
     "random_configuration",
     "rank",
-    "solve_linear_system",
-    "squared_triangle_inequality",
     "subspace_from_json",
     "subspace_to_json",
     "vector_sub",

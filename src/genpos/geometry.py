@@ -9,30 +9,27 @@ that the fiber sizes do not overshoot k in total.
 A Configuration holds its points and a Subspace its generators on the
 integer lattice, as linalg._LatticeRecord subclasses: read by linalg.lattice
 from cells, or built by _on_lattice from integer rows, the generators' points
-and a certificate's difference_basis. JSON and Fraction rows come from those
-rows. difference_basis picks the independent in-group differences for the
-certificate, the oracle and check.
+and a certificate's difference_basis. JSON cells and rational rows come from
+those rows. difference_basis picks the independent in-group differences for
+the certificate, the oracle and check; fibers groups points by kernel
+membership of their differences. Projections themselves are never formed
+here: the rational reference that forms them is in genpos.selftest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .linalg import (
     IncrementalSpan,
     Vector,
     _LatticeRecord,
-    dot,
     fractions,
-    gram_matrix,
     integer,
     lattice,
     primitive_row,
-    rational_rows,
-    solve_linear_system,
     vector_sub,
 )
 
@@ -45,7 +42,7 @@ class Configuration(_LatticeRecord):
 
     The points are held on the integer lattice: integer_points are the
     points scaled by `denominator`, the lcm of all coordinate denominators,
-    and the constructor builds them from the rows without a Fraction. Every
+    and the constructor builds them from the cells with no rational row. Every
     rank question about the points is answered on the lattice, since a
     common positive scale changes no rank and no span membership of point
     differences. `points`, the rational coordinates, is derived from the
@@ -92,7 +89,7 @@ class Configuration(_LatticeRecord):
 
     @property
     def points(self) -> tuple[Point, ...]:
-        """The points as tuples of Fraction, built from the lattice once."""
+        """The points as tuples of rationals, built from the lattice once."""
         if self._points is None:
             object.__setattr__(
                 self, "_points", fractions(self.denominator, self.integer_points)
@@ -164,26 +161,6 @@ class SubspaceCheck:
     sum_ok: bool
     passed: bool
     violations: tuple[str, ...]
-
-
-def project_onto_complement(point, kernel: Subspace) -> Point:
-    """Project a point onto the orthogonal complement of the kernel.
-
-    The component inside the kernel is found exactly by solving the normal
-    equations with the Gram matrix of the kernel's generators.
-    """
-    (p,) = rational_rows((point,), "point", kernel.ambient_dimension)
-    gens = kernel.generators
-    gram = gram_matrix(gens)
-    rhs = [dot(g, p) for g in gens]
-    coeffs = solve_linear_system(gram, rhs)
-    # Always consistent: the right side lies in the Gram matrix's row space.
-    assert coeffs is not None
-    inside = tuple(
-        sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0))
-        for i in range(len(p))
-    )
-    return tuple(x - y for x, y in zip(p, inside))
 
 
 def _kernel_span(kernel: Subspace) -> IncrementalSpan:
@@ -297,8 +274,8 @@ def configuration_from_json(obj) -> Configuration:
 
 def _cells(denominator: int, rows) -> list[list[str]]:
     """The JSON cells of integer rows over one positive denominator, each
-    x / denominator in lowest terms with one gcd, as str(Fraction(x,
-    denominator)) writes it: "p/q", or "p" where q is 1."""
+    x / denominator in lowest terms with one gcd, written as "p/q", or "p"
+    where q is 1: the string form of the rational."""
 
     def cell(x: int) -> str:
         g = math.gcd(x, denominator)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on the integer lattice.
 
 Nothing is ever rounded. rational_pair is the one definition of an input
 cell, read as a reduced (numerator, denominator) pair (a string by one
@@ -11,15 +11,14 @@ points, a Subspace its generators, an AffineMap its matrix and translation.
 The base class makes records immutable, compares, hashes, copies and shows
 them, and _on_lattice builds one unchecked from integer rows that a
 certificate or a producer already holds. fractions is the one place integer
-rows become fractions.Fraction rows; rational_rows is fractions of lattice.
+rows become fractions.Fraction rows.
 Rank and span membership are computed by IncrementalSpan on integer rows only;
 rational vectors reach it through lattice. All elimination is there, in one
 method: image, fraction-free integer elimination without division, maps a
 row linearly onto the quotient by the span, so its kernel is exactly the
 span. It reduces each added row, and the differences of point images key
-directions in the decide search. Determinants use the Bareiss pivoting
-scheme; Gram matrices give an independent route to linear independence,
-kept separate so the two can cross-check each other.
+directions in the decide search. The Fraction references that cross-check
+it (Gram determinants and exact linear solves) live in genpos.selftest.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
@@ -144,11 +142,6 @@ def fractions(denominator: int, rows) -> Matrix:
     return tuple(tuple(Fraction(x, denominator) for x in row) for row in rows)
 
 
-def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
-    """The rows as tuples of Fraction, read and checked by lattice."""
-    return fractions(*lattice(rows, name, dimension))
-
-
 class _LatticeRecord:
     """An immutable record held as integer rows over one positive
     denominator, the lcm of the reduced denominators of its rational rows.
@@ -208,41 +201,6 @@ def dot(a: Vector, b: Vector) -> Fraction:
 def distance_sq(a: Vector, b: Vector) -> Fraction:
     d = vector_sub(a, b)
     return dot(d, d)
-
-
-def gram_matrix(vectors) -> Matrix:
-    """Square matrix of pairwise inner products, exact."""
-    vecs = rational_rows(vectors, "vectors")
-    return tuple(tuple(dot(u, w) for w in vecs) for u in vecs)
-
-
-def gram_determinant(vectors) -> Fraction:
-    """Determinant of the Gram matrix; zero iff the vectors are dependent."""
-    return _bareiss_determinant(gram_matrix(vectors))
-
-
-def _bareiss_determinant(matrix: Matrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    den, rows = lattice(matrix)
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            pivot = next((r for r in range(i + 1, n) if a[r][i] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[i], a[pivot] = a[pivot], a[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return Fraction(sign * a[n - 1][n - 1], den**n)
 
 
 def primitive_row(row: list[int]) -> list[int]:
@@ -334,43 +292,3 @@ def rank(vectors) -> int:
     for row in rows:
         span.add_row(row)
     return span.rank
-
-
-def solve_linear_system(rows, rhs) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero, so rank-deficient but consistent systems
-    still produce a solution. rhs is checked as one row of rational cells,
-    one per row of the matrix.
-    """
-    matrix = [list(r) for r in rational_rows(rows, "rows")]
-    m = len(matrix)
-    (b,) = rational_rows((rhs,), "rhs", m)
-    if m == 0:
-        return []
-    width = len(matrix[0])
-    aug = [row + [val] for row, val in zip(matrix, b)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][width] != 0:
-            return None
-    solution = [Fraction(0)] * width
-    for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][width]
-    return solution

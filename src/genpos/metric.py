@@ -2,7 +2,8 @@
 
 Distances stay squared end to end: the Euclidean distance between rational
 points is usually irrational, but every comparison we need can be decided on
-squared values without leaving the rationals.
+squared values without leaving the rationals. The squared triangle
+inequality that checks hausdorff_sq as a metric is in genpos.selftest.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .geometry import Configuration
-from .linalg import as_rational, distance_sq
+from .linalg import distance_sq
 
 
 def _directed_sq(src, dst) -> Fraction:
@@ -26,19 +27,3 @@ def hausdorff_sq(a: Configuration, b: Configuration) -> Fraction:
         )
     return max(_directed_sq(a.points, b.points), _directed_sq(b.points, a.points))
 
-
-def squared_triangle_inequality(d_ab_sq, d_bc_sq, d_ac_sq) -> bool:
-    """Decide d(A,C) <= d(A,B) + d(B,C) given only the squared distances.
-
-    With x = d_ac^2 - d_ab^2 - d_bc^2 the inequality is equivalent to
-    x <= 0 or x^2 <= 4 * d_ab^2 * d_bc^2, which is exact on rationals.
-    """
-    ab = as_rational(d_ab_sq)
-    bc = as_rational(d_bc_sq)
-    ac = as_rational(d_ac_sq)
-    if min(ab, bc, ac) < 0:
-        raise InputError("squared distances must be nonnegative")
-    x = ac - ab - bc
-    if x <= 0:
-        return True
-    return x * x <= 4 * ab * bc

@@ -5,6 +5,14 @@ corpus and returns a CheckResult. The CLI `selftest` command runs them on the
 seeded corpora below and reports pass/fail counts; the test suite calls the
 same functions on its own seeded corpora, so two runs produce identical
 results.
+
+The module also holds the Fraction reference arithmetic that the checks and
+the tests compare the integer-lattice program against: Gram matrices and
+their determinants, exact linear solves, projection onto a kernel's
+orthogonal complement and the squared triangle inequality. It has one
+elimination, _row_reduce, Gauss-Jordan with Fraction division, kept apart
+from IncrementalSpan's fraction-free integer elimination so that each checks
+the other. No command but selftest imports this module.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
 from .generators import (
     SplitMix64,
     _distinct_draws,
@@ -25,13 +34,13 @@ from .genericity import (
 )
 from .geometry import (
     Configuration,
+    Point,
     Subspace,
     check_general_position,
     fibers,
-    project_onto_complement,
 )
-from .linalg import gram_determinant, rank
-from .metric import hausdorff_sq, squared_triangle_inequality
+from .linalg import Matrix, as_rational, dot, fractions, lattice, rank
+from .metric import hausdorff_sq
 
 
 def grid_configuration(
@@ -59,6 +68,117 @@ def random_vectors(rng: SplitMix64, count: int, dimension: int):
         )
         for _ in range(count)
     ]
+
+
+def rational_rows(rows, name: str, dimension: int | None = None) -> Matrix:
+    """The rows as tuples of Fraction, read and checked by lattice."""
+    return fractions(*lattice(rows, name, dimension))
+
+
+def gram_matrix(vectors) -> Matrix:
+    """Square matrix of pairwise inner products, exact."""
+    vecs = rational_rows(vectors, "vectors")
+    return tuple(tuple(dot(u, w) for w in vecs) for u in vecs)
+
+
+def gram_determinant(vectors) -> Fraction:
+    """Determinant of the Gram matrix; zero iff the vectors are dependent."""
+    gram = gram_matrix(vectors)
+    _, pivot_cols, det = _row_reduce(gram)
+    return det if len(pivot_cols) == len(gram) else Fraction(0)
+
+
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan elimination of Fraction rows, with Fraction division.
+
+    Returns the reduced rows, the pivot columns, and the product of the
+    pivots negated once per row swap: the determinant of a square matrix
+    whose every column has a pivot. The argument is not changed.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    pivot_cols: list[int] = []
+    det = Fraction(1)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = -det
+        pv = rows[r][c]
+        det *= pv
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivot_cols, det
+
+
+def solve_linear_system(rows, rhs) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None if the system is inconsistent.
+
+    Free variables are set to zero, so rank-deficient but consistent systems
+    still produce a solution. rhs is checked as one row of rational cells,
+    one per row of the matrix. The system is inconsistent iff the augmented
+    column gets a pivot.
+    """
+    matrix = rational_rows(rows, "rows")
+    m = len(matrix)
+    (b,) = rational_rows((rhs,), "rhs", m)
+    if m == 0:
+        return []
+    width = len(matrix[0])
+    aug, pivot_cols, _ = _row_reduce(row + (val,) for row, val in zip(matrix, b))
+    if width in pivot_cols:
+        return None
+    solution = [Fraction(0)] * width
+    for i, c in enumerate(pivot_cols):
+        solution[c] = aug[i][width]
+    return solution
+
+
+def project_onto_complement(point, kernel: Subspace) -> Point:
+    """Project a point onto the orthogonal complement of the kernel.
+
+    The component inside the kernel is found exactly by solving the normal
+    equations with the Gram matrix of the kernel's generators.
+    """
+    (p,) = rational_rows((point,), "point", kernel.ambient_dimension)
+    gens = kernel.generators
+    gram = gram_matrix(gens)
+    rhs = [dot(g, p) for g in gens]
+    coeffs = solve_linear_system(gram, rhs)
+    # Always consistent: the right side lies in the Gram matrix's row space.
+    assert coeffs is not None
+    inside = tuple(
+        sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0))
+        for i in range(len(p))
+    )
+    return tuple(x - y for x, y in zip(p, inside))
+
+
+def squared_triangle_inequality(d_ab_sq, d_bc_sq, d_ac_sq) -> bool:
+    """Decide d(A,C) <= d(A,B) + d(B,C) given only the squared distances.
+
+    With x = d_ac^2 - d_ab^2 - d_bc^2 the inequality is equivalent to
+    x <= 0 or x^2 <= 4 * d_ab^2 * d_bc^2, which is exact on rationals.
+    """
+    ab = as_rational(d_ab_sq)
+    bc = as_rational(d_bc_sq)
+    ac = as_rational(d_ac_sq)
+    if min(ab, bc, ac) < 0:
+        raise InputError("squared distances must be nonnegative")
+    x = ac - ab - bc
+    if x <= 0:
+        return True
+    return x * x <= 4 * ab * bc
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from genpos import (
     configuration_from_json,
     configuration_to_json,
     fibers,
-    gram_determinant,
-    project_onto_complement,
     rank,
     subspace_from_json,
     subspace_to_json,
@@ -26,7 +24,12 @@ from genpos import (
 )
 from genpos import geometry
 from genpos.linalg import _excerpt, fractions, lattice
-from genpos.selftest import grid_configuration, random_subspace
+from genpos.selftest import (
+    grid_configuration,
+    gram_determinant,
+    project_onto_complement,
+    random_subspace,
+)
 
 F = Fraction
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genpos
 from genpos import (
     AffineMap,
     Configuration,
@@ -14,14 +15,47 @@ from genpos import (
     InputError,
     Subspace,
     as_rational,
+    rank,
+)
+from genpos.linalg import _excerpt, lattice, rational_pair
+from genpos.selftest import (
+    _row_reduce,
     gram_determinant,
     gram_matrix,
-    rank,
+    rational_rows,
     solve_linear_system,
 )
-from genpos.linalg import _excerpt, lattice, rational_pair, rational_rows
 
 F = Fraction
+
+PUBLIC_API = [
+    "AffineMap", "Certificate", "ClassicalReport", "Configuration",
+    "DegeneracyPattern", "FiberReport", "IncrementalSpan", "InputError",
+    "IteratedFunctionSystem", "Matrix", "OracleGuardError", "PerturbationError",
+    "SplitMix64", "Subspace", "SubspaceCheck", "Vector", "Verdict",
+    "as_rational", "cantor_graph_stage", "check_general_position",
+    "classical_general_position", "configuration_from_json",
+    "configuration_to_json", "decide_all_projections",
+    "decide_all_projections_oracle", "distance_sq", "dot", "fibers",
+    "hausdorff_sq", "iterate_system", "minimal_patterns", "perturb_to_generic",
+    "product_cantor_system", "random_configuration", "rank",
+    "subspace_from_json", "subspace_to_json", "vector_sub", "verdict_to_json",
+]
+
+
+def test_public_api_is_pinned():
+    # The Fraction references live in genpos.selftest, not in the package.
+    assert sorted(genpos.__all__) == PUBLIC_API
+    assert all(hasattr(genpos, name) for name in PUBLIC_API)
+    for name in (
+        "Rational",
+        "gram_determinant",
+        "gram_matrix",
+        "project_onto_complement",
+        "solve_linear_system",
+        "squared_triangle_inequality",
+    ):
+        assert not hasattr(genpos, name), name
 
 
 def test_as_rational_accepts_strings_ints_fractions():
@@ -105,6 +139,16 @@ def test_gram_determinant_rational_entries():
     assert gram_determinant([(F(1, 2), F(1, 3))]) == F(13, 36)
 
 
+def test_row_reduce_negates_the_pivot_product_per_swap():
+    # A Gram matrix is positive semidefinite and never needs a row swap, so
+    # the Gram inputs leave the sign of the pivot product untested.
+    assert _row_reduce([[F(0), F(1)], [F(1), F(0)]]) == (
+        [[1, 0], [0, 1]],
+        [0, 1],
+        -1,
+    )
+
+
 def test_rank_examples():
     assert rank([]) == 0
     assert rank([(1, 1), (2, 2)]) == 1
@@ -134,6 +178,23 @@ def test_gram_criterion_matches_rank(vectors):
     independent_by_gram = gram_determinant(vectors) != 0
     independent_by_rank = rank(vectors) == len(vectors)
     assert independent_by_gram == independent_by_rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(vector_lists(), st.randoms(use_true_random=False), rationals.filter(bool))
+def test_gram_determinant_is_a_squared_volume(vectors, rnd, c):
+    """Nonnegative, unchanged by reordering the vectors, and multiplied by
+    c^2 when one vector is scaled by c != 0."""
+    det = gram_determinant(vectors)
+    assert det >= 0
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    assert gram_determinant(shuffled) == det
+    if vectors:
+        i = rnd.randrange(len(vectors))
+        scaled = list(vectors)
+        scaled[i] = tuple(c * x for x in vectors[i])
+        assert gram_determinant(scaled) == c * c * det
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,9 +402,10 @@ def spans_and_rows(draw):
 
 
 def _in_span(generators, row) -> bool:
-    """Whether the row is a combination of the generators, by the Fraction
-    Gauss-Jordan elimination of solve_linear_system, independent of
-    IncrementalSpan."""
+    """Whether the row is a combination of the generators, by
+    genpos.selftest.solve_linear_system: Gauss-Jordan elimination with
+    Fraction division (_row_reduce), independent of IncrementalSpan's
+    fraction-free integer elimination."""
     if not generators:
         return not any(row)
     return solve_linear_system(list(zip(*generators)), row) is not None

@@ -9,9 +9,8 @@ from genpos import (
     InputError,
     SplitMix64,
     hausdorff_sq,
-    squared_triangle_inequality,
 )
-from genpos.selftest import grid_configuration
+from genpos.selftest import grid_configuration, squared_triangle_inequality
 
 F = Fraction
 
