@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 
 from .errors import InputError, PerturbationError
 from .generators import (
@@ -40,15 +39,14 @@ from .geometry import (
     subspace_check_to_json,
     subspace_from_json,
 )
-from .linalg import integer
+from .linalg import _Record, integer
 from .metric import hausdorff_sq
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    payload: str
-    diagnostics: str
+class CommandResult(_Record):
+    """A command's exit code, its stdout payload and its stderr diagnostics."""
+
+    __slots__ = ("exit_code", "payload", "diagnostics")
 
 
 def _load_json(path: str, what: str):

@@ -12,13 +12,12 @@ every release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, PerturbationError
 from .genericity import decide_all_projections
 from .geometry import Configuration
-from .linalg import _LatticeRecord, integer, lattice, rational_pair
+from .linalg import _LatticeRecord, _Record, integer, lattice, rational_pair
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,10 +78,7 @@ class AffineMap(_LatticeRecord):
 
     def _fill(self, _, denominator, rows):
         # The dimension is len(translation), so it is not stored twice.
-        init = object.__setattr__
-        init(self, "matrix", rows[:-1])
-        init(self, "translation", rows[-1])
-        init(self, "denominator", denominator)
+        super().__init__(rows[:-1], rows[-1], denominator)
 
     def _key(self):
         return len(self.translation), self.denominator, (*self.matrix, self.translation)
@@ -95,27 +91,26 @@ class AffineMap(_LatticeRecord):
         )
 
 
-@dataclass(frozen=True)
-class IteratedFunctionSystem:
+class IteratedFunctionSystem(_Record):
     """A finite list of affine maps sharing one ambient dimension."""
 
-    dimension: int
-    maps: tuple[AffineMap, ...]
+    __slots__ = ("dimension", "maps")
 
-    def __post_init__(self):
-        integer(self.dimension, "dimension", 1)
-        if not isinstance(self.maps, (list, tuple)):
+    def __init__(self, dimension: int, maps):
+        integer(dimension, "dimension", 1)
+        if not isinstance(maps, (list, tuple)):
             raise InputError("maps: missing or not a list")
-        if not self.maps:
+        if not maps:
             raise InputError("maps: at least one map is required")
-        for i, m in enumerate(self.maps):
+        for i, m in enumerate(maps):
             if not isinstance(m, AffineMap):
                 raise InputError(f"maps[{i}]: not an AffineMap")
-            if len(m.translation) != self.dimension:
+            if len(m.translation) != dimension:
                 raise InputError(
                     f"maps[{i}]: dimension {len(m.translation)} does not match "
-                    f"system dimension {self.dimension}"
+                    f"system dimension {dimension}"
                 )
+        super().__init__(dimension, maps)
 
 
 def product_cantor_system(dimension: int) -> IteratedFunctionSystem:

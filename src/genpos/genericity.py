@@ -83,20 +83,18 @@ geometry.difference_basis.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, groupby, repeat, starmap
 from math import gcd
 from operator import sub
 
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, difference_basis, subspace_to_json
-from .linalg import IncrementalSpan, integer
+from .linalg import IncrementalSpan, _Record, integer
 
 ORACLE_DEFAULT_MAX_POINTS = 12
 
 
-@dataclass(frozen=True)
-class DegeneracyPattern:
+class DegeneracyPattern(_Record):
     """Group sizes plus a span bound k describing a degeneracy to avoid.
 
     Sizes are kept as a descending multiset; validity requires every size to
@@ -105,40 +103,40 @@ class DegeneracyPattern:
     pattern the engine, the oracle and the certificate build has k < N.
     """
 
-    k: int
-    sizes: tuple[int, ...]
+    __slots__ = ("k", "sizes")
 
-    def __post_init__(self):
-        integer(self.k, "k", 1)
-        sizes = [integer(s, f"sizes[{i}]", 2) for i, s in enumerate(self.sizes)]
-        sizes = tuple(sorted(sizes, reverse=True))
+    def __init__(self, k: int, sizes):
+        integer(k, "k", 1)
+        if not isinstance(sizes, (list, tuple)):
+            raise InputError("sizes: missing or not a list")
+        sizes = [integer(s, f"sizes[{i}]", 2) for i, s in enumerate(sizes)]
         if not sizes:
             raise InputError("sizes: at least one group is required")
-        if sum(s - 1 for s in sizes) < self.k + 1:
+        if sum(sizes) - len(sizes) < k + 1:
             raise InputError(
-                f"sizes: sum(size - 1) = {sum(s - 1 for s in sizes)} "
-                f"must be at least k+1 = {self.k + 1}"
+                f"sizes: sum(size - 1) = {sum(sizes) - len(sizes)} "
+                f"must be at least k+1 = {k + 1}"
             )
-        object.__setattr__(self, "sizes", sizes)
+        super().__init__(k, tuple(sorted(sizes, reverse=True)))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A violating family together with the projection kernel it induces."""
+class Certificate(_Record):
+    """A violating family together with the projection kernel it induces:
+    its DegeneracyPattern, its groups of point indices and the witness
+    Subspace."""
 
-    pattern: DegeneracyPattern
-    groups: tuple[tuple[int, ...], ...]
-    witness: Subspace
+    __slots__ = ("pattern", "groups", "witness")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    generic: bool
-    certificate: Certificate | None = None
+class Verdict(_Record):
+    """generic, and for a violation the Certificate that shows it."""
 
-    def __post_init__(self):
-        if self.generic != (self.certificate is None):
+    __slots__ = ("generic", "certificate")
+
+    def __init__(self, generic: bool, certificate: Certificate | None = None):
+        if generic != (certificate is None):
             raise ValueError("generic verdicts carry no certificate, violations must")
+        super().__init__(generic, certificate)
 
 
 def _partitions_desc(total: int, max_parts: int | None = None):
@@ -600,12 +598,15 @@ def decide_all_projections_oracle(
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class ClassicalReport:
-    """Classical general position: affine independence of all small subsets."""
+class ClassicalReport(_Record):
+    """Classical general position: affine independence of all small subsets.
+    The witness, where they are not, is the tuple of indices of a smallest
+    dependent subset, and None otherwise."""
 
-    in_general_position: bool
-    witness: tuple[int, ...] | None = None
+    __slots__ = ("in_general_position", "witness")
+
+    def __init__(self, in_general_position: bool, witness=None):
+        super().__init__(in_general_position, witness)
 
 
 def classical_general_position(config: Configuration) -> ClassicalReport:

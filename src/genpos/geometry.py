@@ -19,13 +19,13 @@ here: the rational reference that forms them is in genpos.selftest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError
 from .linalg import (
     IncrementalSpan,
     Vector,
     _LatticeRecord,
+    _Record,
     fractions,
     integer,
     lattice,
@@ -77,12 +77,7 @@ class Configuration(_LatticeRecord):
         self._fill(dimension, den, rows, labels)
 
     def _fill(self, dimension, denominator, rows, labels=None):
-        init = object.__setattr__
-        init(self, "dimension", dimension)
-        init(self, "denominator", denominator)
-        init(self, "integer_points", rows)
-        init(self, "labels", labels)
-        init(self, "_points", None)
+        super().__init__(dimension, denominator, rows, labels, None)
 
     def _key(self):
         return self.dimension, self.denominator, self.integer_points, self.labels
@@ -127,11 +122,8 @@ class Subspace(_LatticeRecord):
             )
 
     def _fill(self, ambient_dimension, denominator, rows):
-        init = object.__setattr__
-        init(self, "ambient_dimension", ambient_dimension)
-        init(self, "denominator", denominator)
-        init(self, "integer_generators", rows)
-        init(self, "dim", _kernel_span(self).rank)
+        dim = _kernel_span(ambient_dimension, rows).rank
+        super().__init__(ambient_dimension, denominator, rows, dim)
 
     def _key(self):
         return self.ambient_dimension, self.denominator, self.integer_generators
@@ -141,31 +133,26 @@ class Subspace(_LatticeRecord):
         return fractions(self.denominator, self.integer_generators)
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    """Checks for one non-degenerate fiber."""
+class FiberReport(_Record):
+    """Checks for one non-degenerate fiber: indices (tuple of int), size_ok
+    and affinely_independent (bool)."""
 
-    indices: tuple[int, ...]
-    size_ok: bool
-    affinely_independent: bool
+    __slots__ = ("indices", "size_ok", "affinely_independent")
 
 
-@dataclass(frozen=True)
-class SubspaceCheck:
-    """Outcome of the per-kernel general position check."""
+class SubspaceCheck(_Record):
+    """Outcome of the per-kernel general position check: k, the fibers
+    (FiberPartition), the nondegenerate ones' FiberReports, excess_sum,
+    sum_ok, passed, and the violations as strings."""
 
-    k: int
-    fibers: FiberPartition
-    nondegenerate: tuple[FiberReport, ...]
-    excess_sum: int
-    sum_ok: bool
-    passed: bool
-    violations: tuple[str, ...]
+    __slots__ = (
+        "k", "fibers", "nondegenerate", "excess_sum", "sum_ok", "passed", "violations"
+    )
 
 
-def _kernel_span(kernel: Subspace) -> IncrementalSpan:
-    span = IncrementalSpan(kernel.ambient_dimension)
-    for row in kernel.integer_generators:
+def _kernel_span(dimension: int, rows) -> IncrementalSpan:
+    span = IncrementalSpan(dimension)
+    for row in rows:
         span.add_row(row)
     return span
 
@@ -205,7 +192,7 @@ def fibers(config: Configuration, kernel: Subspace) -> FiberPartition:
             f"kernel ambient dimension {kernel.ambient_dimension} does not "
             f"match configuration dimension {config.dimension}"
         )
-    span = _kernel_span(kernel)
+    span = _kernel_span(kernel.ambient_dimension, kernel.integer_generators)
     classes: list[list[int]] = []
     reps: list[Point] = []
     for i, p in enumerate(config.points):
@@ -253,13 +240,7 @@ def check_general_position(config: Configuration, kernel: Subspace) -> SubspaceC
             f"exceeds k={k}"
         )
     return SubspaceCheck(
-        k=k,
-        fibers=partition,
-        nondegenerate=tuple(reports),
-        excess_sum=excess,
-        sum_ok=sum_ok,
-        passed=not violations,
-        violations=tuple(violations),
+        k, partition, tuple(reports), excess, sum_ok, not violations, tuple(violations)
     )
 
 

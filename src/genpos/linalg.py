@@ -6,12 +6,13 @@ fullmatch of _RATIONAL_RE, whose groups are the two integers), and integer
 the one check of an integer argument. Rows reach the program along one route:
 lattice checks a list of rows, naming the bad field, and scales them by the
 lcm of their denominators onto integer rows without building a Fraction.
-Those rows and that lcm are what a _LatticeRecord holds: a Configuration its
-points, a Subspace its generators, an AffineMap its matrix and translation.
-The base class makes records immutable, compares, hashes, copies and shows
-them, and _on_lattice builds one unchecked from integer rows that a
-certificate or a producer already holds. fractions is the one place integer
-rows become fractions.Fraction rows.
+Every record of the package is a _Record: its fields are its __slots__, set
+once by _Record.__init__, and the base makes it immutable, compares, hashes,
+copies, pickles and shows it. Integer rows and their lcm are what a
+_LatticeRecord holds: a Configuration its points, a Subspace its generators,
+an AffineMap its matrix and translation; _on_lattice builds one unchecked
+from integer rows that a certificate or a producer already holds. fractions
+is the one place integer rows become fractions.Fraction rows.
 Rank and span membership are computed by IncrementalSpan on integer rows only;
 rational vectors reach it through lattice. All elimination is there, in one
 method: image, fraction-free integer elimination without division, maps a
@@ -142,15 +143,65 @@ def fractions(denominator: int, rows) -> Matrix:
     return tuple(tuple(Fraction(x, denominator) for x in row) for row in rows)
 
 
-class _LatticeRecord:
-    """An immutable record held as integer rows over one positive
-    denominator, the lcm of the reduced denominators of its rational rows.
+class _Record:
+    """An immutable record whose fields are its __slots__.
+
+    __init__ sets each field once, in slot order, from positional and then
+    keyword values; a missing, extra or repeated field raises TypeError. A
+    subclass that checks its input does so in its own __init__ and ends in
+    super().__init__(...). _key() is what equality, hashing and pickling
+    read, every field unless a subclass says otherwise; repr lists the names
+    in a subclass's _shown, or else every field. Two records are equal iff
+    they are of one class and their keys are equal, and a record hashes as
+    its key.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:
+            # A missing field leaves values short; a repeated or unknown one
+            # is left in named.
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        init = object.__setattr__
+        for name, value in zip(fields, values):
+            init(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        names = getattr(self, "_shown", self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__name__}({shown})"
+
+
+class _LatticeRecord(_Record):
+    """A record held as integer rows over one positive denominator, the lcm
+    of the reduced denominators of its rational rows.
 
     A subclass's __init__ checks outside input, reads it with lattice and
     hands the result to _fill(dimension, denominator, rows, *rest), which
-    sets the slots; _key() returns those arguments again, and _shown names
-    what repr lists. Two records are equal iff they are of one class and
-    their keys are equal.
+    sets every field with one _Record.__init__ call; _key() returns those
+    arguments again, so a copy is built on the lattice, with no rational
+    rows.
     """
 
     __slots__ = ()
@@ -169,25 +220,8 @@ class _LatticeRecord:
         self._fill(dimension, denominator // g, tuple(map(tuple, rows)), *rest)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
     def __reduce__(self):
-        # _key() is the arguments of _on_lattice: a copy is built on the
-        # lattice, with no rational rows.
         return self._on_lattice, self._key()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{type(self).__name__}({shown})"
 
 
 def vector_sub(a: Vector, b: Vector) -> Vector:

@@ -17,7 +17,6 @@ the other. No command but selftest imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -39,7 +38,7 @@ from .geometry import (
     check_general_position,
     fibers,
 )
-from .linalg import Matrix, as_rational, dot, fractions, lattice, rank
+from .linalg import Matrix, _Record, as_rational, dot, fractions, lattice, rank
 from .metric import hausdorff_sq
 
 
@@ -181,11 +180,10 @@ def squared_triangle_inequality(d_ab_sq, d_bc_sq, d_ac_sq) -> bool:
     return x * x <= 4 * ab * bc
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Record):
+    """One check's name, whether it passed, and its detail line."""
+
+    __slots__ = ("name", "passed", "detail")
 
 
 TRIANGLE = Configuration(2, ((0, 0), (1, 0), (0, 1)))
@@ -248,10 +246,19 @@ def check_minimal_patterns_suffice(configs: list[Configuration]) -> CheckResult:
 
 
 def check_gram_vs_rank(vector_lists) -> CheckResult:
+    """Each Gram determinant is non-zero iff its vectors are independent,
+    grows 4 times with the first vector doubled, and stays with the vectors
+    reversed: the zero test alone would pass a determinant that lost its
+    pivot factors."""
     vector_lists = list(vector_lists)
-    agree = sum(
-        (gram_determinant(v) != 0) == (rank(v) == len(v)) for v in vector_lists
-    )
+    agree = 0
+    for v in vector_lists:
+        det = gram_determinant(v)
+        agree += (
+            (det != 0) == (rank(v) == len(v))
+            and gram_determinant([tuple(2 * x for x in v[0]), *v[1:]]) == 4 * det
+            and gram_determinant(v[::-1]) == det
+        )
     return CheckResult(
         "gram determinant vs rank",
         agree == len(vector_lists),

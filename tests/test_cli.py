@@ -683,6 +683,19 @@ class TestSelftest:
         )
         assert out.stdout == "False\n"
 
+    def test_importing_the_cli_leaves_dataclasses_unloaded(self):
+        # Every record is a linalg._Record, so start-up generates no code
+        # and loads neither dataclasses nor the inspect module it imports.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, genpos.cli; "
+             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "False False\n"
+
 
 class TestClosedStdout:
     def test_reader_closing_early_keeps_the_exit_code(self):

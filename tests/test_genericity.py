@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpos import (
+    Certificate,
     Configuration,
     DegeneracyPattern,
     InputError,
@@ -383,6 +383,11 @@ class TestPatternValidation:
         with pytest.raises(InputError, match=r"sizes\[1\]: must be an integer"):
             DegeneracyPattern(1, (3, True))
 
+    @pytest.mark.parametrize("sizes", [5, None])
+    def test_sizes_not_a_list_rejected(self, sizes):
+        with pytest.raises(InputError, match="^sizes: missing or not a list$"):
+            DegeneracyPattern(1, sizes)
+
 
 def _pinned_corpus():
     """Grid sets, Cantor graph stages 1-4, product-Cantor stages and small
@@ -461,7 +466,8 @@ def test_witness_equals_its_json_reading(config):
         read = subspace_from_json(document["certificate"]["witness_H"])
         assert witness == read and hash(witness) == hash(read)
         assert repr(witness) == repr(read)
-        rebuilt = Verdict(False, replace(verdict.certificate, witness=read))
+        c = verdict.certificate
+        rebuilt = Verdict(False, Certificate(c.pattern, c.groups, read))
         assert rebuilt == verdict and hash(rebuilt) == hash(verdict)
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -10,15 +12,24 @@ from hypothesis import strategies as st
 import genpos
 from genpos import (
     AffineMap,
+    Certificate,
+    ClassicalReport,
     Configuration,
+    DegeneracyPattern,
+    FiberReport,
     IncrementalSpan,
     InputError,
+    IteratedFunctionSystem,
     Subspace,
+    SubspaceCheck,
+    Verdict,
     as_rational,
     rank,
 )
+from genpos.cli import CommandResult
 from genpos.linalg import _excerpt, lattice, rational_pair
 from genpos.selftest import (
+    CheckResult,
     _row_reduce,
     gram_determinant,
     gram_matrix,
@@ -571,3 +582,124 @@ def test_cell_reader_matches_the_old_reader_on_short_strings(cell):
 def test_first_bad_cell_is_named(rows, field):
     with pytest.raises(InputError, match=field + "not a rational: "):
         lattice(rows, "points")
+
+
+_PATTERN = DegeneracyPattern(1, (2, 2))
+_WITNESS = Subspace(2, ((0, 1),))
+_CERTIFICATE = Certificate(_PATTERN, ((0, 1), (2, 3)), _WITNESS)
+_FIBER = FiberReport((0, 1), True, False)
+_MAP = AffineMap(((1, 0), (0, 1)), ("1/3", 0))
+_SHOWN_CERTIFICATE = (
+    "Certificate(pattern=DegeneracyPattern(k=1, sizes=(2, 2)), groups=((0, 1), "
+    "(2, 3)), witness=Subspace(ambient_dimension=2, generators=((Fraction(0, 1), "
+    "Fraction(1, 1)),), dim=1))"
+)
+_SHOWN_MAP = "AffineMap(matrix=((3, 0), (0, 3)), translation=(1, 0), denominator=3)"
+
+# (class, positional arguments, their parameter names, the tuple the record
+# hashes as, repr): every record of the package, with the defaults of
+# Verdict and ClassicalReport.
+_RECORDS = [
+    (
+        Configuration, (2, ((0, 0), (1, "1/2")), ("a", "b")),
+        ("dimension", "points", "labels"),
+        (2, 2, ((0, 0), (2, 1)), ("a", "b")),
+        "Configuration(dimension=2, points=((Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(1, 1), Fraction(1, 2))), labels=('a', 'b'))",
+    ),
+    (
+        Subspace, (3, ((1, 0, 0), (2, 0, 0))), ("ambient_dimension", "generators"),
+        (3, 1, ((1, 0, 0), (2, 0, 0))),
+        "Subspace(ambient_dimension=3, generators=((Fraction(1, 1), Fraction(0, 1), "
+        "Fraction(0, 1)), (Fraction(2, 1), Fraction(0, 1), Fraction(0, 1))), dim=1)",
+    ),
+    (
+        AffineMap, (((1, 0), (0, 1)), ("1/3", 0)), ("matrix", "translation"),
+        (2, 3, ((3, 0), (0, 3), (1, 0))), _SHOWN_MAP,
+    ),
+    (
+        DegeneracyPattern, (1, (2, 2)), ("k", "sizes"), (1, (2, 2)),
+        "DegeneracyPattern(k=1, sizes=(2, 2))",
+    ),
+    (
+        Certificate, (_PATTERN, ((0, 1), (2, 3)), _WITNESS),
+        ("pattern", "groups", "witness"), (_PATTERN, ((0, 1), (2, 3)), _WITNESS),
+        _SHOWN_CERTIFICATE,
+    ),
+    (
+        Verdict, (False, _CERTIFICATE), ("generic", "certificate"),
+        (False, _CERTIFICATE), f"Verdict(generic=False, certificate={_SHOWN_CERTIFICATE})",
+    ),
+    (
+        Verdict, (True,), ("generic",), (True, None),
+        "Verdict(generic=True, certificate=None)",
+    ),
+    (
+        ClassicalReport, (False, (0, 1, 2)), ("in_general_position", "witness"),
+        (False, (0, 1, 2)),
+        "ClassicalReport(in_general_position=False, witness=(0, 1, 2))",
+    ),
+    (
+        ClassicalReport, (True,), ("in_general_position",), (True, None),
+        "ClassicalReport(in_general_position=True, witness=None)",
+    ),
+    (
+        FiberReport, ((0, 1), True, False),
+        ("indices", "size_ok", "affinely_independent"), ((0, 1), True, False),
+        "FiberReport(indices=(0, 1), size_ok=True, affinely_independent=False)",
+    ),
+    (
+        SubspaceCheck, (1, ((0, 1), (2,)), (_FIBER,), 1, True, False, ("v",)),
+        ("k", "fibers", "nondegenerate", "excess_sum", "sum_ok", "passed",
+         "violations"),
+        (1, ((0, 1), (2,)), (_FIBER,), 1, True, False, ("v",)),
+        "SubspaceCheck(k=1, fibers=((0, 1), (2,)), nondegenerate=(FiberReport("
+        "indices=(0, 1), size_ok=True, affinely_independent=False),), "
+        "excess_sum=1, sum_ok=True, passed=False, violations=('v',))",
+    ),
+    (
+        IteratedFunctionSystem, (2, (_MAP,)), ("dimension", "maps"), (2, (_MAP,)),
+        f"IteratedFunctionSystem(dimension=2, maps=({_SHOWN_MAP},))",
+    ),
+    (
+        CommandResult, (0, "{}", ""), ("exit_code", "payload", "diagnostics"),
+        (0, "{}", ""), "CommandResult(exit_code=0, payload='{}', diagnostics='')",
+    ),
+    (
+        CheckResult, ("x", True, "1/1"), ("name", "passed", "detail"),
+        ("x", True, "1/1"), "CheckResult(name='x', passed=True, detail='1/1')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, names, key, shown", _RECORDS,
+    ids=[f"{case[0].__name__}-{len(case[1])}" for case in _RECORDS],
+)
+def test_records_behave_alike(cls, args, names, key, shown):
+    """Every record shows as Name(field=value, ...), hashes as the tuple of
+    its fields (of its lattice key, for a lattice record), equals only a
+    record of its own class, cannot be changed, survives copy, deepcopy and
+    pickle, and is built alike from positional and keyword arguments."""
+    record = cls(*args)
+    assert repr(record) == shown
+    assert hash(record) == hash(key)
+    twin = type(cls.__name__, (cls,), {})(*args)
+    assert record != twin and twin != record and record != key
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], args[0])
+    for copied in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(copied) is cls and copied == record
+        assert hash(copied) == hash(record) and repr(copied) == shown
+    built = cls(**dict(zip(names, args)))
+    assert built == record and repr(built) == shown
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*args, **{names[0]: args[0]})
+    with pytest.raises(TypeError):
+        cls(*args, unknown=0)
