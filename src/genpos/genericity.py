@@ -78,6 +78,18 @@ search, one path for every k, returns the lexicographically first family
 that a depth-first search over all k + 1 vectors would find. The oracle
 tests each family, and the certificate picks its witness, by
 geometry.difference_basis.
+
+A generic input is where no walk exits early, so decide settles one before
+its k >= 2 walks, by one check at the top level K = min(N - 1, n - 2):
+genpos.spans.spans_distinct. It holds when every K-edge star forest (a
+family whose vector count is K) has rank K and no two that share their
+first K - 1 vectors span one space; a violation at a level below K extends
+to a forest of rank below K, and one at level K drops its last or its
+second-to-last vector to give two forests of one span. It keys each forest
+by the shadow key of two of its K x K minors, and gives up on a zero pair,
+a repeated key or a prefix pivot that is not 0 (see genpos.spans). Only a
+configuration clean at k = 1 reaches it, and where it gives up the walks
+run from k = 2 as set out above, so every certificate is the walks'.
 """
 
 from __future__ import annotations
@@ -90,6 +102,7 @@ from operator import sub
 from .errors import InputError, OracleGuardError
 from .geometry import Configuration, Subspace, difference_basis, subspace_to_json
 from .linalg import IncrementalSpan, _Record, integer
+from .spans import _shadow_key, spans_distinct
 
 ORACLE_DEFAULT_MAX_POINTS = 12
 
@@ -308,23 +321,6 @@ def _two_members(group: tuple[int, ...], free: list[int], key, shadow):
     return None if pair is None else group + pair
 
 
-def _shadow_key(head, tip) -> float | None:
-    """The shadow key of the pair, from the difference (x, y) of its two
-    shadows, the first two entries of head and tip (point images, or just
-    those entries): y / x in [-1, 1] where |y| <= |x|, 3 + x / y in [2, 4]
-    where |y| > |x|, or None where the shadows are equal. int / int is
-    correctly rounded, so the key is a function of the exact ratio alone,
-    and a ratio of magnitude at most 1 never overflows. If two image
-    differences are parallel, v = c * w with c != 0, their shadows are c
-    times each other or both zero, so their shadow keys are equal. Shadows
-    that are not parallel may round to one key; that repeat only sends a
-    prefix on to its tails, or an item on to its exact key, which decides."""
-    x, y = tip[0] - head[0], tip[1] - head[1]
-    if abs(y) <= abs(x):
-        return y / x if x else None
-    return 3.0 + x / y
-
-
 def _plan(sizes: tuple[int, ...]):
     """The prefix of the pattern's families: the points it places in each
     group, whether each prefix group has the size of the next one (which
@@ -540,12 +536,17 @@ def decide_all_projections(config: Configuration) -> Verdict:
 
     Generic iff no family of disjoint groups has a deficient difference-vector
     span. One-point configurations and dimension 1 are generic by vacuity:
-    no pattern fits them. The search and the certificate run on the
-    configuration's integer lattice; only the witness basis is built as
-    rational vectors.
+    no pattern fits them. Once k = 1 has no violation, spans_distinct on
+    the top level K = min(N - 1, n - 2) either settles the configuration
+    generic or gives up, and then the walks of k = 2..K run. The search and
+    the certificate run on the configuration's integer lattice; only the
+    witness basis is built as rational vectors.
     """
     points = config.integer_points
-    for _, patterns in groupby(_engine_patterns(config), lambda p: p.k):
+    top = min(config.dimension, len(points) - 1) - 1
+    for k, patterns in groupby(_engine_patterns(config), lambda p: p.k):
+        if k == 2 and spans_distinct(points, top):
+            return Verdict(True)
         groups = _first_violation(list(patterns), points)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))

@@ -18,7 +18,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, count, groupby, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +123,17 @@ def _reference_verdict(config):
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
+
+
+def _first_level(config):
+    """The first k at which the engine's walk of that level's patterns
+    finds a family, or None; each level is one genericity._first_violation
+    call, so a test's replacement of it sees every walk."""
+    points = config.integer_points
+    for k, patterns in groupby(_engine_patterns(config), lambda p: p.k):
+        if genericity._first_violation(list(patterns), points) is not None:
+            return k
+    return None
 
 
 def _verdict_json(verdict):
@@ -685,8 +696,8 @@ def test_single_group_walks_run_no_prefilter(monkeypatch):
     compute is their tails' own; the (3,) walk, a triple on the empty
     prefix, keys every pair of this generic set's shadows once and skips
     its tail, and one repeated shadow key sends it on to its tail. The
-    engine's walks of the same set pass the prefilter, which skips every
-    prefix, the empty one included, before its tails."""
+    engine's walks of every level of the same set pass the prefilter, which
+    skips every prefix, the empty one included, before its tails."""
     config = random_configuration(9, 4, 10**6, 3)
     first_violation, shadow_key, tail = (
         genericity._first_violation, genericity._shadow_key, genericity._tail
@@ -719,7 +730,7 @@ def test_single_group_walks_run_no_prefilter(monkeypatch):
     assert tails and all(tails)
     keyed.clear()
     tails.clear()
-    assert decide_all_projections(config).generic
+    assert _first_level(config) is None
     assert len(keyed) > 36
     assert not tails
     real = []
@@ -1097,6 +1108,20 @@ def test_exhaustive_search_keeps_only_one_prefix_of_keys():
     tracemalloc.start()
     try:
         assert decide_all_projections(config).generic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_walk_of_one_level_keeps_only_one_prefix_of_keys():
+    """The same bound for the walk itself: decide settles this generic set
+    by its top-level check, so the k = 2 walk is called on its own."""
+    config = random_configuration(16, 3, 10**6, 1)
+    patterns = [p for p in _engine_patterns(config) if p.k == 2]
+    tracemalloc.start()
+    try:
+        assert genericity._first_violation(patterns, config.integer_points) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

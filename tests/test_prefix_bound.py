@@ -26,7 +26,12 @@ from genpos import (
 from genpos import genericity
 from genpos.genericity import _canonical_families, _plan, _prefixes
 from genpos.linalg import IncrementalSpan
-from test_direction_buckets import _affine_image, _reference_verdict, _verdict_json
+from test_direction_buckets import (
+    _affine_image,
+    _first_level,
+    _reference_verdict,
+    _verdict_json,
+)
 
 F = Fraction
 
@@ -140,10 +145,11 @@ def test_two_chord_walk_places_fifty_five_prefixes(monkeypatch):
     """On 8 points in dimension 4 the (2, 2, 2, 2) walk places two chords
     with increasing first points; of the 210 such prefixes only those with
     the first chord at 0 and the second at most at 2 leave four points above
-    the second chord's first point. The shadow prefilter skips every k >= 2
-    prefix of this generic set; a shadow key that always repeats sends each
-    one on to its tails, which run only where their free points can hold
-    them."""
+    the second chord's first point. decide settles this generic set by its
+    top-level check, so each level's walk is called on its own. The shadow
+    prefilter skips every k >= 2 prefix of this generic set; a shadow key
+    that always repeats sends each one on to its tails, which run only where
+    their free points can hold them."""
     config = random_configuration(8, 4, 10**6, 1)
     chords = combinations(range(8), 2)
     assert sum(not set(a) & set(b) for a, b in combinations(chords, 2)) == 210
@@ -163,7 +169,7 @@ def test_two_chord_walk_places_fifty_five_prefixes(monkeypatch):
     monkeypatch.setattr(genericity, "_prefixes", record_prefixes)
     monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
     monkeypatch.setattr(genericity, "_tail", record_tail)
-    assert decide_all_projections(config).generic
+    assert _first_level(config) is None
     assert len(placed) == 55
     assert {p[0][0] for p in placed} == {0}
     assert max(p[1][0] for p in placed) == 2
