@@ -30,38 +30,24 @@ to an IncrementalSpan, which stores each as its primitive image
 (IncrementalSpan.image, the program's one elimination, a linear map whose
 kernel is the span); for k = 1 the prefix and its span are empty, and a
 point is its own image. Each prefix maps the points its tails reach once,
-and keys the vector from point b to point m exactly by image(p_m) -
-image(p_b), divided by its gcd and sign-normalised, so the sign of a stored
-row changes no key, and by its shadow key: the correctly rounded ratio of
-the two entries of the difference of the two points' shadows, the first two
-entries of their images (k < N leaves at least two), smaller over larger so
-that it never overflows (see _shadow_key), or None where that difference is
-zero. Parallel image differences have parallel or zero shadows, so equal
-keys have equal shadow keys.
+on first use, and keys the vector from point b to point m exactly by
+image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
+of a stored row changes no key, and by its shadow key: the correctly
+rounded ratio of the two entries of the difference of the two points'
+shadows, the first two entries of their images (k < N leaves at least two),
+smaller over larger so that it never overflows (see _shadow_key), or None
+where that difference is zero. Parallel image differences have parallel or
+zero shadows, so equal keys have equal shadow keys.
 
-Before the tails of a prefix run, where one of them keys pairs of free
-points (a collinear triple, a new triple or new chords), the prefix passes
-one shadow prefilter. A tail that only adds two members to a group keys at
-most one vector per free point, fewer than the prefilter would, and a
-prefix with no live tail is skipped before any point is mapped. The pool
-(the free points of the live tails, and the first point of the prefix's
-last group, whose image every point of the group shares) is mapped one
-point at a time, and each new shadow is keyed against those before it.
-Every vector a tail keys joins two pool points, so a prefix whose shadow
-keys are all distinct has no tail hit and is skipped; at the first repeat,
-true or false, the prefilter stops and the tails run. On a generic input
-this puts one cheap key per pool pair in place of the tails' keys, and
-where a violation comes early it stops after a few keys. Each tail keys
-its items (the members of a group, or chords) by shadow first, which maps
-the points the prefilter did not reach, and exactly only those whose shadow
-key another item shares (for a member and a chord, an item of the other
-kind): on a Cantor graph stage of 128 points the (3,) tail keys 10 of its
-127 members exactly. One scan of those exact keys (_first_pair) finds the
-lexicographically first family, or none. Only the shadow key rounds, and
-its rounding is a function of an exact ratio of integers; everything else
-is integer arithmetic, and the verdict reads only exact integer keys. For
-k = 1 the tails find a collinear triple (3,) or two disjoint parallel
-chords (2, 2), in O(n^2) expected time.
+Each tail keys its items (the members of a group, or chords) by shadow
+first, and exactly only those whose shadow key another item shares (for a
+member and a chord, an item of the other kind): on a Cantor graph stage of
+128 points the (3,) tail keys 10 of its 127 members exactly. One scan of
+those exact keys (_first_pair) finds the lexicographically first family, or
+none. Only the shadow key rounds, and its rounding is a function of an
+exact ratio of integers; everything else is integer arithmetic, and the
+verdict reads only exact integer keys. For k = 1 the tails find a collinear
+triple (3,) or two disjoint parallel chords (2, 2), in O(n^2) expected time.
 
 The patterns of one k are searched together: those that place the same
 prefixes share one walk over them, and each prefix maps its points once for
@@ -79,17 +65,21 @@ that a depth-first search over all k + 1 vectors would find. The oracle
 tests each family, and the certificate picks its witness, by
 geometry.difference_basis.
 
-A generic input is where no walk exits early, so decide settles one before
-its k >= 2 walks, by one check at the top level K = min(N - 1, n - 2):
-genpos.spans.spans_distinct. It holds when every K-edge star forest (a
-family whose vector count is K) has rank K and no two that share their
-first K - 1 vectors span one space; a violation at a level below K extends
-to a forest of rank below K, and one at level K drops its last or its
-second-to-last vector to give two forests of one span. It keys each forest
-by the shadow key of two of its K x K minors, and gives up on a zero pair,
-a repeated key or a prefix pivot that is not 0 (see genpos.spans). Only a
-configuration clean at k = 1 reaches it, and where it gives up the walks
-run from k = 2 as set out above, so every certificate is the walks'.
+A generic input is where no walk exits early, so decide settles a level
+before its walks where genpos.spans.spans_distinct holds on it: level 1
+before the k = 1 walk, and the top level K = min(N - 1, n - 2) before the
+k >= 2 walks, which settles the configuration generic. It holds on level K
+when every K-edge star forest (a family whose vector count is K) has rank K
+and no two that share their first K - 1 vectors span one space; a violation
+at a level below K extends to a forest of rank below K, and one at level K
+drops its last or its second-to-last vector to give two forests of one
+span. It keys each forest by the shadow key of a pair linear in its last
+vector, and gives up on a zero pair, a repeated key or a dependent vector
+(see genpos.spans); at level 1 it keys every chord by its first two
+coordinates and stops at the first key that is None or repeats, so an early
+violation costs a few keys. Where it gives up, the walks run as set out
+above, so every certificate is the walks'. classical asks level 1 before
+its walk of triples.
 """
 
 from __future__ import annotations
@@ -406,21 +396,16 @@ def _first_violation(
     the same key on the empty span, under which a point is its own image.
 
     `points` are the configuration's integer points, the search's one input.
-    Patterns whose prefixes place the same number of points in each group
-    place the same prefixes, apart from the order of groups of equal size,
-    so they share one walk. It orders only the groups that every one of
-    them orders, and a pattern skips the prefixes out of its own order. Each
-    prefix maps each point its tails reach once (into a list dropped with
-    the prefix) and runs the tail of every live pattern in canonical order,
-    each on its own free indices when they can hold it;
-    the walk skips prefixes that leave too few indices for the fewest tail
-    points among its patterns (see _prefixes).
-    The live tails of a prefix (the patterns whose free indices can hold
-    them) first pass the shadow prefilter (shadow_keys_repeat) where one of
-    them keys pairs of free points, as the module docstring sets out, and
-    then run on the images it mapped. Each tail keys its items by the
-    closure shadow, which maps the rest on first use, and exactly (reduced)
-    only those whose shadow key another item shares; the exact keys decide.
+    Patterns whose prefixes place the same number of points in each group,
+    and order the same groups of equal size, place the same prefixes, so
+    they share one walk. Each prefix maps each point its tails reach once,
+    on first use (into a list dropped with the prefix), and runs the tail
+    of every live pattern in canonical order, each on its own free indices
+    when they can hold it; the walk skips prefixes that leave too few
+    indices for the fewest tail points among its patterns (see _prefixes).
+    Each tail keys its items by the closure shadow, which maps the points,
+    and exactly (reduced) only those whose shadow key another item shares;
+    the exact keys decide.
     A pattern that hits is dropped with every later one, while earlier ones
     walk on, so the earliest pattern with a violation wins with its first
     family.
@@ -434,32 +419,13 @@ def _first_violation(
     for index, pattern in enumerate(patterns):
         counts, equal, above, joined = _plan(pattern.sizes)
         size = sum(pattern.sizes) - sum(counts)  # the tail's points
-        walks.setdefault(counts, []).append(
-            (index, pattern.sizes, equal, above, joined, size)
+        walks.setdefault((counts, equal), []).append(
+            (index, pattern.sizes, above, joined, size)
         )
     best, family = len(patterns), None
     span = IncrementalSpan(len(points[0]))
     image = span.image
     zeros = (0,) * span.dimension
-
-    def shadow_keys_repeat(pool: list[int]) -> bool:
-        """Whether two pairs of the pool share a shadow key. The pool is
-        mapped into the prefix's images one point at a time, each new
-        shadow (the first two image entries) is keyed against every shadow
-        mapped before it, and the loop stops at the first repeat, so a pool
-        whose early points already repeat costs a few keys, not one per
-        pair."""
-        seen, shadows = set(), []
-        for i in pool:
-            images[i] = row = image(points[i])
-            shadow = row[0], row[1]
-            for other in shadows:
-                key = _shadow_key(other, shadow)
-                if key in seen:
-                    return True
-                seen.add(key)
-            shadows.append(shadow)
-        return False
 
     def shadow(b: int, m: int) -> float | None:
         """The shadow key of p_m - p_b modulo the prefix span: _shadow_key of
@@ -487,43 +453,23 @@ def _first_violation(
             g = -g
         return row if g == 1 else tuple([x // g for x in row])
 
-    for counts, members in walks.items():
-        order = tuple(map(all, zip(*(member[2] for member in members))))
+    for (counts, equal), members in walks.items():
         # Tail points above the first point of the prefix's last group: all
         # of them where the tail starts above it, else those that join it.
         tail = min(size if above else joined for *_, above, joined, size in members)
-        for prefix, used in _prefixes(points, counts, order, tail, span):
+        for prefix, used in _prefixes(points, counts, equal, tail, span):
             if members[0][0] >= best:
                 return family
-            runs = []  # the live patterns, each with its free indices
-            for index, sizes, equal, above, joined, size in members:
+            images = [None] * n  # point images under this prefix's span
+            for index, sizes, above, joined, size in members:
                 if index >= best:
                     break
-                if equal != order and any(
-                    e and prefix[j][0] > prefix[j + 1][0] for j, e in enumerate(equal)
-                ):
-                    continue
                 start = prefix[-1][0] + 1 if above else 0
                 free = [i for i in range(start, n) if not used[i]]
                 # No tail fits in fewer free points, or with fewer above the
                 # last point of the group its members join.
                 if len(free) < size or joined and free[-joined] < prefix[-1][-1]:
                     continue
-                runs.append((index, sizes, free))
-            if not runs:
-                continue
-            images = [None] * n  # point images under this prefix's span
-            # The shadow prefilter, where a live tail keys pairs of free
-            # points: no shadow key repeats, no tail hits. The pool is the
-            # last group's first point, if any, and the live tails' free
-            # points.
-            if any(sizes[-1] <= 3 for _, sizes, _ in runs):
-                low = min(free[0] for _, _, free in runs)
-                pool = [group[0] for group in prefix[-1:]]
-                pool += [i for i in range(low, n) if not used[i]]
-                if not shadow_keys_repeat(pool):
-                    continue
-            for index, sizes, free in runs:
                 hit = _tail(sizes, prefix, free, reduced, shadow)
                 if hit is not None:
                     best, family = index, hit
@@ -536,15 +482,18 @@ def decide_all_projections(config: Configuration) -> Verdict:
 
     Generic iff no family of disjoint groups has a deficient difference-vector
     span. One-point configurations and dimension 1 are generic by vacuity:
-    no pattern fits them. Once k = 1 has no violation, spans_distinct on
-    the top level K = min(N - 1, n - 2) either settles the configuration
-    generic or gives up, and then the walks of k = 2..K run. The search and
-    the certificate run on the configuration's integer lattice; only the
-    witness basis is built as rational vectors.
+    no pattern fits them. spans_distinct on level 1 clears k = 1 or gives
+    up, and then the k = 1 walk runs. Once k = 1 has no violation,
+    spans_distinct on the top level K = min(N - 1, n - 2) either settles the
+    configuration generic or gives up, and then the walks of k = 2..K run.
+    The search and the certificate run on the configuration's integer
+    lattice; only the witness basis is built as rational vectors.
     """
     points = config.integer_points
     top = min(config.dimension, len(points) - 1) - 1
     for k, patterns in groupby(_engine_patterns(config), lambda p: p.k):
+        if k == 1 and spans_distinct(points, 1):
+            continue
         if k == 2 and spans_distinct(points, top):
             return Verdict(True)
         groups = _first_violation(list(patterns), points)
@@ -617,10 +566,13 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     in lexicographic order. Sizes s are tried in increasing order, so when s
     is tried every smaller subset is independent: a dependent s-subset is a
     violating family of the single-group pattern (s,) with k = s - 2, and
-    the decide search finds the first one.
+    the decide search finds the first one. Where spans_distinct holds on
+    level 1, no three points are collinear, and the (3,) walk is skipped.
     """
     n, points = len(config), config.integer_points
     for size in range(3, min(n, config.dimension + 1) + 1):
+        if size == 3 and spans_distinct(points, 1):
+            continue
         family = _first_violation([DegeneracyPattern(size - 2, (size,))], points)
         if family is not None:
             return ClassicalReport(False, family[0])

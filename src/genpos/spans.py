@@ -1,11 +1,11 @@
-"""Decide a configuration generic from the star forests of its top level.
+"""Settle one level of the decide search from the star forests of its size.
 
 A star forest is a family of disjoint groups of points; its edges are the
 difference vectors from each group's first point to its later members, in
 canonical order: groups by increasing first point, members increasing. Let
-K = min(N - 1, n - 2), the top level of the decide search. A configuration
-is generic if every K-edge star forest has rank K and no two K-edge forests
-that share their first K - 1 edges span the same space:
+K >= 1 be a level, at most min(N - 1, n - 2). Every K-edge star forest has
+rank K and no two K-edge forests that share their first K - 1 edges span
+the same space iff no level up to K has a violation:
 
 - a violation at a level j < K is a dependent forest of j + 1 edges.
   Extended in the graphic matroid (the forests of the complete graph on the
@@ -17,24 +17,35 @@ that share their first K - 1 edges span the same space:
   K-edge star forests that share its first K - 1 edges; if both have rank
   K, both span the family's span.
 
-spans_distinct tests this on the first K + 1 coordinates, which only makes
-it harder to meet: a projected forest of rank K has rank K, and projected
-spans that differ come from spans that differ. It walks the (K - 2)-edge
-prefixes on one IncrementalSpan and gives up on a prefix edge that is
-dependent or whose pivot is not 0, so that each stored row eliminates the
-next coordinate and a point's image has three entries, for coordinates
-K - 2, K - 1 and K. Each next edge v of a prefix keys every edge w that may
-follow it by the two 2 x 2 minors (v0 w1 - v1 w0, v0 w2 - v2 w0) of their
-images, rounded to one float by _shadow_key. Up to a non-zero factor that
-depends on the prefix alone (a product of its pivots), these are the K x K
-minors of the forest on coordinates 0..K - 1 and on 0..K - 2 and K: a
-forest of rank below K has both zero, and two of rank K with one span have
-proportional minors, so one key. A zero pair or a repeated
-key gives up; keys that repeat only because they round alike give up too,
-which sends the configuration on to the decide walks. Each v's keys go in a
-set of their own, dropped with it. The minors are linear in w's image, so
-each point is mapped once per v to the pair of minors of v with its image,
-and the key of w is _shadow_key of the pairs of its two points.
+So at K = 1 the check clears level 1 alone, and at the top level K =
+min(N - 1, n - 2) it settles the configuration generic. spans_distinct
+tests it on the first K + 1 coordinates, which only makes it harder to
+meet: a projected forest of rank K has rank K, and projected spans that
+differ come from spans that differ.
+
+At K = 1 a forest is one chord, and the check keys every chord by
+_shadow_key of the pair of its first two coordinates, as K >= 2 keys the
+pairs below: a chord of rank below 1 there has a zero pair, and two chords
+of one span have parallel pairs, so one key.
+
+For K >= 2 it walks the (K - 2)-edge prefixes on one IncrementalSpan, whose
+image is a linear map q onto three entries with the prefix span as its
+kernel. A forest of the prefix, a next edge v and a last edge w has rank K
+iff q(v) and q(w) are independent, and two such forests that differ in w
+alone span one space iff their q(w) span one plane with q(v). Each v
+therefore keys every edge w that may follow it by L(q(w)), where L is a
+linear map onto two entries whose kernel is the line of q(v) = (v0, v1, v2):
+the two 2 x 2 minors (v0 w1 - v1 w0, v0 w2 - v2 w0) where v0 != 0, else
+(w0, v1 w2 - v2 w1). A forest of rank below K then has a zero pair, and two
+of one span have parallel pairs, so one key. Each v's keys go in a set of
+their own, dropped with it. The pair is linear in q(w), so each point is
+mapped once per v to the pair of its image, and the key of w is
+_shadow_key of the pairs of its two points.
+
+The check gives up, deciding nothing, on a zero pair, on a repeated key
+(keys that repeat only because they round alike give up too, which sends
+the configuration on to the decide walks), and on a dependent edge: a
+prefix edge in the span of the edges before it, or a v with q(v) = 0.
 """
 
 from __future__ import annotations
@@ -55,8 +66,8 @@ def _shadow_key(head, tip) -> float | None:
     differences are parallel, v = c * w with c != 0, their shadows are c
     times each other or both zero, so their shadow keys are equal. Shadows
     that are not parallel may round to one key; that repeat only sends a
-    prefix on to its tails, an item on to its exact key, which decides, or
-    spans_distinct to give up."""
+    tail's item on to its exact key, which decides, or spans_distinct to
+    give up."""
     x, y = tip[0] - head[0], tip[1] - head[1]
     if abs(y) <= abs(x):
         return y / x if x else None
@@ -64,11 +75,20 @@ def _shadow_key(head, tip) -> float | None:
 
 
 def spans_distinct(points, top: int) -> bool:
-    """Whether the K-edge star forests of the integer points, K = top >= 2,
+    """Whether the K-edge star forests of the integer points, K = top >= 1,
     have rank K and distinct spans wherever they share their first K - 1
     edges, tested on the first K + 1 coordinates as the module docstring
-    sets out. True means the configuration is generic; False decides
+    sets out. True means no level up to K has a violation; False decides
     nothing."""
+    if top == 1:
+        seen = {None}
+        for i, point in enumerate(points):
+            for other in points[:i]:
+                key = _shadow_key(other, point)
+                if key in seen:
+                    return False
+                seen.add(key)
+        return True
     n = len(points)
     rows = [point[: top + 1] for point in points]
     span = IncrementalSpan(top + 1)
@@ -98,11 +118,20 @@ def spans_distinct(points, top: int) -> bool:
                 continue  # no w may follow v
             (x0, x1, x2), (y0, y1, y2) = images[g], images[m]
             v0, v1, v2 = y0 - x0, y1 - x1, y2 - x2
-            pairs = [
-                (v0 * a1 - v1 * a0, v0 * a2 - v2 * a0)
-                for a0, a1, a2 in map(images.__getitem__, above)
-            ]
-            head = v0 * x1 - v1 * x0, v0 * x2 - v2 * x0
+            if v0:
+                pairs = [
+                    (v0 * a1 - v1 * a0, v0 * a2 - v2 * a0)
+                    for a0, a1, a2 in map(images.__getitem__, above)
+                ]
+                head = v0 * x1 - v1 * x0, v0 * x2 - v2 * x0
+            elif v1 or v2:
+                pairs = [
+                    (a0, v1 * a2 - v2 * a1)
+                    for a0, a1, a2 in map(images.__getitem__, above)
+                ]
+                head = x0, v1 * x2 - v2 * x1
+            else:
+                return False
             keys = [_shadow_key(head, p) for i, p in zip(above, pairs) if i > m]
             keys += starmap(_shadow_key, combinations(pairs, 2))
             unique = set(keys)
@@ -112,11 +141,11 @@ def spans_distinct(points, top: int) -> bool:
 
     def walk(edges: int, base: int, last: int) -> bool:
         """Whether every prefix of `edges` more edges after the placed ones
-        keeps its pivots at 0 and passes distinct."""
+        is independent and passes distinct."""
         if not edges:
             return distinct(base, last)
         for b, m in later(base, last):
-            if not span.add_row(list(map(sub, rows[m], rows[b]))) or span.rows[-1][0]:
+            if not span.add_row(list(map(sub, rows[m], rows[b]))):
                 return False
             new = (m,) if b == base else (b, m)
             for i in new:

@@ -7,8 +7,9 @@ witness that spans A times the old witness, and the single-kernel check
 must fail on that witness. The check needs no oracle, which refuses more
 than 12 points, so it reaches n = 40.
 
-Under A the float shadow keys, the prefilter's repeats, the bucket contents
-and the top-level check's minors and pivots all change, so this is a
+Under A the float shadow keys, the bucket contents and the minors, zero
+entries and repeats of both checks of genpos.spans all change, and a set
+that a check gives up on may map to one that it settles, so this is a
 differential test of every fast path that rests on them. A fault that
 depends only on exact keys, such as a _first_pair that returns the wrong
 one of two colliding items, is the same on P and on A P + t and keeps the
@@ -29,7 +30,7 @@ from genpos import (
     rank,
 )
 from test_direction_buckets import _lifted, _planted, _planted_patterns_corpus
-from test_spans import SHARED_FIRST_COORDINATE
+from test_spans import COINCIDING_PROJECTION, SHARED_FIRST_COORDINATE
 
 F = Fraction
 
@@ -50,7 +51,8 @@ def _apply(matrix, vector):
 def _corpus():
     """Cantor-graph and product-Cantor stages, sets of small denominators
     up to n = 30 that violate at k = 1 and above, generic sets up to n = 40
-    in N = 2-5, a generic set the top-level check gives up on, and every
+    in N = 2-5, two generic sets that share a coordinate between their
+    first two points, one of which both checks give up on, and every
     k >= 2 pattern planted in N = 3-5."""
     rng = SplitMix64(7007)
     out = [cantor_graph_stage(stage) for stage in range(1, 6)]
@@ -68,7 +70,8 @@ def _corpus():
         generic = random_configuration(12 + rng.below(20), 2, 10**6, 950 + i)
         out.append(_planted(rng, generic, collinear=i == 0))
     out.append(Configuration(4, SHARED_FIRST_COORDINATE))
-    return out + _planted_patterns_corpus()
+    out += _planted_patterns_corpus()
+    return out + [Configuration(5, COINCIDING_PROJECTION)]
 
 
 def test_affine_images_keep_verdict_pattern_and_groups():

@@ -41,7 +41,7 @@ from genpos import (
     vector_sub,
     verdict_to_json,
 )
-from genpos import genericity
+from genpos import genericity, spans
 from genpos.genericity import Verdict, _build_certificate, _engine_patterns
 from genpos.linalg import IncrementalSpan, primitive_row
 from genpos.selftest import grid_configuration, grid_corpus
@@ -421,98 +421,41 @@ def _prefix_images(config, prefix, pool):
 
 @pytest.mark.parametrize("name", list(SAME_BUCKET_CORPORA))
 def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
-    """On every empty prefix and every fifth other prefix the shadow
-    prefilter keys, it maps its pool one point at a time: the last group's
-    first point, if the prefix has one, then consecutive unused points. It
-    keys each new point's shadow, the first two entries of its image,
-    against each shadow mapped before it, in order, and stops at the first
-    key that repeats: where none does it has keyed every pair of the pool,
-    up to the highest unused point, and no tail runs, and where one does,
-    it is the last key and the tails run. On the pairs of mapped
-    points the difference of point images falls into the same buckets as
-    the orthogonal residual of the difference modulo the prefix span, and
-    no bucket is split by the shadow keys. The tails key shadows too, after
-    the prefilter; only the keys before the first tail are the prefilter's.
-    With every prefix forced past the prefilter, on every fifth tail the
-    search runs, the chords among its free points and the vectors from the
-    last prefix group's base fall into the same buckets under the search's
-    own key, taken after the pair's shadow key as a tail takes it, as under
-    the residual."""
-    prefixes, shadow_key, tail = (
-        genericity._prefixes, genericity._shadow_key, genericity._tail
-    )
-    placed, events, checked = count(), [], []
-    calls, tail_checked = count(), []
-
-    class RecordingSpan(IncrementalSpan):
-        __slots__ = ()
-
-        def image(self, row):
-            events.append(("image", row))
-            return super().image(row)
-
-    def recording_prefixes(points, counts, equal, tail, span):
-        for prefix, used in prefixes(points, counts, equal, tail, span):
-            events.clear()
-            flags = list(used)
-            yield prefix, used
-            if ("tail",) in events:
-                del events[events.index(("tail",)) + 1:]
-            keyed = [event[1:] for event in events if event[0] == "key"]
-            if keyed and (not prefix or next(placed) % 5 == 0):
-                check(prefix, flags, keyed)
+    """The level-1 check of genpos.spans keys each point's first two
+    coordinates against those of each point before it, in order, and stops
+    at the first key that is None or repeats: where none is, it has keyed
+    every pair and holds, and where one is, that is the last key. No
+    bucket of parallel chords among the pairs it keys is split by their
+    shadow keys. On every fifth tail that the walks of every level run (one
+    _first_violation call per level), the chords among its free points and
+    the vectors from the last prefix group's base fall into the same
+    buckets under the search's own key, taken after the pair's shadow key
+    as a tail takes it, as under the orthogonal residual modulo the prefix
+    span, and no such bucket is split by the shadow keys."""
+    shadow_key, tail = spans._shadow_key, genericity._tail
+    keyed, calls, checked = [], count(), []
 
     def recording_shadow_key(head, tip):
-        events.append(("key", head, tip))
+        keyed.append((head, tip))
         return shadow_key(head, tip)
 
-    def recording_tail(*args):
-        events.append(("tail",))
-        return tail(*args)
-
-    def check(prefix, used, keyed):
-        index = {p: i for i, p in enumerate(config.integer_points)}
-        last_key = max(j for j, event in enumerate(events) if event[0] == "key")
-        mapped = [index[e[1]] for e in events[:last_key] if e[0] == "image"]
-        base = [group[0] for group in prefix[-1:]]
-        unused = [i for i, u in enumerate(used) if not u]
-        rest = mapped[len(base):]
-        start = unused.index(rest[0])
-        assert mapped[:len(base)] == base and rest == unused[start:start + len(rest)]
-        images = _prefix_images(config, prefix, mapped)
-        shadows = {i: tuple(row[:2]) for i, row in images.items()}
-        ordered = [
-            (shadows[mapped[j]], shadows[mapped[t]])
-            for t in range(len(mapped))
-            for j in range(t)
-        ]
-        assert keyed == ordered[:len(keyed)], (prefix, mapped)
-        assert len(keyed) > len(ordered) - len(mapped) + 1, (prefix, mapped)
+    def check_level_one(points):
+        keyed.clear()
+        holds = spans.spans_distinct(points, 1)
+        n = len(points)
+        pairs = [(j, t) for t in range(n) for j in range(t)][: len(keyed)]
+        assert keyed == [(points[j], points[t]) for j, t in pairs], points
         keys = [shadow_key(head, tip) for head, tip in keyed]
-        assert len(set(keys[:-1])) == len(keys) - 1, (prefix, mapped)
-        ran = ("tail",) in events
-        if keys[-1] in keys[:-1]:
-            assert ran, (prefix, mapped)
-        else:
-            assert keyed == ordered and rest[-1] == unused[-1], (prefix, mapped)
-            assert not ran, (prefix, mapped)
-        pairs = list(combinations(mapped, 2))
-        spanned = [_difference(g[0], m) for g in prefix for m in g[1:]]
-        matrix = _residual_map(config.dimension, spanned)
-        image_keys = _buckets(
-            (_direction([x - y for x, y in zip(images[j], images[i])]), (i, j))
-            for i, j in pairs
+        repeats = [key is None or key in keys[:i] for i, key in enumerate(keys)]
+        assert not any(repeats[:-1]), points
+        assert holds == (len(keys) == n * (n - 1) // 2 and not any(repeats)), points
+        buckets = _buckets(
+            (_direction([x - y for x, y in zip(points[t], points[j])]), (j, t))
+            for j, t in pairs
         )
-        reference = _buckets(
-            (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
-        )
-        assert image_keys == reference, (prefix, mapped)
-        shadow_buckets = {
-            pair: shadow_key(shadows[pair[0]], shadows[pair[1]]) for pair in pairs
-        }
-        for bucket in reference:
-            assert len({shadow_buckets[pair] for pair in bucket}) == 1, (prefix, bucket)
-        checked.append(len(prefix))
+        key_of = dict(zip(pairs, keys))
+        for bucket in buckets:
+            assert len({key_of[pair] for pair in bucket}) == 1, (points, bucket)
 
     def checking_tail(sizes, prefix, free, key, shadow):
         if next(calls) % 5 == 0:
@@ -521,16 +464,16 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
             pairs = list(combinations(free, 2))
             if prefix:
                 pairs += [(prefix[-1][0], m) for m in free if m > prefix[-1][0]]
-            # Every tail keys a pair by shadow before it keys it exactly,
-            # and the shadow key is forced to the falsy (), hence a tuple.
-            engine = _buckets(
-                ((shadow(i, j), key(i, j))[1], (i, j)) for i, j in pairs
-            )
+            # Every tail keys a pair by shadow before it keys it exactly.
+            shadows = {pair: shadow(*pair) for pair in pairs}
+            engine = _buckets((key(i, j), (i, j)) for i, j in pairs)
             reference = _buckets(
                 (_residual_key(matrix, _difference(i, j)), (i, j)) for i, j in pairs
             )
             assert engine == reference, (sizes, prefix, free)
-            tail_checked.append(len(prefix))
+            for bucket in reference:
+                assert len({shadows[pair] for pair in bucket}) == 1, (prefix, bucket)
+            checked.append(len(prefix))
         return tail(sizes, prefix, free, key, shadow)
 
     def _difference(b, m):
@@ -538,19 +481,14 @@ def test_image_keys_bucket_as_residual_keys(monkeypatch, name):
         return [x - y for x, y in zip(points[m], points[b])]
 
     corpus = SAME_BUCKET_CORPORA[name]()
-    monkeypatch.setattr(genericity, "IncrementalSpan", RecordingSpan)
-    monkeypatch.setattr(genericity, "_prefixes", recording_prefixes)
-    monkeypatch.setattr(genericity, "_shadow_key", recording_shadow_key)
-    monkeypatch.setattr(genericity, "_tail", recording_tail)
+    monkeypatch.setattr(spans, "_shadow_key", recording_shadow_key)
     for config in corpus:
-        decide_all_projections(config)
-    assert checked and min(checked) == 0 and max(checked) >= 1
+        check_level_one(config.integer_points)
     monkeypatch.undo()
-    monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
     monkeypatch.setattr(genericity, "_tail", checking_tail)
     for config in corpus:
-        decide_all_projections(config)
-    assert tail_checked and max(tail_checked) >= 1
+        _first_level(config)
+    assert checked and min(checked) == 0 and max(checked) >= 1
 
 
 def _lifted(config):
@@ -590,14 +528,16 @@ PREFILTER_CORPORA = {
 
 @pytest.mark.parametrize("name", list(PREFILTER_CORPORA))
 def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
-    """A shadow key that always repeats sends every prefix whose pool has
-    three points or more on to its tails. A tail that keys pairs of free
-    points keys only pairs of its own pool, the first point of the prefix's
-    last group, if any, and its free points, which lie in the prefilter's
-    pool; where the real shadow keys of that pool, on the prefix's images,
-    are all distinct, as they are on every prefix the search skips, the
-    tail returns None. The verdicts equal the search's byte for byte."""
-    shadow_key, tail, skipped_tails = genericity._shadow_key, genericity._tail, count()
+    """A tail that keys pairs of free points keys only pairs of its own
+    pool, the first point of the prefix's last group, if any, and its free
+    points. With a shadow key that always repeats, a tail keys every item
+    exactly; where the real shadow keys of its pool, on the prefix's
+    images, are all distinct, the tail still returns None. On the empty
+    prefix the pool is every point, and its keys are distinct and not None
+    exactly where the level-1 check of genpos.spans holds. The walks run
+    one _first_violation call per level, and decide's verdicts equal the
+    search's byte for byte."""
+    shadow_key, tail, skipped_tails = spans._shadow_key, genericity._tail, count()
 
     def checking_tail(sizes, prefix, free, *args):
         hit = tail(sizes, prefix, free, *args)
@@ -608,7 +548,11 @@ def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
                 shadow_key(images[i][:2], images[j][:2])
                 for i, j in combinations(pool, 2)
             ]
-            if len(set(keys)) == len(keys):
+            distinct = len(set(keys)) == len(keys)
+            if not prefix:
+                holds = spans.spans_distinct(config.integer_points, 1)
+                assert holds == (distinct and None not in keys), config
+            if distinct:
                 assert hit is None, (sizes, prefix, free)
                 next(skipped_tails)
         return hit
@@ -618,6 +562,7 @@ def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
     monkeypatch.setattr(genericity, "_tail", checking_tail)
     forced = []
     for config in corpus:
+        _first_level(config)
         forced.append(_verdict_json(decide_all_projections(config)))
     monkeypatch.undo()
     assert forced == [_verdict_json(decide_all_projections(c)) for c in corpus]
@@ -690,27 +635,31 @@ def test_shadow_key_of_entries_beyond_a_float(shadow, expected):
 
 
 def test_single_group_walks_run_no_prefilter(monkeypatch):
-    """classical_general_position walks one pattern (s,) at a time. For
-    s >= 4 the tail keys only the vectors from the last group's first
-    point, so those walks run no prefilter, and every shadow key they
-    compute is their tails' own; the (3,) walk, a triple on the empty
-    prefix, keys every pair of this generic set's shadows once and skips
-    its tail, and one repeated shadow key sends it on to its tail. The
-    engine's walks of every level of the same set pass the prefilter, which
-    skips every prefix, the empty one included, before its tails."""
+    """classical_general_position asks the level-1 check before its (3,)
+    walk, a triple on the empty prefix: on this generic set the check keys
+    every pair of the 9 points once and holds, so only the (s,) walks for
+    s >= 4 run, one pattern each. Every shadow key those walks compute is
+    their tails' own, on prefixes that are not empty. One repeated shadow
+    key sends classical on to the (3,) walk and its tail. decide keys the
+    same 36 pairs at level 1, then the top level, and walks no level of
+    this set."""
     config = random_configuration(9, 4, 10**6, 3)
     first_violation, shadow_key, tail = (
-        genericity._first_violation, genericity._shadow_key, genericity._tail
+        genericity._first_violation, spans._shadow_key, genericity._tail
     )
-    walks, keyed, tails, inside = [], [], [], []
+    walks, keyed, tails, inside, outside = [], [], [], [], count()
 
     def recording_first_violation(patterns, points):
         walks.append(patterns[0].sizes)
         return first_violation(patterns, points)
 
-    def recording_shadow_key(head, tip):
+    def recording_check_key(head, tip):
+        keyed.append(len(walks))
+        return shadow_key(head, tip)
+
+    def recording_walk_key(head, tip):
         if not inside:
-            keyed.append(walks[-1])
+            next(outside)
         return shadow_key(head, tip)
 
     def recording_tail(sizes, prefix, *args):
@@ -722,26 +671,28 @@ def test_single_group_walks_run_no_prefilter(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(genericity, "_first_violation", recording_first_violation)
-    monkeypatch.setattr(genericity, "_shadow_key", recording_shadow_key)
+    monkeypatch.setattr(spans, "_shadow_key", recording_check_key)
+    monkeypatch.setattr(genericity, "_shadow_key", recording_walk_key)
     monkeypatch.setattr(genericity, "_tail", recording_tail)
     assert classical_general_position(config).in_general_position
-    assert walks == [(3,), (4,), (5,)]
-    assert keyed == [(3,)] * 36
+    assert walks == [(4,), (5,)]
+    assert keyed == [0] * 36
     assert tails and all(tails)
+    assert next(outside) == 0
+    walks.clear()
     keyed.clear()
     tails.clear()
-    assert _first_level(config) is None
-    assert len(keyed) > 36
-    assert not tails
+    assert decide_all_projections(config).generic
+    assert len(keyed) > 36 and not walks and not tails
     real = []
 
     def once_repeating_shadow_key(head, tip):
         real.append(shadow_key(head, tip))
         return real[0] if len(real) == 2 else real[-1]
 
-    monkeypatch.setattr(genericity, "_shadow_key", once_repeating_shadow_key)
+    monkeypatch.setattr(spans, "_shadow_key", once_repeating_shadow_key)
     assert classical_general_position(config).in_general_position
-    assert () in tails
+    assert walks[0] == (3,) and () in tails
 
 
 # Generic in dimension 4, where a point's image modulo one chord has three
@@ -753,18 +704,27 @@ SHADOW_FALSE_REPEAT = (
 
 
 def test_false_shadow_repeat_falls_back_to_the_exact_tails(monkeypatch):
+    """The tails of this set's walks, one _first_violation call per level,
+    key some items exactly after prefixes that are not empty, because their
+    shadow keys repeat, and hit nothing; decide finds the set generic, as
+    the oracle does."""
     config = Configuration(4, SHADOW_FALSE_REPEAT)
-    tail, hits = genericity._tail, []
+    tail, hits, exact = genericity._tail, [], count()
 
-    def recording_tail(sizes, prefix, *args):
-        hit = tail(sizes, prefix, *args)
+    def recording_tail(sizes, prefix, free, key, shadow):
+        def counting_key(b, m):
+            next(exact)
+            return key(b, m)
+
+        hit = tail(sizes, prefix, free, counting_key if prefix else key, shadow)
         if prefix:
             hits.append(hit)
         return hit
 
     monkeypatch.setattr(genericity, "_tail", recording_tail)
+    assert _first_level(config) is None
+    assert hits and all(hit is None for hit in hits) and next(exact) > 0
     verdict = decide_all_projections(config)
-    assert hits and all(hit is None for hit in hits)
     assert verdict.generic
     oracle = decide_all_projections_oracle(config)
     assert _verdict_json(verdict) == _verdict_json(oracle)
@@ -798,10 +758,11 @@ def _k1_planted_corpus():
 
 
 def test_k1_prefilter_agrees_with_the_oracle():
-    """The empty prefix passes the shadow prefilter like any other: on sets
-    with a planted collinear triple, parallel chords, chords with zero
-    shadows (key None) or chords with parallel shadows only, the engine's
-    verdicts equal the brute-force oracle's byte for byte. The corpus hits
+    """The level-1 check gives up on a repeated or None shadow key, and the
+    k = 1 walk runs: on sets with a planted collinear triple, parallel
+    chords, chords with zero shadows (key None) or chords with parallel
+    shadows only, the engine's verdicts equal the brute-force oracle's byte
+    for byte. The corpus hits
     (3,), (2, 2) and generic verdicts, a repeated key None, and a generic
     set whose shadow keys repeat though no two chords are parallel."""
     key = genericity._shadow_key
@@ -819,37 +780,29 @@ def test_k1_prefilter_agrees_with_the_oracle():
 
 
 def test_prefilter_stops_at_the_first_repeat(monkeypatch):
-    """Where the k = 1 walk hits early, the prefilter stops at the first
-    repeated shadow key: on a Cantor graph stage and on a grid it keys at
-    most n of the n(n - 1) / 2 pairs before the exact walk finds the
-    family. The k = 1 walk has one prefix, so every key before its first
-    tail is the prefilter's; the tails' own shadow keys are not counted."""
-    shadow_key, tail = genericity._shadow_key, genericity._tail
-    keyed, tails = count(), []
+    """Where the k = 1 walk hits early, the level-1 check of genpos.spans
+    stops at the first repeated shadow key: on a Cantor graph stage and on
+    a grid it keys at most n of the n(n - 1) / 2 pairs before the exact
+    walk finds the family. The walk's tails key with genericity's
+    _shadow_key, which is not counted."""
+    shadow_key = spans._shadow_key
 
     def counting_shadow_key(head, tip):
-        if not tails:
-            next(keyed)
+        next(keyed)
         return shadow_key(head, tip)
 
-    def recording_tail(*args):
-        tails.append(args[0])
-        return tail(*args)
-
-    monkeypatch.setattr(genericity, "_shadow_key", counting_shadow_key)
-    monkeypatch.setattr(genericity, "_tail", recording_tail)
+    monkeypatch.setattr(spans, "_shadow_key", counting_shadow_key)
     grid = grid_configuration(SplitMix64(5), 60, 2, 9)
     for config in (cantor_graph_stage(5), grid):
         keyed = count()
-        tails.clear()
         verdict = decide_all_projections(config)
         assert verdict.certificate.pattern.k == 1
-        assert next(keyed) <= len(config)
+        assert 0 < next(keyed) <= len(config)
 
 
 def test_late_hit_keys_few_pairs_exactly(monkeypatch):
     """This planar set's first family, two parallel chords, comes late, so
-    its prefilter keys most pairs before the first repeat. Each k = 1 tail
+    the level-1 check keys most pairs before the first repeat. Each k = 1 tail
     keys its items by shadow first, so the exact keys (one gcd each) stay
     far below the n(n - 1) / 2 = 19 900 of keying every pair exactly."""
     real_gcd, exact = genericity.gcd, count()

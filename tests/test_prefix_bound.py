@@ -37,8 +37,9 @@ F = Fraction
 
 
 def _recorded_walks(monkeypatch, n, dimension):
-    """(patterns, counts, equal, tail) of every walk that decide and
-    classical build on a generic set of n points in the dimension."""
+    """(patterns, counts, equal, tail) of every walk that the levels of
+    decide, one _first_violation call each, and classical build on a
+    generic set of n points in the dimension."""
     calls, walks = [], []
     first_violation, prefixes = genericity._first_violation, genericity._prefixes
 
@@ -53,7 +54,7 @@ def _recorded_walks(monkeypatch, n, dimension):
     monkeypatch.setattr(genericity, "_first_violation", record_first_violation)
     monkeypatch.setattr(genericity, "_prefixes", record_prefixes)
     config = random_configuration(n, dimension, 10**6, 1)
-    assert decide_all_projections(config).generic
+    assert _first_level(config) is None
     assert classical_general_position(config).in_general_position
     monkeypatch.undo()
     return config, walks
@@ -74,7 +75,7 @@ def test_bounded_walks_place_every_prefix_of_every_family(monkeypatch, dimension
                     points, counts, equal, tail, IncrementalSpan(dimension)
                 )
             }
-            members = [p for p in patterns if _plan(p.sizes)[0] == counts]
+            members = [p for p in patterns if _plan(p.sizes)[:2] == (counts, equal)]
             assert members
             for pattern in members:
                 for family in _canonical_families(n, pattern.sizes):
@@ -145,11 +146,9 @@ def test_two_chord_walk_places_fifty_five_prefixes(monkeypatch):
     """On 8 points in dimension 4 the (2, 2, 2, 2) walk places two chords
     with increasing first points; of the 210 such prefixes only those with
     the first chord at 0 and the second at most at 2 leave four points above
-    the second chord's first point. decide settles this generic set by its
-    top-level check, so each level's walk is called on its own. The shadow
-    prefilter skips every k >= 2 prefix of this generic set; a shadow key
-    that always repeats sends each one on to its tails, which run only where
-    their free points can hold them."""
+    the second chord's first point. decide settles this generic set by the
+    checks of genpos.spans, so each level's walk is called on its own. Tails
+    run only where their free points can hold them."""
     config = random_configuration(8, 4, 10**6, 1)
     chords = combinations(range(8), 2)
     assert sum(not set(a) & set(b) for a, b in combinations(chords, 2)) == 210
@@ -167,7 +166,6 @@ def test_two_chord_walk_places_fifty_five_prefixes(monkeypatch):
         return tail(sizes, prefix, free, *args)
 
     monkeypatch.setattr(genericity, "_prefixes", record_prefixes)
-    monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
     monkeypatch.setattr(genericity, "_tail", record_tail)
     assert _first_level(config) is None
     assert len(placed) == 55
