@@ -29,10 +29,11 @@ integer points. A prefix adds the plain differences p_m - p_b of its groups
 to an IncrementalSpan, which stores each as its primitive image
 (IncrementalSpan.image, the program's one elimination, a linear map whose
 kernel is the span); for k = 1 the prefix and its span are empty, and a
-point is its own image. Each prefix maps the points its tails reach once,
-on first use, and keys the vector from point b to point m exactly by
-image(p_m) - image(p_b), divided by its gcd and sign-normalised, so the sign
-of a stored row changes no key, and by its shadow key: the correctly
+point is its own image, so the k = 1 walk maps none. Every other prefix
+maps the points its tails reach once, on first use. Each prefix keys the
+vector from point b to point m exactly by image(p_m) - image(p_b), divided
+by its gcd and sign-normalised, so the sign of a stored row changes no
+key, and by its shadow key: the correctly
 rounded ratio of the two entries of the difference of the two points'
 shadows, the first two entries of their images (k < N leaves at least two),
 smaller over larger so that it never overflows (see _shadow_key), or None
@@ -399,7 +400,8 @@ def _first_violation(
     Patterns whose prefixes place the same number of points in each group,
     and order the same groups of equal size, place the same prefixes, so
     they share one walk. Each prefix maps each point its tails reach once,
-    on first use (into a list dropped with the prefix), and runs the tail
+    on first use (into a list dropped with the prefix); the empty prefix
+    maps none, since its points are their own images. It runs the tail
     of every live pattern in canonical order, each on its own free indices
     when they can hold it; the walk skips prefixes that leave too few
     indices for the fewest tail points among its patterns (see _prefixes).
@@ -460,7 +462,9 @@ def _first_violation(
         for prefix, used in _prefixes(points, counts, equal, tail, span):
             if members[0][0] >= best:
                 return family
-            images = [None] * n  # point images under this prefix's span
+            # Point images under this prefix's span; the empty span of the
+            # k = 1 walk maps every point to itself.
+            images = [None] * n if span.rank else points
             for index, sizes, above, joined, size in members:
                 if index >= best:
                     break

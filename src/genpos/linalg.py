@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals, on the integer lattice.
 
-Nothing is ever rounded. rational_pair is the one definition of an input
-cell, read as a reduced (numerator, denominator) pair (a string by one
-fullmatch of _RATIONAL_RE, whose groups are the two integers), and integer
-the one check of an integer argument. Rows reach the program along one route:
-lattice checks a list of rows, naming the bad field, and scales them by the
-lcm of their denominators onto integer rows without building a Fraction.
+Nothing is ever rounded. _RATIONAL_RE, whose groups are the two integers,
+is the one definition of an input string cell, and integer the one check of
+an integer argument. Rows reach the program along one route: lattice checks
+a list of rows, naming the bad field, and scales them by the lcm of their
+denominators onto integer rows without building a Fraction. Rows that are
+all strings, as JSON gives them, it reads in one pass, one fullmatch per
+cell and no per-cell gcd, and brings to lowest terms with one gcd; any
+other rows, and a bad cell, go through rational_pair, which reads one cell
+of any accepted kind as a reduced pair and names what is wrong with it.
 Every record of the package is a _Record: its fields are its __slots__, set
 once by _Record.__init__, and the base makes it immutable, compares, hashes,
 copies, pickles and shows it. Integer rows and their lcm are what a
@@ -49,9 +52,12 @@ def rational_pair(value) -> tuple[int, int]:
 
     This is the one definition of the accepted cells: an int (not a bool), a
     Fraction, or a "p" or "p/q" string with an optional sign and surrounding
-    whitespace. Floats are refused as inexact, and so is a string of more
-    digits than Python converts to an int. Strings, the JSON cells, are
-    tested first, as isinstance against Fraction goes through ABCMeta.
+    whitespace, as _RATIONAL_RE reads it. Floats are refused as inexact, and
+    so is a string of more digits than Python converts to an int. lattice
+    reads with it the rows that are not all strings, and a row of strings
+    that its one pass refuses, so the InputError it raises names the bad
+    cell. Strings are tested first, as isinstance against Fraction goes
+    through ABCMeta.
     """
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value)
@@ -98,6 +104,62 @@ def as_rational(value) -> Fraction:
     return Fraction(*rational_pair(value))
 
 
+def _string_cells(rows, dimension: int | None):
+    """(dimension, numerators, denominators) of every cell, row by row, with
+    the pairs unreduced, where the rows are lists or tuples of one positive
+    length whose cells are all str that _RATIONAL_RE reads; else None.
+
+    One pass over all the cells, one fullmatch each, then int on the
+    groups: no per-row loop and no per-cell call or gcd. A row or cell of
+    any other kind, a cell the regex refuses, or a part over Python's int
+    digit limit gives None, and lattice reads the rows cell by cell.
+    """
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    if dimension is None:
+        dimension = len(rows[0])
+    if not dimension or set(map(len, rows)) != {dimension}:
+        return None
+    match = _RATIONAL_RE.fullmatch
+    try:
+        found = [match(c) for row in rows for c in row]
+        if None in found:
+            return None
+        return (
+            dimension,
+            [int(m[1]) for m in found],
+            [int(m[2] or 1) for m in found],
+        )
+    except (TypeError, ValueError):  # a cell that is not a str; too many digits
+        return None
+
+
+def _cells_one_by_one(rows, name: str, dimension: int | None):
+    """(dimension, numerators, denominators) of every cell, row by row, each
+    pair read and reduced by rational_pair, raising at the first bad row or
+    cell an InputError that names it."""
+    nums, dens = [], []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"{name}[{i}]: expected a list of rationals")
+        for j, c in enumerate(row):
+            try:
+                p, q = rational_pair(c)
+            except InputError as exc:
+                raise InputError(f"{name}[{i}][{j}]: {exc}") from None
+            nums.append(p)
+            dens.append(q)
+        if dimension is None:
+            if not row:
+                raise InputError(f"{name}[{i}]: expected at least one coordinate")
+            dimension = len(row)
+        elif len(row) != dimension:
+            raise InputError(
+                f"{name}[{i}]: expected {dimension} coordinates, got {len(row)}"
+            )
+    return dimension, nums, dens
+
+
 def lattice(
     rows, name: str = "vectors", dimension: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -107,35 +169,35 @@ def lattice(
     The rows must be a list or tuple, and each row a list or tuple of
     dimension cells, each accepted by rational_pair; without a dimension, the
     first row's length is the one every row must have. Errors read name,
-    name[i] or name[i][j]. No Fraction is built: each cell is read once as a
-    reduced pair. A common positive scale changes no rank, no span membership
-    and no determinant's sign, so rank questions are answered on the integer
-    rows, and the lcm of reduced denominators makes the scaled rows unique to
-    the rational ones.
+    name[i] or name[i][j]. No Fraction is built. Rows whose cells are all
+    str, as JSON gives them, are read in one pass by _string_cells into
+    unreduced pairs; any other rows, and rows that pass refuses, are read
+    cell by cell by rational_pair into reduced pairs, in order, so the first
+    bad row or cell raises what it always did. Let D be the lcm of the
+    denominators read and g the gcd of D and every entry scaled by it: D / g
+    is the lcm of the reduced denominators, so one gcd, taken only after the
+    one pass, leaves the rows in lowest terms. A common positive scale
+    changes no rank, no span membership and no determinant's sign, so rank
+    questions are answered on the integer rows, and the lcm of reduced
+    denominators makes the scaled rows unique to the rational ones.
     """
     if not isinstance(rows, (list, tuple)):
         raise InputError(f"{name}: missing or not a list")
-    pairs = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)):
-            raise InputError(f"{name}[{i}]: expected a list of rationals")
-        vector = []
-        for j, c in enumerate(row):
-            try:
-                vector.append(rational_pair(c))
-            except InputError as exc:
-                raise InputError(f"{name}[{i}][{j}]: {exc}") from None
-        if dimension is None:
-            if not vector:
-                raise InputError(f"{name}[{i}]: expected at least one coordinate")
-            dimension = len(vector)
-        elif len(vector) != dimension:
-            raise InputError(
-                f"{name}[{i}]: expected {dimension} coordinates, got {len(vector)}"
-            )
-        pairs.append(vector)
-    den = math.lcm(*{q for row in pairs for _, q in row})
-    return den, tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
+    if not rows:
+        return 1, ()
+    read = _string_cells(rows, dimension)
+    unreduced = read is not None
+    if not unreduced:
+        read = _cells_one_by_one(rows, name, dimension)
+    dimension, nums, dens = read
+    den = math.lcm(*set(dens))
+    scaled = [p * (den // q) for p, q in zip(nums, dens)]
+    if unreduced and den > 1:
+        g = math.gcd(den, *scaled)
+        if g > 1:
+            den //= g
+            scaled = [x // g for x in scaled]
+    return den, tuple(zip(*[iter(scaled)] * dimension))
 
 
 def fractions(denominator: int, rows) -> Matrix:

@@ -18,6 +18,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, count, groupby, permutations
 
 import pytest
@@ -693,6 +694,94 @@ def test_single_group_walks_run_no_prefilter(monkeypatch):
     monkeypatch.setattr(spans, "_shadow_key", once_repeating_shadow_key)
     assert classical_general_position(config).in_general_position
     assert walks[0] == (3,) and () in tails
+
+
+
+def _walk_maps(monkeypatch, run):
+    """run() under recording: for each k whose patterns a _first_violation
+    call walks, the (prefix number, span rank, row) of every
+    IncrementalSpan.image call made during that walk, the prefix number
+    counting the prefixes _prefixes has placed."""
+    first_violation, prefixes, image = (
+        genericity._first_violation, genericity._prefixes, IncrementalSpan.image
+    )
+    maps, level, placed = {}, [], count(1)
+    prefix = [0]
+
+    def recording_first_violation(patterns, points):
+        level.append(patterns[0].k)
+        maps.setdefault(level[-1], [])
+        try:
+            return first_violation(patterns, points)
+        finally:
+            level.pop()
+
+    def counting_prefixes(*args):
+        for item in prefixes(*args):
+            prefix[0] = next(placed)
+            yield item
+
+    def recording_image(self, row):
+        if level:
+            maps[level[-1]].append((prefix[0], self.rank, tuple(row)))
+        return image(self, row)
+
+    monkeypatch.setattr(genericity, "_first_violation", recording_first_violation)
+    monkeypatch.setattr(genericity, "_prefixes", counting_prefixes)
+    monkeypatch.setattr(IncrementalSpan, "image", recording_image)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return maps
+
+
+# Four points in general position, then four on the plane z = 0: the first
+# violation is the (4,) family (4, 5, 6, 7), after the k = 2 walk has placed
+# the prefixes of the points before it.
+LATE_COPLANAR = (
+    (1, 2, 5), (7, 3, 1), (2, 7, 9), (5, 4, 5),
+    (-8, 5, 0), (-4, -4, 0), (-1, 5, 0), (-9, -1, 0),
+)
+
+
+def test_the_empty_prefix_maps_no_point(monkeypatch):
+    """On the empty span a point is its own image, so the k = 1 walks map
+    none: a stage-6 Cantor graph's decide, which violates at k = 1, and
+    classical's (3,) walk on the 3 x 3 grid call IncrementalSpan.image
+    nowhere in their walks."""
+    cantor = cantor_graph_stage(6)
+    verdicts = []
+    maps = _walk_maps(
+        monkeypatch, lambda: verdicts.append(decide_all_projections(cantor))
+    )
+    assert maps == {1: []}
+    assert verdicts[0].certificate.pattern.k == 1
+    grid = Configuration(2, [(x, y) for x in range(3) for y in range(3)])
+    reports = []
+    maps = _walk_maps(
+        monkeypatch, lambda: reports.append(classical_general_position(grid))
+    )
+    assert maps == {1: []}
+    assert reports[0].witness == (0, 1, 2)
+
+
+def test_prefixes_past_the_empty_one_map_points_lazily(monkeypatch):
+    """A set that violates first at k = 2 walks no k = 1 level (the level-1
+    check holds) and maps points in its k = 2 walk on the prefix span of
+    rank 1: each prefix maps a point at most once, and none maps all n."""
+    config = Configuration(3, LATE_COPLANAR)
+    verdicts = []
+    maps = _walk_maps(
+        monkeypatch, lambda: verdicts.append(decide_all_projections(config))
+    )
+    assert verdicts[0].certificate.groups == ((4, 5, 6, 7),)
+    assert list(maps) == [2]
+    mapped = [(number, row) for number, rank, row in maps[2] if rank == 1]
+    assert mapped and len(set(mapped)) == len(mapped)
+    assert {row for _, row in mapped} <= set(config.integer_points)
+    per_prefix = Counter(number for number, _ in mapped)
+    assert len(per_prefix) > 1 and max(per_prefix.values()) < len(config)
 
 
 # Generic in dimension 4, where a point's image modulo one chord has three

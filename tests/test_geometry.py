@@ -399,8 +399,8 @@ class TestJson:
             )
 
 
-# The loader reads each cell once as a reduced integer pair and builds the
-# lattice without a Fraction. The reference below is the loader as first
+# The loader reads rows of string cells in one pass, other rows cell by
+# cell, and builds the lattice without a Fraction. The reference below is the loader as first
 # written: Python's own Fraction parser after the same syntax check, rows of
 # Fraction, duplicates found on the Fraction points, and the lattice taken
 # from those points.

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genpos
@@ -583,6 +583,142 @@ def test_first_bad_cell_is_named(rows, field):
     with pytest.raises(InputError, match=field + "not a rational: "):
         lattice(rows, "points")
 
+
+
+def _cell_by_cell_lattice(rows, name, dimension):
+    """lattice as it read rows before rows of strings were read in one
+    pass: every row in order, every cell by the strip-and-partition reader
+    into a reduced pair, then the lcm of the reduced denominators."""
+    if not isinstance(rows, (list, tuple)):
+        raise InputError(f"{name}: missing or not a list")
+    pairs = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"{name}[{i}]: expected a list of rationals")
+        vector = []
+        for j, cell in enumerate(row):
+            try:
+                vector.append(_old_rational_pair(cell))
+            except InputError as exc:
+                raise InputError(f"{name}[{i}][{j}]: {exc}") from None
+        if dimension is None:
+            if not vector:
+                raise InputError(f"{name}[{i}]: expected at least one coordinate")
+            dimension = len(vector)
+        elif len(vector) != dimension:
+            raise InputError(
+                f"{name}[{i}]: expected {dimension} coordinates, got {len(vector)}"
+            )
+        pairs.append(vector)
+    den = math.lcm(*(q for row in pairs for _, q in row))
+    return den, tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
+
+
+def _reference_configuration(dimension, rows):
+    """(denominator, integer points) of Configuration(dimension, rows), by
+    the cell-by-cell reader and the constructor's two checks."""
+    den, points = _cell_by_cell_lattice(rows, "points", dimension)
+    if not points:
+        raise InputError("points: configuration must contain at least one point")
+    seen = {}
+    for i, point in enumerate(points):
+        if point in seen:
+            raise InputError(f"points: duplicate point at indices {seen[point]} and {i}")
+        seen[point] = i
+    return den, points
+
+
+_SIGNED = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", "0", "00"]),
+    st.integers(0, 99),
+)
+_FRACTION = st.builds(
+    "{}/{}{}".format, _SIGNED, st.sampled_from(["", "0"]), st.integers(1, 60)
+)
+_SPECIAL = st.sampled_from([
+    "-0", "0/7", "6/4", "2/4", "-12/18", "1/0", "1//2", "1/-2", "1/+2", "1/2/3",
+    "1.5", "x", "", "1" * 4301, "1/" + "3" * 4301,
+])
+
+
+@st.composite
+def _string_cell(draw):
+    """A cell string: a core with signs, leading zeros and unreduced or bad
+    fractions, one in ten with a space inside it, between runs of any of the
+    characters str.isspace holds. Most cells are good, so that many rows
+    are read whole by the one pass."""
+    kind = draw(st.integers(0, 9))
+    core = draw(_SPECIAL if kind == 0 else _FRACTION if kind < 5 else _SIGNED)
+    if core and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(core)))
+        core = core[:at] + draw(st.sampled_from(_SPACES)) + core[at:]
+    around = st.text(alphabet=st.sampled_from(_SPACES), max_size=2)
+    return draw(around) + core + draw(around)
+
+
+_OTHER_CELLS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=20).filter(lambda x: abs(x) < 50),
+    st.booleans(),
+    st.floats(-4, 4),
+    st.none(),
+)
+
+
+@st.composite
+def _rows(draw):
+    """(dimension, rows): rows mostly of strings, one in four with other
+    cells mixed in, sometimes ragged, empty, or not a list at all."""
+    dimension = draw(st.integers(1, 3))
+    mixed = draw(st.integers(0, 3)) == 0
+    cell = st.one_of(_string_cell(), _OTHER_CELLS) if mixed else _string_cell()
+    count = st.just(dimension) if draw(st.integers(0, 4)) else st.integers(0, 4)
+    row = count.flatmap(lambda size: st.lists(cell, min_size=size, max_size=size))
+    if draw(st.integers(0, 9)) == 0:
+        row = st.one_of(row, st.sampled_from(["12", {"0": "1"}, None, 3]))
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    if draw(st.integers(0, 19)) == 0:
+        rows = draw(st.sampled_from([tuple(rows), [], "12", None, {"points": rows}]))
+    return dimension, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_rows(), given_dimension=st.booleans())
+@example(case=(2, [["1", "2"], ["3", "1" * 4301]]), given_dimension=True)
+@example(case=(2, [["1", "2"], "34"]), given_dimension=False)
+@example(case=(2, [["1/3", "2"], ["3", F(1, 3)]]), given_dimension=True)
+def test_lattice_reads_rows_as_the_cell_by_cell_reader(case, given_dimension):
+    """lattice, and Configuration through it, return the cell-by-cell
+    reference's denominator and rows, or raise its InputError text, on rows
+    of strings (read in one pass) as on rows mixed with int, Fraction, bool,
+    float and None cells, ragged rows, empty rows and non-lists."""
+    dimension, rows = case
+    read = dimension if given_dimension else None
+
+    def read_lattice(reader):
+        return _read(lambda rows: reader(rows, "points", read), rows)
+
+    assert read_lattice(lattice) == read_lattice(_cell_by_cell_lattice)
+
+    def configuration(rows):
+        config = Configuration(dimension, rows)
+        return config.denominator, config.integer_points
+
+    assert _read(configuration, rows) == _read(
+        lambda rows: _reference_configuration(dimension, rows), rows
+    )
+
+
+def test_one_gcd_brings_string_rows_to_lowest_terms():
+    """The one-pass read keeps each denominator as written: no cell is
+    reduced, and the one gcd of the lcm and the scaled entries is what
+    brings 2/4 and 6/4 over 4 to 1/2 and 3/2 over 2."""
+    assert lattice([["2/4", "6/4"]]) == (2, ((1, 3),))
+    assert lattice([["6/4"], ["10/12"]]) == lattice([[F(3, 2)], [F(5, 6)]]) == (
+        6, ((9,), (5,))
+    )
 
 _PATTERN = DegeneracyPattern(1, (2, 2))
 _WITNESS = Subspace(2, ((0, 1),))
