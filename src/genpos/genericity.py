@@ -261,14 +261,14 @@ def _prefixes(
         base = points[group[0]]
         for m in range(start, n):
             if not used[m]:
-                mark = span.mark()
+                rank = span.rank
                 span.add_row([x - y for x, y in zip(points[m], base)])
                 used[m] = True
                 group.append(m)
                 yield from extend(j, m + 1)
                 group.pop()
                 used[m] = False
-                span.rollback(mark)
+                span.rollback(rank)
 
     yield from place(0, 0)
 

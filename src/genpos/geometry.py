@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     _LatticeRecord,
     _Record,
+    _span,
     fractions,
     integer,
     lattice,
@@ -122,7 +123,7 @@ class Subspace(_LatticeRecord):
             )
 
     def _fill(self, ambient_dimension, denominator, rows):
-        dim = _kernel_span(ambient_dimension, rows).rank
+        dim = _span(ambient_dimension, rows).rank
         super().__init__(ambient_dimension, denominator, rows, dim)
 
     def _key(self):
@@ -148,13 +149,6 @@ class SubspaceCheck(_Record):
     __slots__ = (
         "k", "fibers", "nondegenerate", "excess_sum", "sum_ok", "passed", "violations"
     )
-
-
-def _kernel_span(dimension: int, rows) -> IncrementalSpan:
-    span = IncrementalSpan(dimension)
-    for row in rows:
-        span.add_row(row)
-    return span
 
 
 def _integer_row(vector: Vector) -> list[int]:
@@ -192,7 +186,7 @@ def fibers(config: Configuration, kernel: Subspace) -> FiberPartition:
             f"kernel ambient dimension {kernel.ambient_dimension} does not "
             f"match configuration dimension {config.dimension}"
         )
-    span = _kernel_span(kernel.ambient_dimension, kernel.integer_generators)
+    span = _span(kernel.ambient_dimension, kernel.integer_generators)
     classes: list[list[int]] = []
     reps: list[Point] = []
     for i, p in enumerate(config.points):

@@ -6,9 +6,10 @@ an integer argument. Rows reach the program along one route: lattice checks
 a list of rows, naming the bad field, and scales them by the lcm of their
 denominators onto integer rows without building a Fraction. Rows that are
 all strings, as JSON gives them, it reads in one pass, one fullmatch per
-cell and no per-cell gcd, and brings to lowest terms with one gcd; any
-other rows, and a bad cell, go through rational_pair, which reads one cell
-of any accepted kind as a reduced pair and names what is wrong with it.
+cell and no per-cell gcd; any other rows, and a bad cell, go through
+rational_pair, which reads one cell of any accepted kind as a reduced pair
+and names what is wrong with it. One closing gcd brings either read to
+lowest terms.
 Every record of the package is a _Record: its fields are its __slots__, set
 once by _Record.__init__, and the base makes it immutable, compares, hashes,
 copies, pickles and shows it. Integer rows and their lcm are what a
@@ -17,7 +18,8 @@ an AffineMap its matrix and translation; _on_lattice builds one unchecked
 from integer rows that a certificate or a producer already holds. fractions
 is the one place integer rows become fractions.Fraction rows.
 Rank and span membership are computed by IncrementalSpan on integer rows only;
-rational vectors reach it through lattice. All elimination is there, in one
+rational vectors reach it through lattice, and _span is the one place a span
+is built from a list of integer rows. All elimination is there, in one
 method: image, fraction-free integer elimination without division, maps a
 row linearly onto the quotient by the span, so its kernel is exactly the
 span. It reduces each added row, and the differences of point images key
@@ -106,7 +108,7 @@ def as_rational(value) -> Fraction:
 
 def _string_cells(rows, dimension: int | None):
     """(dimension, numerators, denominators) of every cell, row by row, with
-    the pairs unreduced, where the rows are lists or tuples of one positive
+    the pairs as written, where the rows are lists or tuples of one positive
     length whose cells are all str that _RATIONAL_RE reads; else None.
 
     One pass over all the cells, one fullmatch each, then int on the
@@ -171,12 +173,12 @@ def lattice(
     first row's length is the one every row must have. Errors read name,
     name[i] or name[i][j]. No Fraction is built. Rows whose cells are all
     str, as JSON gives them, are read in one pass by _string_cells into
-    unreduced pairs; any other rows, and rows that pass refuses, are read
+    pairs as written; any other rows, and rows that pass refuses, are read
     cell by cell by rational_pair into reduced pairs, in order, so the first
     bad row or cell raises what it always did. Let D be the lcm of the
     denominators read and g the gcd of D and every entry scaled by it: D / g
-    is the lcm of the reduced denominators, so one gcd, taken only after the
-    one pass, leaves the rows in lowest terms. A common positive scale
+    is the lcm of the reduced denominators, so one closing gcd leaves the
+    rows of either read in lowest terms. A common positive scale
     changes no rank, no span membership and no determinant's sign, so rank
     questions are answered on the integer rows, and the lcm of reduced
     denominators makes the scaled rows unique to the rational ones.
@@ -185,14 +187,12 @@ def lattice(
         raise InputError(f"{name}: missing or not a list")
     if not rows:
         return 1, ()
-    read = _string_cells(rows, dimension)
-    unreduced = read is not None
-    if not unreduced:
-        read = _cells_one_by_one(rows, name, dimension)
-    dimension, nums, dens = read
+    dimension, nums, dens = _string_cells(rows, dimension) or _cells_one_by_one(
+        rows, name, dimension
+    )
     den = math.lcm(*set(dens))
     scaled = [p * (den // q) for p, q in zip(nums, dens)]
-    if unreduced and den > 1:
+    if den > 1:
         g = math.gcd(den, *scaled)
         if g > 1:
             den //= g
@@ -316,7 +316,7 @@ class IncrementalSpan:
     j-th row has dimension - j entries, is primitive (the gcd of its entries
     is 1), and its pivot, an index within that quotient, is its first
     non-zero entry. Rows are never modified once stored, so a backtracking
-    search snapshots with mark(), the row count, and restores with
+    search snapshots the rank, the row count, and restores it with
     rollback(), which truncates.
 
     Rows are integer sequences of the span's dimension, such as the rows of
@@ -372,19 +372,19 @@ class IncrementalSpan:
                 return True
         return False
 
-    def mark(self) -> int:
-        return len(self.rows)
+    def rollback(self, rank: int) -> None:
+        del self.rows[rank:]
 
-    def rollback(self, mark: int) -> None:
-        del self.rows[mark:]
+
+def _span(dimension: int, rows) -> IncrementalSpan:
+    """The span of integer rows of the given dimension."""
+    span = IncrementalSpan(dimension)
+    for row in rows:
+        span.add_row(row)
+    return span
 
 
 def rank(vectors) -> int:
     """Dimension of the linear span, by fraction-free elimination."""
     _, rows = lattice(vectors)
-    if not rows:
-        return 0
-    span = IncrementalSpan(len(rows[0]))
-    for row in rows:
-        span.add_row(row)
-    return span.rank
+    return _span(len(rows[0]), rows).rank if rows else 0

@@ -19,7 +19,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from collections import Counter
-from itertools import combinations, count, groupby, permutations
+from itertools import combinations, count, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -96,7 +96,7 @@ def _reference_family(config, pattern):
         for m in range(start, n):
             if used[m]:
                 continue
-            mark = span.mark()
+            mark = span.rank
             span.add_row(rows[group[0]][m])
             if span.rank > k:
                 span.rollback(mark)
@@ -297,6 +297,20 @@ def _planted_patterns_corpus():
     return out
 
 
+def _cube_subsets():
+    """Every four- and five-point subset of {0, 1}^4, 1 820 and 4 368 sets:
+    the one exhaustive corpus with n <= N + 1. No three cube points are
+    collinear, so level 1 fails only on parallel chords. On the four-point
+    sets (n <= N) the top-level check reads the first three coordinates
+    only, and gives up on many generic sets that the walks then settle."""
+    cube = list(product((0, 1), repeat=4))
+    return [
+        Configuration(4, subset)
+        for size in (4, 5)
+        for subset in combinations(cube, size)
+    ]
+
+
 CORPORA = {
     "acceptance-equivalence": _equivalence_corpus,
     "acceptance-minimality": _minimality_corpus,
@@ -307,6 +321,7 @@ CORPORA = {
     "small-denominator-3d": lambda: _small_denominator_spatial(3),
     "small-denominator-4d": lambda: _small_denominator_spatial(4),
     "planted-patterns": _planted_patterns_corpus,
+    "cube-subsets": _cube_subsets,
 }
 
 
@@ -978,6 +993,17 @@ def test_shadow_first_tails_agree_with_the_oracle():
     small = [config for config in _tail_corpus() if len(config) <= 9]
     assert len(small) > 250
     assert _mismatches_oracle(small) == []
+
+
+def test_cube_subsets_agree_with_the_oracle():
+    """On every four- and five-point subset of {0, 1}^4 decide prints the
+    brute-force oracle's verdict byte for byte; the corpus holds generic
+    sets and both certificates, (2, 2) and (3, 2)."""
+    corpus = _cube_subsets()
+    verdicts = [decide_all_projections(config) for config in corpus]
+    seen = {None if v.generic else v.certificate.pattern.sizes for v in verdicts}
+    assert seen == {None, (2, 2), (3, 2)}
+    assert _mismatches_oracle(corpus) == []
 
 
 def test_a_tail_that_drops_a_repeated_item_is_caught(monkeypatch):

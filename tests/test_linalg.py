@@ -268,7 +268,7 @@ def test_incremental_span_rollback_restores_rank():
     )
     span = IncrementalSpan(3)
     assert span.add_row(e1)
-    mark = span.mark()
+    mark = span.rank
     rows = list(span.rows)
     assert span.add_row(e2)
     assert span.add_row(e3)
@@ -344,7 +344,7 @@ def test_incremental_span_is_independent_of_insertion_order(vectors, rnd, data):
         span = IncrementalSpan(dim)
         for row in order[:cut]:
             span.add_row(row)
-        mark = span.mark()
+        mark = span.rank
         kept = list(span.rows)
         for row in order[cut:]:
             span.add_row(row)
