@@ -41,8 +41,8 @@ class SplitMix64:
         """Uniform integer in [0, bound), unbiased via rejection.
 
         A draw joins as many 64-bit words as bound - 1 needs (at least one,
-        so a bound up to 2^64 draws single words as it always has) and is
-        rejected at or above the largest multiple of bound it can reach."""
+        so a bound up to 2^64 draws one word) and is rejected at or above
+        the largest multiple of bound it can reach."""
         integer(bound, "bound", 1)
         words = (max(bound - 1, 1).bit_length() + 63) // 64
         limit = 1 << 64 * words

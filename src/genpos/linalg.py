@@ -6,10 +6,9 @@ an integer argument. Rows reach the program along one route: lattice checks
 a list of rows, naming the bad field, and scales them by the lcm of their
 denominators onto integer rows without building a Fraction. Rows that are
 all strings, as JSON gives them, it reads in one pass, one fullmatch per
-cell and no per-cell gcd; any other rows, and a bad cell, go through
-rational_pair, which reads one cell of any accepted kind as a reduced pair
-and names what is wrong with it. One closing gcd brings either read to
-lowest terms.
+cell; any other rows, and a bad cell, go through rational_pair, which reads
+one cell of any accepted kind as written and names what is wrong with it.
+One closing gcd, _lowest_terms, brings either read to lowest terms.
 Every record of the package is a _Record: its fields are its __slots__, set
 once by _Record.__init__, and the base makes it immutable, compares, hashes,
 copies, pickles and shows it. Integer rows and their lcm are what a
@@ -50,7 +49,7 @@ def _excerpt(text: str, limit: int = 40) -> str:
 
 
 def rational_pair(value) -> tuple[int, int]:
-    """The reduced numerator and positive denominator of a rational cell.
+    """The numerator and positive denominator of a rational cell, as written.
 
     This is the one definition of the accepted cells: an int (not a bool), a
     Fraction, or a "p" or "p/q" string with an optional sign and surrounding
@@ -58,8 +57,8 @@ def rational_pair(value) -> tuple[int, int]:
     so is a string of more digits than Python converts to an int. lattice
     reads with it the rows that are not all strings, and a row of strings
     that its one pass refuses, so the InputError it raises names the bad
-    cell. Strings are tested first, as isinstance against Fraction goes
-    through ABCMeta.
+    cell. A string reads as written, "2/4" as (2, 4). Strings are tested
+    first, as isinstance against Fraction goes through ABCMeta.
     """
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value)
@@ -69,12 +68,9 @@ def rational_pair(value) -> tuple[int, int]:
             )
         num, den = match.groups()
         try:
-            p = int(num)
-            q = int(den) if den else 1
+            return int(num), int(den or 1)
         except ValueError as exc:  # Python's limit on int-string digits
             raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
-        g = math.gcd(p, q)
-        return (p, q) if g == 1 else (p // g, q // g)
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, bool):
@@ -112,9 +108,9 @@ def _string_cells(rows, dimension: int | None):
     length whose cells are all str that _RATIONAL_RE reads; else None.
 
     One pass over all the cells, one fullmatch each, then int on the
-    groups: no per-row loop and no per-cell call or gcd. A row or cell of
-    any other kind, a cell the regex refuses, or a part over Python's int
-    digit limit gives None, and lattice reads the rows cell by cell.
+    groups: no per-row loop and no per-cell call. A row or cell of any
+    other kind, a cell the regex refuses, or a part over Python's int digit
+    limit gives None, and lattice reads the rows cell by cell.
     """
     if not set(map(type, rows)) <= {list, tuple}:
         return None
@@ -138,7 +134,7 @@ def _string_cells(rows, dimension: int | None):
 
 def _cells_one_by_one(rows, name: str, dimension: int | None):
     """(dimension, numerators, denominators) of every cell, row by row, each
-    pair read and reduced by rational_pair, raising at the first bad row or
+    pair read as written by rational_pair, raising at the first bad row or
     cell an InputError that names it."""
     nums, dens = [], []
     for i, row in enumerate(rows):
@@ -166,22 +162,21 @@ def lattice(
     rows, name: str = "vectors", dimension: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Check rows of rational-like cells, naming the bad field, and return
-    the lcm of all denominators with the rows scaled by it to integers.
+    the lcm of the reduced denominators with the rows scaled by it.
 
     The rows must be a list or tuple, and each row a list or tuple of
     dimension cells, each accepted by rational_pair; without a dimension, the
     first row's length is the one every row must have. Errors read name,
     name[i] or name[i][j]. No Fraction is built. Rows whose cells are all
-    str, as JSON gives them, are read in one pass by _string_cells into
-    pairs as written; any other rows, and rows that pass refuses, are read
-    cell by cell by rational_pair into reduced pairs, in order, so the first
-    bad row or cell raises what it always did. Let D be the lcm of the
-    denominators read and g the gcd of D and every entry scaled by it: D / g
-    is the lcm of the reduced denominators, so one closing gcd leaves the
-    rows of either read in lowest terms. A common positive scale
-    changes no rank, no span membership and no determinant's sign, so rank
-    questions are answered on the integer rows, and the lcm of reduced
-    denominators makes the scaled rows unique to the rational ones.
+    str, as JSON gives them, are read in one pass by _string_cells; any
+    other rows, and rows that pass refuses, are read cell by cell by
+    rational_pair, in order, so the first bad row or cell raises an
+    InputError that names it. Either read gives the pairs as written; the
+    rows are scaled by the lcm of their denominators, and _lowest_terms
+    brings them to lowest terms. A common positive scale changes no rank,
+    no span membership and no determinant's sign, so rank questions are
+    answered on the integer rows, and the lcm of reduced denominators makes
+    the scaled rows unique to the rational ones.
     """
     if not isinstance(rows, (list, tuple)):
         raise InputError(f"{name}: missing or not a list")
@@ -192,12 +187,18 @@ def lattice(
     )
     den = math.lcm(*set(dens))
     scaled = [p * (den // q) for p, q in zip(nums, dens)]
-    if den > 1:
-        g = math.gcd(den, *scaled)
-        if g > 1:
-            den //= g
-            scaled = [x // g for x in scaled]
-    return den, tuple(zip(*[iter(scaled)] * dimension))
+    return _lowest_terms(den, scaled, dimension)
+
+
+def _lowest_terms(denominator: int, entries: list[int], dimension: int):
+    """(denominator / g, the entries / g cut into rows of dimension), for g
+    the gcd of the denominator and the flat integer entries: over any common
+    denominator D, D / g is the lcm of the reduced denominators."""
+    g = math.gcd(denominator, *entries)
+    if g > 1:
+        denominator //= g
+        entries = [x // g for x in entries]
+    return denominator, tuple(zip(*[iter(entries)] * dimension))
 
 
 def fractions(denominator: int, rows) -> Matrix:
@@ -271,15 +272,12 @@ class _LatticeRecord(_Record):
     @classmethod
     def _on_lattice(cls, dimension: int, denominator: int, rows, *rest):
         """The record of the rows / denominator, unchecked, for callers that
-        hold integer rows over one positive denominator. Dividing all of
-        them by their gcd leaves the lcm of the reduced denominators, so the
-        key is the one the checked constructor gives; rows are stored as
-        tuples."""
-        g = math.gcd(denominator, *(x for row in rows for x in row))
-        if g > 1:
-            rows = [[x // g for x in row] for row in rows]
+        hold integer rows over one positive denominator. _lowest_terms
+        brings them to lowest terms, as it does in lattice, so the key is
+        the one the checked constructor gives; rows are stored as tuples."""
+        entries = [x for row in rows for x in row]
         self = object.__new__(cls)
-        self._fill(dimension, denominator // g, tuple(map(tuple, rows)), *rest)
+        self._fill(dimension, *_lowest_terms(denominator, entries, dimension), *rest)
         return self
 
     def __reduce__(self):

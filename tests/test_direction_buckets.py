@@ -297,16 +297,17 @@ def _planted_patterns_corpus():
     return out
 
 
-def _cube_subsets():
-    """Every four- and five-point subset of {0, 1}^4, 1 820 and 4 368 sets:
-    the one exhaustive corpus with n <= N + 1. No three cube points are
-    collinear, so level 1 fails only on parallel chords. On the four-point
-    sets (n <= N) the top-level check reads the first three coordinates
-    only, and gives up on many generic sets that the walks then settle."""
+def _cube_subsets(*sizes):
+    """Every subset of {0, 1}^4 of each size: 1 820 of four points, 4 368
+    of five and 8 008 of six. The four- and five-point sets are the one
+    exhaustive corpus with n <= N + 1. No three cube points are collinear,
+    so level 1 fails only on parallel chords. On the four-point sets
+    (n <= N) the top-level check reads the first three coordinates only,
+    and gives up on many generic sets that the walks then settle."""
     cube = list(product((0, 1), repeat=4))
     return [
         Configuration(4, subset)
-        for size in (4, 5)
+        for size in sizes
         for subset in combinations(cube, size)
     ]
 
@@ -321,7 +322,7 @@ CORPORA = {
     "small-denominator-3d": lambda: _small_denominator_spatial(3),
     "small-denominator-4d": lambda: _small_denominator_spatial(4),
     "planted-patterns": _planted_patterns_corpus,
-    "cube-subsets": _cube_subsets,
+    "cube-subsets": lambda: _cube_subsets(4, 5),
 }
 
 
@@ -996,14 +997,24 @@ def test_shadow_first_tails_agree_with_the_oracle():
 
 
 def test_cube_subsets_agree_with_the_oracle():
-    """On every four- and five-point subset of {0, 1}^4 decide prints the
-    brute-force oracle's verdict byte for byte; the corpus holds generic
-    sets and both certificates, (2, 2) and (3, 2)."""
-    corpus = _cube_subsets()
-    verdicts = [decide_all_projections(config) for config in corpus]
-    seen = {None if v.generic else v.certificate.pattern.sizes for v in verdicts}
-    assert seen == {None, (2, 2), (3, 2)}
-    assert _mismatches_oracle(corpus) == []
+    """On every four-, five- and six-point subset of {0, 1}^4 decide prints
+    the brute-force oracle's verdict byte for byte. The smaller sets hold
+    generic sets and both certificates, (2, 2) and (3, 2); every six-point
+    set violates, and they are the first exhaustive corpus with k = 3
+    certificates."""
+    seen = {}
+    for size in 4, 5, 6:
+        found = seen[size] = Counter()
+        for config in _cube_subsets(size):
+            verdict = decide_all_projections(config)
+            assert _verdict_json(verdict) == _verdict_json(
+                decide_all_projections_oracle(config)
+            ), config.integer_points
+            found[None if verdict.generic else verdict.certificate.pattern.sizes] += 1
+    assert set(seen[4]) | set(seen[5]) == {None, (2, 2), (3, 2)}
+    assert seen[6] == {
+        (2, 2): 5640, (3, 2): 1280, (2, 2, 2): 816, (4, 2): 176, (3, 3): 96
+    }
 
 
 def test_a_tail_that_drops_a_repeated_item_is_caught(monkeypatch):

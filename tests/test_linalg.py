@@ -24,6 +24,7 @@ from genpos import (
     SubspaceCheck,
     Verdict,
     as_rational,
+    perturb_to_generic,
     rank,
 )
 from genpos.cli import CommandResult
@@ -482,8 +483,9 @@ _OLD_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 def _old_rational_pair(value):
     """rational_pair as it read cells before it matched them with one
-    grouped regex: strip, fullmatch, then partition at the slash. The
-    reference for the cells the reader accepts and the messages it gives."""
+    grouped regex: strip, fullmatch, then partition at the slash, the pair
+    kept as written. The reference for the cells the reader accepts, the
+    pairs it returns and the messages it gives."""
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, bool):
@@ -502,8 +504,7 @@ def _old_rational_pair(value):
             q = int(den) if den else 1
         except ValueError as exc:
             raise InputError(f"not a rational: {_excerpt(value)}: {exc}") from None
-        g = math.gcd(p, q)
-        return (p, q) if g == 1 else (p // g, q // g)
+        return p, q
     if isinstance(value, float):
         raise InputError(
             f'floating point value {value!r} is not exact; pass "p/q" strings'
@@ -587,8 +588,9 @@ def test_first_bad_cell_is_named(rows, field):
 
 def _cell_by_cell_lattice(rows, name, dimension):
     """lattice as it read rows before rows of strings were read in one
-    pass: every row in order, every cell by the strip-and-partition reader
-    into a reduced pair, then the lcm of the reduced denominators."""
+    pass: every row in order, every cell by the strip-and-partition reader,
+    each pair reduced here by its own gcd, then the lcm of the reduced
+    denominators, so no closing gcd is needed."""
     if not isinstance(rows, (list, tuple)):
         raise InputError(f"{name}: missing or not a list")
     pairs = []
@@ -598,9 +600,11 @@ def _cell_by_cell_lattice(rows, name, dimension):
         vector = []
         for j, cell in enumerate(row):
             try:
-                vector.append(_old_rational_pair(cell))
+                p, q = _old_rational_pair(cell)
             except InputError as exc:
                 raise InputError(f"{name}[{i}][{j}]: {exc}") from None
+            g = math.gcd(p, q)
+            vector.append((p // g, q // g))
         if dimension is None:
             if not vector:
                 raise InputError(f"{name}[{i}]: expected at least one coordinate")
@@ -712,12 +716,22 @@ def test_lattice_reads_rows_as_the_cell_by_cell_reader(case, given_dimension):
 
 
 def test_one_gcd_brings_string_rows_to_lowest_terms():
-    """The one-pass read keeps each denominator as written: no cell is
-    reduced, and the one gcd of the lcm and the scaled entries is what
-    brings 2/4 and 6/4 over 4 to 1/2 and 3/2 over 2."""
+    """Both reads keep each pair as written: no cell is reduced, and the one
+    gcd of the lcm and the scaled entries is what brings 2/4 and 6/4 over 4
+    to 1/2 and 3/2 over 2, on string rows read in one pass and on mixed
+    rows read cell by cell alike. An epsilon of 2/200 moves the points as
+    1/100 does, since _on_lattice takes the same closing gcd."""
+    assert rational_pair("2/4") == (2, 4)
     assert lattice([["2/4", "6/4"]]) == (2, ((1, 3),))
     assert lattice([["6/4"], ["10/12"]]) == lattice([[F(3, 2)], [F(5, 6)]]) == (
         6, ((9,), (5,))
+    )
+    assert lattice([[1, "2/4"], ["6/4", F(1, 3)]]) == lattice(
+        [[1, F(1, 2)], [F(3, 2), F(1, 3)]]
+    ) == (6, ((6, 3), (9, 2)))
+    square = Configuration(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert perturb_to_generic(square, "2/200", 1) == perturb_to_generic(
+        square, "1/100", 1
     )
 
 _PATTERN = DegeneracyPattern(1, (2, 2))

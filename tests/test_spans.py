@@ -26,7 +26,7 @@ from genpos import (
     rank,
     verdict_to_json,
 )
-from genpos import genericity
+from genpos import genericity, spans
 from genpos.cli import run
 from genpos.spans import spans_distinct
 from test_direction_buckets import _affine_image, _first_level, _plant
@@ -228,9 +228,9 @@ def test_coinciding_projection_gives_up_and_matches_the_oracle(tmp_path):
     }
 
 
-def test_decide_walks_no_level_of_a_settled_set(monkeypatch):
-    """A generic set that the checks settle is walked at no level; one that
-    they give up on is walked at every level."""
+def _walked_levels(monkeypatch):
+    """The list to which every walk of genericity._first_violation appends
+    its level k."""
     levels = []
     first_violation = genericity._first_violation
 
@@ -239,8 +239,33 @@ def test_decide_walks_no_level_of_a_settled_set(monkeypatch):
         return first_violation(patterns, points)
 
     monkeypatch.setattr(genericity, "_first_violation", recording_first_violation)
+    return levels
+
+
+def test_decide_walks_no_level_of_a_settled_set(monkeypatch):
+    """A generic set that the checks settle is walked at no level; one that
+    they give up on is walked at every level."""
+    levels = _walked_levels(monkeypatch)
     for points in SHARED_FIRST_COORDINATE, random_configuration(9, 4, 10**6, 1).points:
         assert decide_all_projections(Configuration(4, points)).generic
     assert levels == []
     assert decide_all_projections(Configuration(5, COINCIDING_PROJECTION)).generic
     assert levels == [1, 2, 3]
+
+
+def test_decide_walks_every_level_where_both_checks_give_up(monkeypatch):
+    """With every shadow key of genpos.spans one constant, both checks give
+    up on a generic set with n > N + 1, and decide walks every level to the
+    oracle's verdict: the give-up path on a set no rank rule for n <= N + 1
+    settles."""
+    config = random_configuration(9, 4, 10**6, 1)
+    levels = _walked_levels(monkeypatch)
+    monkeypatch.setattr(spans, "_shadow_key", lambda head, tip: 0.0)
+    assert not spans_distinct(config.integer_points, 1)
+    assert not spans_distinct(config.integer_points, _top(config))
+    verdict = decide_all_projections(config)
+    assert verdict.generic
+    assert levels == [1, 2, 3]
+    assert verdict_to_json(verdict) == verdict_to_json(
+        decide_all_projections_oracle(config)
+    )
