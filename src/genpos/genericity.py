@@ -10,12 +10,13 @@ absence of any such family.
 It suffices to search families whose vector count lands exactly one above the
 span bound: from any violating family one can drop dependent difference
 vectors until m = rank + 1 while the span keeps its dimension. The engine
-therefore enumerates, for each k from 1 to N-1, the group-size patterns with
-sum(size - 1) = k + 1 in a fixed canonical order (sizes as descending
-partitions, largest first), and returns the lexicographically first violating
+therefore walks the levels k = 1..min(N - 1, n - 2) (_levels), each through
+the group sizes with sum(size - 1) = k + 1 that fit, in canonical order
+(descending partitions, largest first), built by _level_sizes only for a
+level that is walked, and returns the lexicographically first violating
 point assignment of the first pattern that has one, as a reproducible
-certificate. The oracle's exhaustive mode draws every larger sum from the
-same generator, _engine_patterns.
+certificate. The oracle's exhaustive mode draws every larger sum from
+_level_sizes too.
 
 Pattern k is searched only after every smaller k came back empty, so any k
 vectors of a family are independent, and a family violates iff its last two
@@ -79,14 +80,14 @@ vector, and gives up on a zero pair, a repeated key or a dependent vector
 (see genpos.spans); at level 1 it keys every chord by its first two
 coordinates and stops at the first key that is None or repeats, so an early
 violation costs a few keys. Where it gives up, the walks run as set out
-above, so every certificate is the walks'. classical asks level 1 before
-its walk of triples.
+above, so every certificate is the walks'. classical walks the same levels,
+one pattern (k + 2,) each, and asks level 1 before its walk of triples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, groupby, repeat, starmap
+from itertools import combinations, repeat, starmap
 from math import gcd
 from operator import sub
 
@@ -103,8 +104,8 @@ class DegeneracyPattern(_Record):
 
     Sizes are kept as a descending multiset; validity requires every size to
     be at least 2 and sum(size - 1) >= k + 1. A bound k means something only
-    below the ambient dimension N: minimal_patterns refuses k >= N, and every
-    pattern the engine, the oracle and the certificate build has k < N.
+    below the ambient dimension N: minimal_patterns refuses k >= N, and the
+    certificate's k, the span dimension of a violating family, is below N.
     """
 
     __slots__ = ("k", "sizes")
@@ -143,12 +144,10 @@ class Verdict(_Record):
         super().__init__(generic, certificate)
 
 
-def _partitions_desc(total: int, max_parts: int | None = None):
-    """Partitions of `total` into parts >= 1, descending, largest-first order.
-
-    With max_parts, only partitions of at most that many parts are built: a
-    first part below remaining / parts_left could not be completed, so it is
-    never tried.
+def _partitions_desc(total: int, max_parts: int):
+    """Partitions of `total` into at most max_parts parts >= 1, descending,
+    largest-first order. Only those are built: a first part below
+    remaining / parts_left could not be completed, so it is never tried.
     """
 
     def rec(remaining: int, max_part: int, parts_left: int):
@@ -160,35 +159,33 @@ def _partitions_desc(total: int, max_parts: int | None = None):
             for rest in rec(remaining - first, first, parts_left - 1):
                 yield (first,) + rest
 
-    yield from rec(total, total, total if max_parts is None else max_parts)
+    yield from rec(total, total, max_parts)
 
 
 def minimal_patterns(k: int, dimension: int) -> list[DegeneracyPattern]:
-    """All patterns with sum(size - 1) exactly k + 1, in canonical order."""
+    """All patterns with sum(size - 1) exactly k + 1, in canonical order:
+    level k's sizes on 2k + 2 points, which every one of them fits."""
     if integer(k, "k", 1) >= integer(dimension, "dimension", 1):
         raise InputError(f"k: {k} is not below the ambient dimension {dimension}")
+    return [DegeneracyPattern(k, sizes) for sizes in _level_sizes(k, 2 * k + 2)]
+
+
+def _levels(dimension: int, n: int) -> range:
+    """The levels k = 1..min(N - 1, n - 2), the top level last: k < N, and
+    level k's patterns need k + 2 points."""
+    return range(1, min(dimension, n - 1))
+
+
+def _level_sizes(k: int, n: int, minimal_only: bool = True) -> list:
+    """Level k's group sizes that fit n points, in canonical order, with
+    sum(size - 1) = k + 1, or with minimal_only=False every sum from k + 1
+    up. A pattern of `total` vectors has total + groups points, so it fits
+    iff it has at most n - total groups; only those partitions are built."""
     return [
-        DegeneracyPattern(k, tuple(part + 1 for part in partition))
-        for partition in _partitions_desc(k + 1)
+        tuple(part + 1 for part in partition)
+        for total in range(k + 1, k + 2 if minimal_only else n)
+        for partition in _partitions_desc(total, n - total)
     ]
-
-
-def _engine_patterns(config: Configuration, minimal_only: bool = True):
-    """The patterns that fit the point count, for k <= min(N - 1, n - 2):
-    the minimal ones, sum(size - 1) = k + 1, or with minimal_only=False
-    every one with that sum from k + 1 up, yielded in canonical order so a
-    search that stops builds no more.
-
-    The sizes of a pattern of `total` vectors sum to total plus its number
-    of groups, so it fits n points iff it has at most n - total groups; none
-    fits once total >= n, so none for k > n - 2. Only fitting partitions
-    are built.
-    """
-    n = len(config)
-    for k in range(1, min(config.dimension, n - 1)):
-        for total in range(k + 1, k + 2 if minimal_only else n):
-            for partition in _partitions_desc(total, n - total):
-                yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
 
 
 def _build_certificate(
@@ -374,10 +371,10 @@ def _tail(sizes: tuple[int, ...], prefix, free: list[int], key, shadow):
 
 
 def _first_violation(
-    patterns: list[DegeneracyPattern], points
+    patterns: list[tuple[int, ...]], points
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Lexicographically first family of the first of the patterns, all of
-    one k, that has k + 1 vectors spanning at most k dimensions, or None.
+    """Lexicographically first family of the first of the patterns, group
+    sizes all of one k, whose k + 1 vectors span at most k dimensions, or None.
 
     Call only once every smaller k has no violation: then any k vectors of a
     family are independent, so a family violates iff its last two vectors
@@ -418,11 +415,11 @@ def _first_violation(
     """
     n = len(points)
     walks: dict = {}
-    for index, pattern in enumerate(patterns):
-        counts, equal, above, joined = _plan(pattern.sizes)
-        size = sum(pattern.sizes) - sum(counts)  # the tail's points
+    for index, sizes in enumerate(patterns):
+        counts, equal, above, joined = _plan(sizes)
+        size = sum(sizes) - sum(counts)  # the tail's points
         walks.setdefault((counts, equal), []).append(
-            (index, pattern.sizes, above, joined, size)
+            (index, sizes, above, joined, size)
         )
     best, family = len(patterns), None
     span = IncrementalSpan(len(points[0]))
@@ -490,17 +487,17 @@ def decide_all_projections(config: Configuration) -> Verdict:
     up, and then the k = 1 walk runs. Once k = 1 has no violation,
     spans_distinct on the top level K = min(N - 1, n - 2) either settles the
     configuration generic or gives up, and then the walks of k = 2..K run.
-    The search and the certificate run on the configuration's integer
-    lattice; only the witness basis is built as rational vectors.
+    A level's sizes are built only for its walk. The search and the
+    certificate run on the integer lattice; the witness basis is rational.
     """
     points = config.integer_points
-    top = min(config.dimension, len(points) - 1) - 1
-    for k, patterns in groupby(_engine_patterns(config), lambda p: p.k):
+    levels = _levels(config.dimension, len(points))
+    for k in levels:
         if k == 1 and spans_distinct(points, 1):
             continue
-        if k == 2 and spans_distinct(points, top):
+        if k == 2 and spans_distinct(points, levels[-1]):
             return Verdict(True)
-        groups = _first_violation(list(patterns), points)
+        groups = _first_violation(_level_sizes(k, len(points)), points)
         if groups is not None:
             return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
@@ -535,8 +532,8 @@ def decide_all_projections_oracle(
 
     Enumerates every pattern and every family without pruning; a family
     violates its pattern when its difference_basis has at most k vectors.
-    The patterns are the engine's (_engine_patterns): with
-    minimal_only=False every sum(size - 1) from k + 1 up that fits the
+    The levels and their sizes are the engine's (_levels, _level_sizes):
+    with minimal_only=False every sum(size - 1) from k + 1 up that fits the
     point count, not just k + 1. Refuses configurations above max_points.
     """
     n = len(config)
@@ -545,10 +542,11 @@ def decide_all_projections_oracle(
             f"brute force refused: {n} points exceeds the guard of {max_points}"
         )
     points = config.integer_points
-    for pattern in _engine_patterns(config, minimal_only):
-        for groups in _canonical_families(n, pattern.sizes):
-            if len(difference_basis(points, groups)) <= pattern.k:
-                return Verdict(False, _build_certificate(config, groups))
+    for k in _levels(config.dimension, n):
+        for sizes in _level_sizes(k, n, minimal_only):
+            for groups in _canonical_families(n, sizes):
+                if len(difference_basis(points, groups)) <= k:
+                    return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
 
 
@@ -567,17 +565,17 @@ def classical_general_position(config: Configuration) -> ClassicalReport:
     """Every d+1 points with d <= N must be affinely independent.
 
     On failure the witness is a smallest affinely dependent subset, earliest
-    in lexicographic order. Sizes s are tried in increasing order, so when s
-    is tried every smaller subset is independent: a dependent s-subset is a
-    violating family of the single-group pattern (s,) with k = s - 2, and
-    the decide search finds the first one. Where spans_distinct holds on
-    level 1, no three points are collinear, and the (3,) walk is skipped.
+    in lexicographic order. It walks decide's levels in increasing order, so
+    at level k every subset of k + 1 points is independent: a dependent
+    (k + 2)-subset is a violating family of the pattern (k + 2,), and the
+    decide search finds the first one. Where spans_distinct holds on level
+    1, no three points are collinear, and the (3,) walk is skipped.
     """
-    n, points = len(config), config.integer_points
-    for size in range(3, min(n, config.dimension + 1) + 1):
-        if size == 3 and spans_distinct(points, 1):
+    points = config.integer_points
+    for k in _levels(config.dimension, len(points)):
+        if k == 1 and spans_distinct(points, 1):
             continue
-        family = _first_violation([DegeneracyPattern(size - 2, (size,))], points)
+        family = _first_violation([(k + 2,)], points)
         if family is not None:
             return ClassicalReport(False, family[0])
     return ClassicalReport(True)

@@ -19,7 +19,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from collections import Counter
-from itertools import combinations, count, groupby, permutations, product
+from itertools import combinations, count, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -43,18 +43,18 @@ from genpos import (
     verdict_to_json,
 )
 from genpos import genericity, spans
-from genpos.genericity import Verdict, _build_certificate, _engine_patterns
+from genpos.genericity import Verdict, _build_certificate, _level_sizes, _levels
 from genpos.linalg import IncrementalSpan, primitive_row
 from genpos.selftest import grid_configuration, grid_corpus
 from test_acceptance import _equivalence_corpus, _minimality_corpus
-from test_integer_core import corpus as integer_core_corpus
+from test_integer_core import _verdict_json, corpus as integer_core_corpus
 
 F = Fraction
 
 
-def _reference_family(config, pattern):
-    """Lexicographically first family of the pattern whose vectors span at
-    most k dimensions, or None, by depth-first search over every vector.
+def _reference_family(config, k, sizes):
+    """Lexicographically first family of the group sizes whose vectors span
+    at most k dimensions, or None, by depth-first search over every vector.
 
     Groups are filled in size order; groups of equal size have increasing
     first elements. A branch is abandoned once its vectors span more than k
@@ -62,7 +62,6 @@ def _reference_family(config, pattern):
     """
     points = config.integer_points
     n = len(points)
-    k, sizes = pattern.k, pattern.sizes
     if sum(sizes) > n:
         return None
     rows = [
@@ -119,10 +118,12 @@ def _reference_verdict(config):
     """decide_all_projections with the depth-first search on every pattern."""
     if config.dimension == 1 or len(config.points) == 1:
         return Verdict(True)
-    for pattern in _engine_patterns(config):
-        groups = _reference_family(config, pattern)
-        if groups is not None:
-            return Verdict(False, _build_certificate(config, groups))
+    n = len(config)
+    for k in _levels(config.dimension, n):
+        for sizes in _level_sizes(k, n):
+            groups = _reference_family(config, k, sizes)
+            if groups is not None:
+                return Verdict(False, _build_certificate(config, groups))
     return Verdict(True)
 
 
@@ -131,14 +132,11 @@ def _first_level(config):
     finds a family, or None; each level is one genericity._first_violation
     call, so a test's replacement of it sees every walk."""
     points = config.integer_points
-    for k, patterns in groupby(_engine_patterns(config), lambda p: p.k):
-        if genericity._first_violation(list(patterns), points) is not None:
+    n = len(points)
+    for k in _levels(config.dimension, n):
+        if genericity._first_violation(_level_sizes(k, n), points) is not None:
             return k
     return None
-
-
-def _verdict_json(verdict):
-    return json.dumps(verdict_to_json(verdict), sort_keys=True)
 
 
 def _mismatches(corpus):
@@ -535,7 +533,7 @@ def _product_cantor_corpus():
     return [cube, _lifted(cube)] + [_lifted(shape) for shape in planar]
 
 
-PREFILTER_CORPORA = {
+LEVEL_ONE_CORPORA = {
     **SAME_BUCKET_CORPORA,
     "cantor": _cantor_corpus,
     "product-cantor": _product_cantor_corpus,
@@ -543,7 +541,7 @@ PREFILTER_CORPORA = {
 }
 
 
-@pytest.mark.parametrize("name", list(PREFILTER_CORPORA))
+@pytest.mark.parametrize("name", list(LEVEL_ONE_CORPORA))
 def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
     """A tail that keys pairs of free points keys only pairs of its own
     pool, the first point of the prefix's last group, if any, and its free
@@ -574,7 +572,7 @@ def test_prefixes_the_prefilter_skips_have_no_tail_hit(monkeypatch, name):
                 next(skipped_tails)
         return hit
 
-    corpus = PREFILTER_CORPORA[name]()
+    corpus = LEVEL_ONE_CORPORA[name]()
     monkeypatch.setattr(genericity, "_shadow_key", lambda head, tip: ())
     monkeypatch.setattr(genericity, "_tail", checking_tail)
     forced = []
@@ -651,7 +649,7 @@ def test_shadow_key_of_entries_beyond_a_float(shadow, expected):
     assert key((5, -3), (5 - 7 * x, -3 - 7 * y)) == expected
 
 
-def test_single_group_walks_run_no_prefilter(monkeypatch):
+def test_single_group_walks_follow_the_level_one_check(monkeypatch):
     """classical_general_position asks the level-1 check before its (3,)
     walk, a triple on the empty prefix: on this generic set the check keys
     every pair of the 9 points once and holds, so only the (s,) walks for
@@ -667,7 +665,7 @@ def test_single_group_walks_run_no_prefilter(monkeypatch):
     walks, keyed, tails, inside, outside = [], [], [], [], count()
 
     def recording_first_violation(patterns, points):
-        walks.append(patterns[0].sizes)
+        walks.append(patterns[0])
         return first_violation(patterns, points)
 
     def recording_check_key(head, tip):
@@ -725,7 +723,7 @@ def _walk_maps(monkeypatch, run):
     prefix = [0]
 
     def recording_first_violation(patterns, points):
-        level.append(patterns[0].k)
+        level.append(sum(patterns[0]) - len(patterns[0]) - 1)
         maps.setdefault(level[-1], [])
         try:
             return first_violation(patterns, points)
@@ -862,7 +860,7 @@ def _k1_planted_corpus():
     return out
 
 
-def test_k1_prefilter_agrees_with_the_oracle():
+def test_level_one_check_agrees_with_the_oracle():
     """The level-1 check gives up on a repeated or None shadow key, and the
     k = 1 walk runs: on sets with a planted collinear triple, parallel
     chords, chords with zero shadows (key None) or chords with parallel
@@ -884,7 +882,7 @@ def test_k1_prefilter_agrees_with_the_oracle():
     assert none_repeats and false_repeats
 
 
-def test_prefilter_stops_at_the_first_repeat(monkeypatch):
+def test_level_one_check_stops_at_the_first_repeat(monkeypatch):
     """Where the k = 1 walk hits early, the level-1 check of genpos.spans
     stops at the first repeated shadow key: on a Cantor graph stage and on
     a grid it keys at most n of the n(n - 1) / 2 pairs before the exact
@@ -1015,6 +1013,35 @@ def test_cube_subsets_agree_with_the_oracle():
     assert seen[6] == {
         (2, 2): 5640, (3, 2): 1280, (2, 2, 2): 816, (4, 2): 176, (3, 3): 96
     }
+
+
+def _grid_sample(count):
+    """count distinct five-point subsets of {0, 1, 2}^3, in the order a
+    SplitMix64 seeded with 9 first draws them, each with its points in grid
+    order: a fixed sample of the 80 730 such sets."""
+    grid = list(product(range(3), repeat=3))
+    rng, subsets = SplitMix64(9), {}
+    while len(subsets) < count:
+        subset = set()
+        while len(subset) < 5:
+            subset.add(rng.below(len(grid)))
+        subsets.setdefault(tuple(sorted(subset)), None)
+    return [Configuration(3, tuple(grid[i] for i in s)) for s in subsets]
+
+
+def test_grid_sample_agrees_with_the_oracle():
+    """On 2 000 five-point subsets of {0, 1, 2}^3 decide prints the
+    brute-force oracle's verdict byte for byte. Three points of this grid
+    can be collinear, so the sample holds both k = 1 certificates, the
+    k = 2 ones, (4,) and (3, 2), and generic sets."""
+    found = Counter()
+    for config in _grid_sample(2000):
+        verdict = decide_all_projections(config)
+        assert _verdict_json(verdict) == _verdict_json(
+            decide_all_projections_oracle(config)
+        ), config.integer_points
+        found[None if verdict.generic else verdict.certificate.pattern.sizes] += 1
+    assert set(found) == {None, (3,), (2, 2), (4,), (3, 2)}
 
 
 def test_a_tail_that_drops_a_repeated_item_is_caught(monkeypatch):
@@ -1197,7 +1224,7 @@ def test_walk_of_one_level_keeps_only_one_prefix_of_keys():
     """The same bound for the walk itself: decide settles this generic set
     by its top-level check, so the k = 2 walk is called on its own."""
     config = random_configuration(16, 3, 10**6, 1)
-    patterns = [p for p in _engine_patterns(config) if p.k == 2]
+    patterns = _level_sizes(2, len(config))
     tracemalloc.start()
     try:
         assert genericity._first_violation(patterns, config.integer_points) is None
@@ -1307,3 +1334,18 @@ def test_classical_witness_matches_brute_force():
         assert report.in_general_position == (expected is None)
         found.add(None if expected is None else len(expected))
     assert {None, 3, 4, 5} <= found
+
+
+def test_classical_matches_brute_force_on_cube_subsets():
+    """On every four- and five-point subset of {0, 1}^4, where n <= N + 1
+    and so n bounds the levels classical walks, its witness is the
+    brute-force one: 1 300 sets have a four-point witness, 160 a five-point
+    one, and 4 728 are in general position."""
+    found = Counter()
+    for config in _cube_subsets(4, 5):
+        report = classical_general_position(config)
+        expected = _classical_reference(config)
+        assert report.witness == expected, config.integer_points
+        assert report.in_general_position == (expected is None)
+        found[None if expected is None else len(expected)] += 1
+    assert found == {4: 1300, 5: 160, None: 4728}

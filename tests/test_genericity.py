@@ -29,7 +29,8 @@ from genpos import (
     subspace_from_json,
     verdict_to_json,
 )
-from genpos.genericity import _engine_patterns, _partitions_desc
+from genpos import genericity
+from genpos.genericity import _level_sizes, _levels, _partitions_desc
 from genpos.geometry import difference_basis, subspace_check_to_json
 from genpos.linalg import vector_sub
 from genpos.selftest import (
@@ -59,11 +60,11 @@ def difference_system(config, groups):
 def _reference_all_patterns(dimension, max_vectors):
     """Every pattern with sum(size - 1) up to max_vectors, each partition
     built before any is dropped: the exhaustive enumeration the oracle used
-    before it shared _engine_patterns."""
+    before it shared the engine's levels and sizes."""
     out = []
     for k in range(1, dimension):
         for total in range(k + 1, max_vectors + 1):
-            for partition in _partitions_desc(total):
+            for partition in _partitions_desc(total, total):
                 out.append(DegeneracyPattern(k, tuple(p + 1 for p in partition)))
     return out
 
@@ -75,6 +76,22 @@ def _reference_engine_patterns(config):
     for k in range(1, min(config.dimension, n - 1)):
         for partition in _partitions_desc(k + 1, n - k - 1):
             yield DegeneracyPattern(k, tuple(part + 1 for part in partition))
+
+
+def _walked_sizes(config, minimal_only=True):
+    """(k, sizes) for every level of the configuration and each of its
+    fitting size tuples, in the order decide and the oracle walk them."""
+    n = len(config)
+    return [
+        (k, sizes)
+        for k in _levels(config.dimension, n)
+        for sizes in _level_sizes(k, n, minimal_only)
+    ]
+
+
+def _pairs(patterns):
+    """(k, sizes) of each pattern."""
+    return [(p.k, p.sizes) for p in patterns]
 
 
 @st.composite
@@ -216,19 +233,27 @@ class TestDecide:
 
     def test_two_points_in_dimension_sixty_generic(self):
         config = Configuration(60, (tuple(range(60)), tuple(range(1, 61))))
-        assert list(_engine_patterns(config)) == []
+        assert _walked_sizes(config) == []
         assert decide_all_projections(config).generic
         assert decide_all_projections_oracle(config).generic
 
-    def test_first_hit_stops_pattern_building(self):
+    def test_first_hit_stops_pattern_building(self, monkeypatch):
         # 50 unit vectors in dimension 50 with a collinear triple at 0-2: the
-        # first pattern hits, and none of the 204,224 after it is built.
+        # first pattern hits, and none of the 204,222 sizes of the levels
+        # after the first is built.
         points = [tuple(int(i == j) for j in range(50)) for i in range(50)]
         points[2] = tuple(2 * a - b for a, b in zip(points[1], points[0]))
         config = Configuration(50, tuple(points))
-        patterns = _engine_patterns(config)
-        assert next(patterns) == DegeneracyPattern(1, (3,))
+        assert _level_sizes(1, 50) == [(3,), (2, 2)]
+        built, level_sizes = [], genericity._level_sizes
+
+        def recording_level_sizes(k, n, *args):
+            built.append(k)
+            return level_sizes(k, n, *args)
+
+        monkeypatch.setattr(genericity, "_level_sizes", recording_level_sizes)
         assert decide_all_projections(config).certificate.groups == ((0, 1, 2),)
+        assert built == [1]
 
     def test_engine_patterns_stop_at_n_minus_two(self):
         # Only partitions that fit are built; the list must equal the old
@@ -242,7 +267,8 @@ class TestDecide:
                     for p in minimal_patterns(k, dim)
                     if sum(p.sizes) <= n
                 ]
-                assert list(_engine_patterns(Configuration(dim, points))) == unbounded
+                config = Configuration(dim, points)
+                assert _walked_sizes(config) == _pairs(unbounded)
 
     def test_engine_patterns_match_references(self):
         # One generator for both modes: the exhaustive list equals the old
@@ -255,9 +281,9 @@ class TestDecide:
                 exhaustive = [
                     p for p in _reference_all_patterns(dim, n) if sum(p.sizes) <= n
                 ]
-                assert list(_engine_patterns(config, False)) == exhaustive
+                assert _walked_sizes(config, False) == _pairs(exhaustive)
                 minimal = list(_reference_engine_patterns(config))
-                assert list(_engine_patterns(config)) == minimal
+                assert _walked_sizes(config) == _pairs(minimal)
 
     def test_matches_oracle_on_random_configurations(self):
         corpus = grid_corpus(9001, 80, range(4, 7), ((2, 3), (3, 3)))

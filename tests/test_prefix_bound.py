@@ -75,12 +75,12 @@ def test_bounded_walks_place_every_prefix_of_every_family(monkeypatch, dimension
                     points, counts, equal, tail, IncrementalSpan(dimension)
                 )
             }
-            members = [p for p in patterns if _plan(p.sizes)[:2] == (counts, equal)]
+            members = [s for s in patterns if _plan(s)[:2] == (counts, equal)]
             assert members
-            for pattern in members:
-                for family in _canonical_families(n, pattern.sizes):
+            for sizes in members:
+                for family in _canonical_families(n, sizes):
                     prefix = tuple(g[:c] for g, c in zip(family, counts))
-                    assert prefix in placed, (n, pattern, family)
+                    assert prefix in placed, (n, sizes, family)
 
 
 def _plant_on_top(rng, config, pattern):

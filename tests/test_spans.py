@@ -235,7 +235,7 @@ def _walked_levels(monkeypatch):
     first_violation = genericity._first_violation
 
     def recording_first_violation(patterns, points):
-        levels.append(patterns[0].k)
+        levels.append(sum(patterns[0]) - len(patterns[0]) - 1)
         return first_violation(patterns, points)
 
     monkeypatch.setattr(genericity, "_first_violation", recording_first_violation)
